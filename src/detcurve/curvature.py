@@ -217,15 +217,57 @@ def _top_k_products(tuples: np.ndarray, k: int) -> np.ndarray:
     return np.prod(ordered[:, :k], axis=1)
 
 
-def _sweep_masses(mu: WeightedPointMeasure, frame: np.ndarray,
-                  invsq: np.ndarray, shift: np.ndarray = None) -> np.ndarray:
-    """Masses of all length assignments for one frame (einsum keeps results
-    independent of BLAS threading)."""
-    z = mu.points @ frame
-    if shift is not None:
-        z = z - shift
-    s = np.einsum("na,ta->nt", z * z, invsq)
-    return np.einsum("n,nt->t", mu.weights, (s <= 1.0).astype(float))
+SWEEP_BLOCK = 1 << 14  # atom x prefix entries per block of centres
+
+
+def _sweep(z: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Masses (..., L**d), in itertools.product order, of the ellipsoids with
+    semi-lengths from the increasing grid values, for atom coordinates z
+    (..., N, d) in their frame relative to their centre.
+
+    An atom is inside when s <= 1.0, s summing (z_a * z_a) * (1.0 / l_a ** 2)
+    left to right over the axes; for d >= 3 this fixed order decides atoms
+    on s == 1.  s falls as the last length grows, so per atom and prefix of
+    the other lengths the count of admitting last-axis lengths gives the
+    first one; weights are histogrammed there and summed cumulatively.
+    """
+    *batch, n, d = z.shape
+    n_len = values.shape[0]
+    invsq = 1.0 / values ** 2
+    q = np.moveaxis(z * z, -1, -2)[..., None, :]  # (..., d, 1, N): atoms innermost
+    prefix = np.zeros((*batch, 1, n))
+    for a in range(d - 1):
+        term = invsq[:, None] * q[..., a, :, :]
+        prefix = (prefix[..., :, None, :] + term[..., None, :, :]).reshape(*batch, -1, n)
+    count = np.zeros(prefix.shape, dtype=np.intp)
+    for v in invsq:
+        count += prefix + q[..., d - 1, :, :] * v <= 1.0
+
+    n_cells = count.size // n
+    bins = count.reshape(n_cells, n) + (n_len + 1) * np.arange(n_cells)[:, None]
+    w = np.broadcast_to(weights, (n_cells, n))
+    hist = np.bincount(bins.ravel(), weights=w.ravel(), minlength=n_cells * (n_len + 1))
+    masses = np.cumsum(hist.reshape(n_cells, n_len + 1)[:, ::-1], axis=-1)[:, :n_len]
+    return masses.reshape(*batch, -1)
+
+
+def _frame_masses(mu: WeightedPointMeasure, family: EllipsoidFamily,
+                  tuples: np.ndarray, centers: np.ndarray = None):
+    """Per frame, (frame, masses): shape (T,) for members centred at the
+    origin, (P, T) for members centred at each row of centers."""
+    values = np.unique(tuples)
+    step = max(1, SWEEP_BLOCK // (mu.n_atoms * len(values) ** (mu.dim - 1)))
+    for frame in family.frames:
+        z = mu.points @ frame
+        if centers is None:
+            yield frame, _sweep(z, values, mu.weights)
+            continue
+        zc = centers @ frame
+        masses = np.empty((zc.shape[0], tuples.shape[0]))
+        for i in range(0, zc.shape[0], step):
+            masses[i:i + step] = _sweep(z - zc[i:i + step, None, :], values,
+                                        mu.weights)
+        yield frame, masses
 
 
 def _givens(d: int, i: int, j: int, theta: float) -> np.ndarray:
@@ -303,12 +345,10 @@ def estimate_curvature_constant(mu: WeightedPointMeasure, k: int, alpha: float,
         raise ValueError("alpha must be positive")
 
     tuples = family.length_tuples()
-    invsq = 1.0 / tuples ** 2
     contents_a = _top_k_products(tuples, k) ** alpha
 
     starts = []
-    for frame in family.frames:
-        masses = _sweep_masses(mu, frame, invsq)
+    for frame, masses in _frame_masses(mu, family, tuples):
         ratios = masses / contents_a
         t = int(np.argmax(ratios))
         starts.append((float(ratios[t]), frame, tuples[t]))
@@ -365,12 +405,10 @@ def min_content_at_mass(mu: WeightedPointMeasure, k: int, eps: float,
     if family.dim != mu.dim:
         raise ValueError("family dimension does not match the measure")
     tuples = family.length_tuples()
-    invsq = 1.0 / tuples ** 2
     contents = _top_k_products(tuples, k)
 
     starts = []
-    for frame in family.frames:
-        masses = _sweep_masses(mu, frame, invsq)
+    for frame, masses in _frame_masses(mu, family, tuples):
         feasible = masses >= eps_eff
         if not np.any(feasible):
             continue
@@ -589,15 +627,22 @@ def slab_implication_check(mu: WeightedPointMeasure, k: int, alpha: float,
 
     Every point of B lies within its k-th largest semi-length of the span of
     the top k-1 axes, so mu(B) <= C_slab * l_k^(alpha k) <= C_slab * |B|_k^alpha
-    once the slab family contains each member's top-axis span.  Returns
+    once the slab family contains each member's top-axis span.  A span
+    depends only on the frame and on which axes are longest, so each
+    distinct flat enters slab_constant once.  Returns
     (c_slab, all_ok, worst_margin, n_checked).
     """
-    members = list(family.members())
-    if len(members) > max_members:
-        stride = -(-len(members) // max_members)
-        members = members[::stride]
-    flats = [top_axes_flat(b, k) for b in members]
-    c_slab = slab_constant(mu, k, alpha, flats)
+    tuples = family.length_tuples()
+    n_members = len(family.frames) * len(tuples)
+    stride = -(-n_members // max_members)  # 1 within the budget
+    members = [Ellipsoid.from_semi_lengths(tuples[i % len(tuples)],
+                                           frame=family.frames[i // len(tuples)])
+               for i in range(0, n_members, stride)]
+    flats = {}
+    for b in members:
+        flat = top_axes_flat(b, k)
+        flats.setdefault((flat.base_point.tobytes(), flat.basis.tobytes()), flat)
+    c_slab = slab_constant(mu, k, alpha, flats.values())
     all_ok = True
     worst = math.inf
     for b in members:
@@ -630,20 +675,11 @@ def maximal_function(mu: WeightedPointMeasure, k: int, alpha: float,
         raise ValueError(f"k must be in [1, {mu.dim}]")
     pts = mu.points if eval_points is None else np.asarray(eval_points, dtype=float)
     tuples = family.length_tuples(inner=inner)
-    invsq = 1.0 / tuples ** 2
     contents_a = _top_k_products(tuples, k) ** alpha
 
     out = np.zeros(pts.shape[0])
-    for frame in family.frames:
-        z_atoms = mu.points @ frame
-        z_eval = pts @ frame
-        for m in range(pts.shape[0]):
-            diff = z_atoms - z_eval[m]
-            s = np.einsum("na,ta->nt", diff * diff, invsq)
-            masses = np.einsum("n,nt->t", mu.weights, (s <= 1.0).astype(float))
-            best = float(np.max(masses / contents_a))
-            if best > out[m]:
-                out[m] = best
+    for _, masses in _frame_masses(mu, family, tuples, pts):
+        out = np.maximum(out, np.max(masses / contents_a, axis=1))
     return out
 
 

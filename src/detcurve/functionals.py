@@ -52,7 +52,7 @@ class DyadicProfile:
 
     def weighted_sum(self) -> float:
         """sum_l 2^(-gamma l) * mass_l, the layer surrogate for the form."""
-        return parallel.fsum(2.0 ** (-self.gamma * l) * m for l, m in self.layers.items())
+        return math.fsum(2.0 ** (-self.gamma * l) * m for l, m in self.layers.items())
 
     def reconstruction_bracket(self) -> tuple:
         """Interval certain to contain the exact pinned form on the same sets.
@@ -79,6 +79,17 @@ def default_det_threshold(measures, k: int) -> float:
     for mu in measures:
         prod *= mu.max_radius
     return TAU_SCALE * prod
+
+
+def difference_threshold(measures) -> float:
+    """Unpinned-form threshold TAU_SCALE * (2R)^k, R the largest atom distance
+    to the pooled weighted centroid: 2R bounds every atom difference, and a
+    common translation moves the centroid along, leaving tau unchanged."""
+    pts = np.concatenate([m_.points for m_ in measures])
+    w = np.concatenate([m_.weights for m_ in measures])
+    center = np.average(pts, axis=0, weights=w if np.sum(w) > 0.0 else None)
+    spread = 2.0 * float(np.max(np.linalg.norm(pts - center, axis=1)))
+    return TAU_SCALE * spread ** (len(measures) - 1)
 
 
 def _values_for_slots(measures, fs, m: int):
@@ -170,8 +181,8 @@ def _enumerate_form(points_list, values_list, gamma: float, tau: float,
         return float(np.sum(contrib)), n_exc
 
     results = parallel.map_blocks(block, parallel.block_ranges(total))
-    value = parallel.fsum(r[0] for r in results)
-    excluded = int(round(parallel.fsum(r[1] for r in results)))
+    value = math.fsum(r[0] for r in results)
+    excluded = int(round(math.fsum(r[1] for r in results)))
     return FunctionalResult(value=value, tuples_total=total,
                             tuples_excluded=excluded, stderr=None)
 
@@ -200,9 +211,7 @@ def det_form(mu, k: int, gamma: float, fs=None, *, tau: float = None,
         raise ValueError("k must be at least 1")
     measures, same = _normalize_measures(mu, k + 1)
     if tau is None:
-        # differences of atoms, not atoms themselves, enter the dets here,
-        # but max radius is the same order of scale and keeps tau simple
-        tau = TAU_SCALE * max(m_.max_radius for m_ in measures) ** k
+        tau = difference_threshold(measures)
     vals = _values_for_slots(measures, fs, k + 1)
     symmetric = same and (fs is None or all(
         f is None for f in fs) or all(f is fs[0] for f in fs))
@@ -245,10 +254,8 @@ def det_form_sampled(mu, k: int, gamma: float, fs=None, *, samples: int,
     m = k if pinned else k + 1
     measures, _ = _normalize_measures(mu, m)
     if tau is None:
-        if pinned:
-            tau = default_det_threshold(measures, k)
-        else:
-            tau = TAU_SCALE * max(m_.max_radius for m_ in measures) ** k
+        tau = (default_det_threshold(measures, k) if pinned
+               else difference_threshold(measures))
     vals = _values_for_slots(measures, fs, m)
     sizes = [m_.n_atoms for m_ in measures]
     total = 1
@@ -316,7 +323,7 @@ def sublevel_mass(measures, delta: float, *, tau: float = None,
         return float(np.sum(wprod[band]))
 
     results = parallel.map_blocks(block, parallel.block_ranges(total))
-    return parallel.fsum(results)
+    return math.fsum(results)
 
 
 def indicator(n: int, idx) -> np.ndarray:
@@ -375,12 +382,12 @@ def dyadic_profile(mu: WeightedPointMeasure, k: int, sets, gamma: float, *,
         for l, m_ in local.items():
             layers[l] = layers.get(l, 0.0) + m_
     layers = {l: layers[l] for l in sorted(layers)}
-    included_mass = parallel.fsum(layers.values())
+    included_mass = math.fsum(layers.values())
     return DyadicProfile(layers=layers, gamma=gamma,
                          l_min=min(layers) if layers else None,
                          l_max=max(layers) if layers else None,
                          included_mass=included_mass,
-                         excluded_mass=parallel.fsum(excluded))
+                         excluded_mass=math.fsum(excluded))
 
 
 def cauchy_schwarz_check(mu: WeightedPointMeasure, k: int, gamma: float, sets, *,

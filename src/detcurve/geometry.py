@@ -145,10 +145,6 @@ class Ellipsoid:
         with np.errstate(divide="ignore"):
             return np.where(self.inv_lengths == 0.0, np.inf, 1.0 / self.inv_lengths)
 
-    @property
-    def is_centered(self) -> bool:
-        return bool(np.all(self.center == 0.0))
-
     @classmethod
     def ball(cls, radius: float, dim: int, center=None) -> "Ellipsoid":
         if radius < 0:
@@ -252,10 +248,6 @@ def ellipsoid_of(q: np.ndarray) -> Ellipsoid:
     return Ellipsoid(center=np.zeros(q.shape[0]), frame=vt.T, inv_lengths=s)
 
 
-def ellipsoid_contains(ellipsoid: Ellipsoid, y) -> bool:
-    return ellipsoid.contains(y)
-
-
 def project_complement(x, y) -> np.ndarray:
     """Component of y orthogonal to the direction of x (x must be nonzero).
 
@@ -328,7 +320,8 @@ class AffineSubspace:
         return cls(base_point=base, basis=vt[keep])
 
     def distance(self, y) -> float:
-        return dist_affine(y, self)
+        """Euclidean distance from y to the flat."""
+        return float(self.distance_many(_as_point(y)[None, :])[0])
 
     def distance_many(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -336,15 +329,6 @@ class AffineSubspace:
         if self.dim > 0:
             r = r - (r @ self.basis.T) @ self.basis
         return np.linalg.norm(r, axis=1)
-
-
-def dist_affine(y, flat: AffineSubspace) -> float:
-    """Euclidean distance from y to the affine flat."""
-    y = _as_point(y)
-    r = y - flat.base_point
-    if flat.dim > 0:
-        r = r - flat.basis.T @ (flat.basis @ r)
-    return float(np.linalg.norm(r))
 
 
 def det_content_bound(d: int, k: int) -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -705,10 +705,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         for rec in records:
             flip = name in config.expected_fail or rec.name in config.expected_fail
             if flip and not rec.expected_fail:
-                rec = CheckRecord(
-                    name=rec.name, passed=rec.passed, lhs=rec.lhs,
-                    rhs=rec.rhs, direction=rec.direction, margin=rec.margin,
-                    expected_fail=True, details=rec.details)
+                rec = replace(rec, expected_fail=True)
             report.add(rec)
         for key, value in consts.items():
             report.constants[key] = value

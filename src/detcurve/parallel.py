@@ -8,7 +8,6 @@ produces bit-identical output.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -45,7 +44,3 @@ def map_blocks(fn, ranges):
         return [fn(start, stop) for start, stop in ranges]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda r: fn(*r), ranges))
-
-
-def fsum(values) -> float:
-    return math.fsum(values)

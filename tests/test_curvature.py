@@ -1,10 +1,14 @@
 """Ellipsoid families, curvature search, Gaussian and slab checks, maximal bounds."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from detcurve import curvature
 from detcurve.curvature import (
     CurvatureEstimate,
     EllipsoidFamily,
@@ -22,6 +26,7 @@ from detcurve.curvature import (
     min_content_at_mass,
     slab_constant,
     slab_implication_check,
+    _sweep,
     top_axes_flat,
     weak_lp_norm,
 )
@@ -280,3 +285,119 @@ class TestMaximal:
             mode="doubling_dyadic")
         lhs, rhs, ok = maximal_weak_bound_check(cube64, 2, 1.0, 1.0, fam)
         assert ok and lhs <= rhs * (1 + 1e-9)
+
+
+def brute_sweep(z, values, weights):
+    """Weight sum over atoms with s <= 1.0 per member, s summed in axis order."""
+    invsq = 1.0 / values ** 2
+    q = z * z
+    out = []
+    for idx in product(range(len(values)), repeat=z.shape[-1]):
+        s = np.zeros(z.shape[0])
+        for a, i in enumerate(idx):
+            s = s + q[:, a] * invsq[i]
+        out.append(np.sum(weights[s <= 1.0]))
+    return np.array(out)
+
+
+def maximal_reference(mu, k, alpha, family, pts, inner=False):
+    """The per-point loop that maximal_function replaced."""
+    tuples = family.length_tuples(inner=inner)
+    invsq = 1.0 / tuples ** 2
+    contents_a = np.prod(np.sort(tuples, axis=1)[:, ::-1][:, :k], axis=1) ** alpha
+    out = np.zeros(pts.shape[0])
+    for frame in family.frames:
+        z_atoms = mu.points @ frame
+        z_eval = pts @ frame
+        for m in range(pts.shape[0]):
+            diff = z_atoms - z_eval[m]
+            s = np.einsum("na,ta->nt", diff * diff, invsq)
+            masses = np.einsum("n,nt->t", mu.weights, (s <= 1.0).astype(float))
+            out[m] = max(out[m], float(np.max(masses / contents_a)))
+    return out
+
+
+class TestSweep:
+    @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force(self, d, seed):
+        rng = np.random.default_rng(seed)
+        values = np.unique(np.concatenate([
+            rng.choice(2.0 ** np.arange(-2, 3), int(rng.integers(0, 4))),
+            rng.uniform(0.2, 3.0, int(rng.integers(1, 3)))]))
+        frame, r = np.linalg.qr(rng.standard_normal((d, d)))
+        frame = frame * np.sign(np.diag(r))
+        shift = rng.standard_normal(d)
+        z_random = (rng.uniform(-3.0, 3.0, (int(rng.integers(1, 30)), d)) - shift) @ frame
+        # atoms on and next to s == 1: coordinates are grid lengths times
+        # factors whose squares sum to 1 exactly or to within an ulp
+        factors = rng.choice([0.0, 0.5, math.sqrt(0.5), math.sqrt(0.75), 1.0],
+                             (24, d))
+        z_edge = factors * rng.choice(values, (24, d)) * rng.choice([-1.0, 1.0], (24, d))
+        z_edge[::3] = np.nextafter(z_edge[::3], np.inf)
+        z = np.concatenate([z_random, z_edge])
+        weights = rng.integers(0, 4, z.shape[0]).astype(float)  # exact sums
+        masses = _sweep(z, values, weights)
+        assert masses.shape == (len(values) ** d,)
+        assert np.array_equal(masses, brute_sweep(z, values, weights))
+        batched = _sweep(np.stack([z, z[::-1] * 0.5]), values, weights)
+        assert np.array_equal(batched[0], masses)
+        assert np.array_equal(batched[1], brute_sweep(z[::-1] * 0.5, values, weights))
+
+    @pytest.mark.parametrize("block", [None, 1])
+    @pytest.mark.parametrize("inner", [False, True])
+    def test_maximal_matches_point_loop(self, cube64, monkeypatch, block, inner):
+        if block is not None:  # one centre per block
+            monkeypatch.setattr(curvature, "SWEEP_BLOCK", block)
+        fam = EllipsoidFamily.dyadic(2, -5, 1, frames=default_frames(2, n_random=3, seed=2),
+                                     mode="doubling_dyadic")
+        rng = np.random.default_rng(0)
+        pts = np.concatenate([cube64.points, rng.uniform(-0.5, 1.5, (9, 2))])
+        got = maximal_function(cube64, 2, 0.75, fam, pts, inner=inner)
+        # weights 1/64 sum exactly in any order
+        assert np.array_equal(got, maximal_reference(cube64, 2, 0.75, fam, pts, inner))
+
+    @pytest.mark.parametrize("fixture", ["circle240", "sphere80_d3"])
+    def test_maximal_matches_point_loop_general_weights(self, request, fixture):
+        mu = request.getfixturevalue(fixture)
+        fam = EllipsoidFamily.dyadic(mu.dim, -4, 1, mode="doubling_dyadic",
+                                     frames=default_frames(mu.dim, n_random=2, seed=1))
+        got = maximal_function(mu, 2, 1.0, fam)
+        want = maximal_reference(mu, 2, 1.0, fam, mu.points)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_maximal_one_dimensional_and_empty(self):
+        mu = WeightedPointMeasure(np.array([[0.0], [0.5], [0.75], [2.0]]),
+                                  np.array([0.25, 0.25, 0.25, 0.25]))
+        fam = EllipsoidFamily.dyadic(1, -2, 1, mode="doubling_dyadic")
+        assert np.array_equal(maximal_function(mu, 1, 1.0, fam),
+                              maximal_reference(mu, 1, 1.0, fam, mu.points))
+        assert maximal_function(mu, 1, 1.0, fam, np.zeros((0, 1))).shape == (0,)
+
+
+class TestSlabDedup:
+    @pytest.mark.parametrize("fixture,k,max_members", [
+        ("cube64", 2, 4096), ("cube64", 2, 50),
+        ("sphere80_d3", 2, 4096), ("sphere80_d3", 3, 100)])
+    def test_matches_undeduplicated_flats(self, request, monkeypatch, fixture,
+                                          k, max_members):
+        mu = request.getfixturevalue(fixture)
+        fam = default_family(mu, n_frames=3, n_pca=1)
+        members = list(fam.members())
+        stride = -(-len(members) // max_members) if len(members) > max_members else 1
+        members = members[::stride]
+        want = slab_constant(mu, k, 1.0, [top_axes_flat(b, k) for b in members])
+        seen = []
+        original = curvature.slab_constant
+
+        def spy(mu_, k_, alpha_, flats):
+            seen.extend(flats)
+            return original(mu_, k_, alpha_, flats)
+
+        monkeypatch.setattr(curvature, "slab_constant", spy)
+        c_slab, _, _, n_checked = slab_implication_check(
+            mu, k, 1.0, fam, max_members=max_members)
+        assert c_slab == want
+        assert n_checked == len(members)
+        # one flat per frame and ordered choice of k-1 longest axes at most
+        assert len(seen) <= len(fam.frames) * math.perm(mu.dim, k - 1)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detcurve.functionals import (
     BudgetExceededError,
@@ -17,7 +19,8 @@ from detcurve.functionals import (
     sublevel_mass,
     weak_type_probe,
 )
-from detcurve.measure import WeightedPointMeasure, dilate, translate
+from detcurve.measure import (GeneratorSpec, WeightedPointMeasure, dilate,
+                              generate, translate)
 
 
 def oracle_pinned(mu, gamma, tau):
@@ -130,6 +133,24 @@ class TestInvariance:
         tau = 1e-12
         base = det_form(cube64, 2, 0.5, tau=tau)
         moved = det_form(translate(cube64, [0.5, -0.25]), 2, 0.5, tau=tau)
+        assert moved.value == base.value
+        assert moved.tuples_excluded == base.tuples_excluded
+
+    @given(st.sampled_from([(2, 2), (2, 4), (2, 8), (3, 2), (3, 4)]),
+           st.integers(1, 2), st.booleans(), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_default_threshold_translation_invariant(self, grid, k, sampled, data):
+        # dyadic grid plus integer shifts up to 2^20: every coordinate,
+        # difference and the weighted centroid stay exact
+        dim, side = grid
+        mu = generate(GeneratorSpec("cube_lebesgue", dim, side ** dim))
+        shift = data.draw(st.lists(st.integers(-2 ** 20, 2 ** 20),
+                                   min_size=dim, max_size=dim))
+        if sampled:
+            run = lambda m: det_form_sampled(m, k, 0.5, samples=500, seed=1)
+        else:
+            run = lambda m: det_form(m, k, 0.5)
+        base, moved = run(mu), run(translate(mu, shift))
         assert moved.value == base.value
         assert moved.tuples_excluded == base.tuples_excluded
 

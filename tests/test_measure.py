@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from detcurve.measure import (
     WeightedPointMeasure,
     dilate,
     eval_measure,
-    flat_mass_diagnostic,
     generate,
     load_point_cloud,
     median_nn_distance,
@@ -150,20 +150,6 @@ class TestGenerators:
         assert GeneratorSpec.from_dict(spec.to_dict()) == spec
 
 
-class TestFlatDiagnostic:
-    def test_line_measure_is_flagged(self, line64):
-        assert flat_mass_diagnostic(line64, 2) == pytest.approx(1.0)
-
-    def test_cube_measure_is_clean(self, cube64):
-        # the heaviest line in an 8x8 grid carries one row of atoms
-        assert flat_mass_diagnostic(cube64, 2) == pytest.approx(8.0 / 64.0)
-
-    def test_coincident_atoms_k1(self):
-        mu = WeightedPointMeasure(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
-                                  np.array([0.3, 0.4, 0.3]))
-        assert flat_mass_diagnostic(mu, 1) == pytest.approx(0.7)
-
-
 class TestPointCloudIO:
     def test_csv_round_trip(self, tmp_path, three_atoms):
         path = tmp_path / "cloud.csv"
@@ -195,3 +181,71 @@ class TestPointCloudIO:
     def test_unknown_suffix_raises(self, tmp_path, three_atoms):
         with pytest.raises(ValueError):
             save_point_cloud(three_atoms, tmp_path / "cloud.xyz")
+
+
+def dense_median_nn(mu):
+    """The all-pairs floor that median_nn_distance replaced."""
+    fallback = max(mu.max_radius, 1.0) * 2.0 ** -10
+    if mu.n_atoms < 2:
+        return fallback
+    diffs = mu.points[:, None, :] - mu.points[None, :, :]
+    dist = np.linalg.norm(diffs, axis=2)
+    np.fill_diagonal(dist, np.inf)
+    med = float(np.median(np.min(dist, axis=1)))
+    return med if med > 0.0 else fallback
+
+
+def uniform(points):
+    points = np.asarray(points, dtype=float)
+    return WeightedPointMeasure(points, np.full(len(points), 1.0 / len(points)))
+
+
+class TestMedianNN:
+    @pytest.mark.parametrize("dim,count,scale,offset", [
+        (2, 256, 1.0, 0.0), (2, 400, 0.3, 1.1), (3, 343, 1.0, 0.0),
+        (3, 216, 0.1, -3.7), (4, 256, 1.0, 0.0)])
+    def test_grids_with_tied_neighbours(self, dim, count, scale, offset):
+        pts = generate(GeneratorSpec("cube_lebesgue", dim, count)).points
+        mu = uniform(pts[np.random.default_rng(dim).permutation(len(pts))] * scale + offset)
+        assert median_nn_distance(mu) == dense_median_nn(mu)
+
+    def test_duplicate_atoms(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((200, 2))
+        for pts in (np.concatenate([x, x[:40]]), np.concatenate([x, x[:150], x[:150]]),
+                    rng.standard_normal((500, 3))):
+            assert median_nn_distance(uniform(pts)) == dense_median_nn(uniform(pts))
+
+    def test_coincident_and_tiny_clouds(self):
+        ring = np.stack([np.cos(t := np.linspace(0.0, 6.0, 300)), np.sin(t)], axis=1)
+        for pts in (np.zeros((30, 3)), np.ones((1, 2)), [[0.0, 0.0], [3.0, 4.0]],
+                    [[2.0], [2.0], [5.0]], np.concatenate([np.zeros((1, 2)), ring])):
+            mu = uniform(pts)
+            assert median_nn_distance(mu) == dense_median_nn(mu)
+
+    def test_memory_stays_linear(self):
+        # the all-pairs version peaked at ~800 MB at this size
+        mu = generate(GeneratorSpec("cube_lebesgue", 2, 4096))
+        tracemalloc.start()
+        try:
+            median_nn_distance(mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2 ** 20
+
+
+class TestRegionMask:
+    def test_vectorized_error_propagates(self, three_atoms):
+        def buggy(x):
+            if np.ndim(x) == 2:
+                raise ZeroDivisionError("bug in the vectorized branch")
+            return x[0] > 0.25
+
+        with pytest.raises(ZeroDivisionError):
+            eval_measure(three_atoms, buggy)
+
+    def test_scalar_only_predicate_falls_back(self, three_atoms):
+        # float() of a row raises TypeError on the whole (N, d) array
+        assert eval_measure(three_atoms, lambda p: float(p[0]) > 0.25) == 0.75
+        assert eval_measure(three_atoms, lambda p: math.hypot(*p) > 0.9) == 0.75
