@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from .geometry import (AffineSubspace, Ellipsoid, k_content, matrix_content,
-                       _check_frame)
+                       _axis_sum, _check_frame)
 from .measure import WeightedPointMeasure, eval_measure, median_nn_distance
 
 MODES = ("scale_floored_search", "doubling_dyadic")
@@ -226,10 +226,12 @@ def _sweep(z: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray
     (..., N, d) in their frame relative to their centre.
 
     An atom is inside when s <= 1.0, s summing (z_a * z_a) * (1.0 / l_a ** 2)
-    left to right over the axes; for d >= 3 this fixed order decides atoms
-    on s == 1.  s falls as the last length grows, so per atom and prefix of
-    the other lengths the count of admitting last-axis lengths gives the
-    first one; weights are histogrammed there and summed cumulatively.
+    left to right over the axes as in geometry._axis_sum, which
+    _single_mass and Ellipsoid.contains_many use too (for d >= 3 the order
+    decides atoms on s == 1).  s falls as the last length grows, so per
+    atom and prefix of the other lengths the count of admitting last-axis
+    lengths gives the first one; weights are histogrammed there and summed
+    cumulatively.
     """
     *batch, n, d = z.shape
     n_len = values.shape[0]
@@ -252,16 +254,13 @@ def _sweep(z: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray
 
 
 def _frame_masses(mu: WeightedPointMeasure, family: EllipsoidFamily,
-                  tuples: np.ndarray, centers: np.ndarray = None):
-    """Per frame, (frame, masses): shape (T,) for members centred at the
-    origin, (P, T) for members centred at each row of centers."""
+                  tuples: np.ndarray, centers: np.ndarray):
+    """Per frame, (frame, masses) with masses (P, T): row i holds the
+    members centred at centers[i]."""
     values = np.unique(tuples)
     step = max(1, SWEEP_BLOCK // (mu.n_atoms * len(values) ** (mu.dim - 1)))
     for frame in family.frames:
         z = mu.points @ frame
-        if centers is None:
-            yield frame, _sweep(z, values, mu.weights)
-            continue
         zc = centers @ frame
         masses = np.empty((zc.shape[0], tuples.shape[0]))
         for i in range(0, zc.shape[0], step):
@@ -325,7 +324,7 @@ def _refine(mu: WeightedPointMeasure, frame: np.ndarray, lengths: np.ndarray,
 def _single_mass(mu: WeightedPointMeasure, frame: np.ndarray,
                  lengths: np.ndarray) -> float:
     z = mu.points @ frame
-    s = np.einsum("na,a->n", z * z, 1.0 / lengths ** 2)
+    s = _axis_sum(z * z * (1.0 / lengths ** 2))
     return float(np.sum(mu.weights[s <= 1.0]))
 
 
@@ -348,8 +347,8 @@ def estimate_curvature_constant(mu: WeightedPointMeasure, k: int, alpha: float,
     contents_a = _top_k_products(tuples, k) ** alpha
 
     starts = []
-    for frame, masses in _frame_masses(mu, family, tuples):
-        ratios = masses / contents_a
+    for frame, masses in _frame_masses(mu, family, tuples, np.zeros((1, mu.dim))):
+        ratios = masses[0] / contents_a
         t = int(np.argmax(ratios))
         starts.append((float(ratios[t]), frame, tuples[t]))
     starts.sort(key=lambda s: -s[0])
@@ -408,8 +407,8 @@ def min_content_at_mass(mu: WeightedPointMeasure, k: int, eps: float,
     contents = _top_k_products(tuples, k)
 
     starts = []
-    for frame, masses in _frame_masses(mu, family, tuples):
-        feasible = masses >= eps_eff
+    for frame, masses in _frame_masses(mu, family, tuples, np.zeros((1, mu.dim))):
+        feasible = masses[0] >= eps_eff
         if not np.any(feasible):
             continue
         cand = np.where(feasible, contents, math.inf)

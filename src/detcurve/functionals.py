@@ -121,11 +121,25 @@ def _decode(flat: np.ndarray, sizes) -> np.ndarray:
     return idx
 
 
-def _dets_for(points_list, idx: np.ndarray, pinned: bool) -> np.ndarray:
-    stack = np.stack([points_list[j][idx[:, j]] for j in range(idx.shape[1])], axis=1)
+def _exact_tuple_count(sizes, budget: int, hint: str = "") -> int:
+    total = math.prod(sizes)
+    if total > budget:
+        raise BudgetExceededError(f"{total} tuples exceed the exact budget {budget}{hint}")
+    return total
+
+
+def _tuple_terms(points_list, values_list, idx: np.ndarray, pinned: bool):
+    """Determinants and slot-value products of the index tuples (rows of idx)."""
     from .geometry import simplex_det_many
 
-    return simplex_det_many(stack, pinned=pinned)
+    # the (M, m, d) stack is freed before the products are allocated
+    dets = simplex_det_many(
+        np.stack([points_list[j][idx[:, j]] for j in range(idx.shape[1])], axis=1),
+        pinned=pinned)
+    wprod = values_list[0][idx[:, 0]].copy()
+    for j in range(1, idx.shape[1]):
+        wprod *= values_list[j][idx[:, j]]
+    return dets, wprod
 
 
 def _multiplicities(idx: np.ndarray) -> np.ndarray:
@@ -141,17 +155,16 @@ def _multiplicities(idx: np.ndarray) -> np.ndarray:
     return math.factorial(m) / fact_prod
 
 
-def _enumerate_form(points_list, values_list, gamma: float, tau: float,
-                    pinned: bool, budget: int, symmetric: bool) -> FunctionalResult:
-    sizes = [p.shape[0] for p in points_list]
-    total = 1
-    for s in sizes:
-        total *= s
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} tuples exceed the exact budget {budget}; use det_form_sampled")
-
-    m = len(sizes)
+def _enumerate_form(measures, same: bool, fs, gamma: float, tau: float,
+                    pinned: bool, budget: int) -> FunctionalResult:
+    """Exact form over the product of the slot measures; nondecreasing
+    tuples with multiplicities when every slot has one measure and density."""
+    values_list = _values_for_slots(measures, fs, len(measures))
+    symmetric = same and (fs is None or all(
+        f is None for f in fs) or all(f is fs[0] for f in fs))
+    points_list = [m_.points for m_ in measures]
+    sizes = [m_.n_atoms for m_ in measures]
+    total = _exact_tuple_count(sizes, budget, "; use det_form_sampled")
 
     def block(start, stop):
         flat = np.arange(start, stop, dtype=np.int64)
@@ -164,10 +177,7 @@ def _enumerate_form(points_list, values_list, gamma: float, tau: float,
             mult = _multiplicities(idx)
         else:
             mult = None
-        dets = _dets_for(points_list, idx, pinned)
-        wprod = values_list[0][idx[:, 0]].copy()
-        for j in range(1, m):
-            wprod *= values_list[j][idx[:, j]]
+        dets, wprod = _tuple_terms(points_list, values_list, idx, pinned)
         included = dets > tau
         if mult is None:
             n_exc = float(np.count_nonzero(~included))
@@ -212,11 +222,7 @@ def det_form(mu, k: int, gamma: float, fs=None, *, tau: float = None,
     measures, same = _normalize_measures(mu, k + 1)
     if tau is None:
         tau = difference_threshold(measures)
-    vals = _values_for_slots(measures, fs, k + 1)
-    symmetric = same and (fs is None or all(
-        f is None for f in fs) or all(f is fs[0] for f in fs))
-    return _enumerate_form([m_.points for m_ in measures], vals, gamma, tau,
-                           pinned=False, budget=budget, symmetric=symmetric)
+    return _enumerate_form(measures, same, fs, gamma, tau, pinned=False, budget=budget)
 
 
 def det_form_pinned(mu, k: int, gamma: float, fs=None, *, tau: float = None,
@@ -231,11 +237,7 @@ def det_form_pinned(mu, k: int, gamma: float, fs=None, *, tau: float = None,
     measures, same = _normalize_measures(mu, k)
     if tau is None:
         tau = default_det_threshold(measures, k)
-    vals = _values_for_slots(measures, fs, k)
-    symmetric = same and (fs is None or all(
-        f is None for f in fs) or all(f is fs[0] for f in fs))
-    return _enumerate_form([m_.points for m_ in measures], vals, gamma, tau,
-                           pinned=True, budget=budget, symmetric=symmetric)
+    return _enumerate_form(measures, same, fs, gamma, tau, pinned=True, budget=budget)
 
 
 def det_form_sampled(mu, k: int, gamma: float, fs=None, *, samples: int,
@@ -258,22 +260,16 @@ def det_form_sampled(mu, k: int, gamma: float, fs=None, *, samples: int,
                else difference_threshold(measures))
     vals = _values_for_slots(measures, fs, m)
     sizes = [m_.n_atoms for m_ in measures]
-    total = 1
-    for s in sizes:
-        total *= s
-
     rng = np.random.default_rng(seed)
     idx = np.stack([rng.integers(0, sizes[j], size=samples) for j in range(m)], axis=1)
-    dets = _dets_for([m_.points for m_ in measures], idx, pinned)
-    wprod = vals[0][idx[:, 0]].copy()
-    for j in range(1, m):
-        wprod *= vals[j][idx[:, j]]
+    dets, wprod = _tuple_terms([m_.points for m_ in measures], vals, idx, pinned)
     included = dets > tau
     integrand = np.zeros(samples)
     if gamma == 0.0:
         integrand[included] = wprod[included]
     else:
         integrand[included] = wprod[included] * dets[included] ** (-gamma)
+    total = math.prod(sizes)
     est = float(total * np.mean(integrand))
     err = float(total * np.std(integrand, ddof=1) / math.sqrt(samples))
     return FunctionalResult(value=est, tuples_total=samples,
@@ -304,21 +300,13 @@ def sublevel_mass(measures, delta: float, *, tau: float = None,
         tau = default_det_threshold(measures, k)
 
     sizes = [m_.n_atoms for m_ in measures]
-    total = 1
-    for s in sizes:
-        total *= s
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} tuples exceed the exact budget {budget}")
+    total = _exact_tuple_count(sizes, budget)
     points_list = [m_.points for m_ in measures]
     weights_list = [m_.weights for m_ in measures]
 
     def block(start, stop):
         idx = _decode(np.arange(start, stop, dtype=np.int64), sizes)
-        dets = _dets_for(points_list, idx, pinned=True)
-        wprod = weights_list[0][idx[:, 0]].copy()
-        for j in range(1, k):
-            wprod *= weights_list[j][idx[:, j]]
+        dets, wprod = _tuple_terms(points_list, weights_list, idx, pinned=True)
         band = (dets > tau) & (dets < delta)
         return float(np.sum(wprod[band]))
 
@@ -350,20 +338,13 @@ def dyadic_profile(mu: WeightedPointMeasure, k: int, sets, gamma: float, *,
         tau = default_det_threshold(mu, k)
 
     sizes = [s.shape[0] for s in sets]
-    total = 1
-    for s in sizes:
-        total *= s
-    if total > budget:
-        raise BudgetExceededError(f"{total} tuples exceed the exact budget {budget}")
+    total = _exact_tuple_count(sizes, budget)
     points_list = [mu.points[s] for s in sets]
     weights_list = [mu.weights[s] for s in sets]
 
     def block(start, stop):
         idx = _decode(np.arange(start, stop, dtype=np.int64), sizes)
-        dets = _dets_for(points_list, idx, pinned=True)
-        wprod = weights_list[0][idx[:, 0]].copy()
-        for j in range(1, k):
-            wprod *= weights_list[j][idx[:, j]]
+        dets, wprod = _tuple_terms(points_list, weights_list, idx, pinned=True)
         included = dets > tau
         exc_mass = float(np.sum(wprod[~included]))
         dets = dets[included]

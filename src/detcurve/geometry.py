@@ -113,6 +113,19 @@ def simplex_det_many(stack: np.ndarray, pinned: bool = False) -> np.ndarray:
     return np.sqrt(np.clip(det_g, 0.0, None))
 
 
+def _axis_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of (..., d) terms over the last axis, strictly left to right.
+
+    The order decides atoms on s == 1 of a membership test s <= 1.0 once
+    d >= 3 (numpy's einsum adds three terms as (x0 + x2) + x1), so every
+    ellipsoid test and the curvature sweep add the axes in this one order.
+    """
+    s = np.zeros(terms.shape[:-1])
+    for a in range(terms.shape[-1]):
+        s = s + terms[..., a]
+    return s
+
+
 @dataclass(frozen=True)
 class Ellipsoid:
     """Solid ellipsoid {x : sum_i (inv_lengths[i] * <x - center, frame[:, i]>)^2 <= 1}."""
@@ -144,6 +157,10 @@ class Ellipsoid:
     def semi_lengths(self) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return np.where(self.inv_lengths == 0.0, np.inf, 1.0 / self.inv_lengths)
+
+    @property
+    def is_centered(self) -> bool:
+        return bool(np.all(self.center == 0.0))
 
     @classmethod
     def ball(cls, radius: float, dim: int, center=None) -> "Ellipsoid":
@@ -189,7 +206,7 @@ class Ellipsoid:
         z = (points - self.center) @ self.frame
         inv = self.inv_lengths
         finite = np.isfinite(inv)
-        s = np.einsum("na,a->n", z[:, finite] ** 2, inv[finite] ** 2)
+        s = _axis_sum(z[:, finite] ** 2 * inv[finite] ** 2)
         ok = s <= 1.0
         collapsed = ~finite
         if np.any(collapsed):
@@ -320,8 +337,7 @@ class AffineSubspace:
         return cls(base_point=base, basis=vt[keep])
 
     def distance(self, y) -> float:
-        """Euclidean distance from y to the flat."""
-        return float(self.distance_many(_as_point(y)[None, :])[0])
+        return dist_affine(y, self)
 
     def distance_many(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -329,6 +345,15 @@ class AffineSubspace:
         if self.dim > 0:
             r = r - (r @ self.basis.T) @ self.basis
         return np.linalg.norm(r, axis=1)
+
+
+def dist_affine(y, flat: AffineSubspace) -> float:
+    """Euclidean distance from y to the affine flat."""
+    y = _as_point(y)
+    r = y - flat.base_point
+    if flat.dim > 0:
+        r = r - flat.basis.T @ (flat.basis @ r)
+    return float(np.linalg.norm(r))
 
 
 def det_content_bound(d: int, k: int) -> float:

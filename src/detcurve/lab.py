@@ -32,7 +32,6 @@ from .curvature import (EllipsoidFamily, default_family, default_frames,
                         maximal_weak_bound_check, min_content_at_mass,
                         slab_implication_check)
 from .functionals import (DEFAULT_BUDGET, cauchy_schwarz_check,
-                          default_det_threshold, det_form_pinned,
                           sublevel_mass, weak_type_probe)
 from .measure import (GeneratorSpec, WeightedPointMeasure, generate,
                       load_point_cloud, median_nn_distance, pushforward)
@@ -609,14 +608,8 @@ def verify_refinement_stability(config: "ScenarioConfig",
     records = []
     values = []
     for count in counts:
-        spec = config.generator
-        refined = GeneratorSpec(family=spec.family, dim=spec.dim,
-                                count=int(count), seed=spec.seed,
-                                params=spec.params)
-        m_ = generate(refined)
-        if config.pushforward_drop is not None:
-            keep = [i for i in range(m_.dim) if i != config.pushforward_drop]
-            m_ = pushforward(m_, np.eye(m_.dim)[keep])
+        m_ = scenario_measure(replace(
+            config, generator=replace(config.generator, count=int(count))))
         fam = config.family.build(m_)
         est = estimate_curvature_constant(m_, config.k, config.alpha, fam,
                                           refine=config.refine)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -338,6 +339,48 @@ def median_nn_distance(mu: WeightedPointMeasure) -> float:
         k = min(n, 2 * k)
     med = float(np.median(nn))
     return med if med > 0.0 else fallback
+
+
+def flat_mass_diagnostic(mu: WeightedPointMeasure, k: int, trials: int = 2000,
+                         seed: int = 0, tol: float = 1e-9) -> float:
+    """Largest mass found on a single (k-1)-dimensional affine flat.
+
+    Flats are affine hulls of k-subsets of atoms; all subsets are enumerated
+    when there are at most `trials` of them, otherwise `trials` subsets are
+    sampled with the given seed.  Membership is distance <= tol (absolute).
+    A value near 1 flags measures that concentrate on a flat and therefore
+    cannot satisfy any positive-exponent k-curvature bound.
+    """
+    from itertools import combinations
+
+    from .geometry import AffineSubspace
+
+    if not 1 <= k:
+        raise ValueError("k must be at least 1")
+    n = mu.n_atoms
+    if n < k:
+        raise ValueError(f"need at least k={k} atoms, have {n}")
+    if k == 1:
+        # 0-dimensional flats are single locations; group coincident atoms
+        _, inverse = np.unique(mu.points, axis=0, return_inverse=True)
+        sums = np.zeros(int(inverse.max()) + 1)
+        np.add.at(sums, inverse, mu.weights)
+        return float(np.max(sums))
+
+    total = math.comb(n, k)
+    if total <= trials:
+        subsets = combinations(range(n), k)
+    else:
+        rng = np.random.default_rng(seed)
+        subsets = (rng.choice(n, size=k, replace=False) for _ in range(trials))
+
+    best = 0.0
+    for idx in subsets:
+        flat = AffineSubspace.from_points(mu.points[list(idx)])
+        mass = float(np.sum(mu.weights[flat.distance_many(mu.points) <= tol]))
+        if mass > best:
+            best = mass
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -374,6 +374,31 @@ class TestSweep:
                               maximal_reference(mu, 1, 1.0, fam, mu.points))
         assert maximal_function(mu, 1, 1.0, fam, np.zeros((0, 1))).shape == (0,)
 
+    def test_sweep_agrees_with_member_masses_d3(self):
+        # atoms u * l with u on the unit sphere and l a grid length per axis
+        # give s within an ulp of 1, where the order of the three terms
+        # decides membership; signed axis permutations keep the frame
+        # coordinates exact and dyadic lengths keep 1 / l ** 2 exact
+        rng = np.random.default_rng(5)
+        values = 2.0 ** np.arange(-1, 2)
+        u = rng.standard_normal((256, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        mu = WeightedPointMeasure(u * rng.choice(values, (256, 3)), np.full(256, 1.0 / 256))
+        frames = (np.eye(3), np.eye(3)[[2, 0, 1]], np.eye(3)[:, [1, 2, 0]] * [1.0, -1.0, 1.0])
+        fam = EllipsoidFamily(frames=frames, length_grid=values)
+        tuples = fam.length_tuples()
+        einsum_differs = 0
+        for frame, masses in curvature._frame_masses(mu, fam, tuples, np.zeros((1, 3))):
+            z = mu.points @ frame
+            for lengths, mass in zip(tuples, masses[0]):
+                assert mass == eval_measure(mu, Ellipsoid.from_semi_lengths(lengths, frame=frame))
+                assert mass == curvature._single_mass(mu, frame, lengths)
+                s = np.einsum("na,a->n", z * z, 1.0 / lengths ** 2)
+                einsum_differs += float(np.sum(mu.weights[s <= 1.0])) != mass
+        assert einsum_differs > 0  # the data does reach the order-sensitive atoms
+        est = estimate_curvature_constant(mu, 2, 1.0, fam, refine=0)
+        assert est.constant == max(curvature_ratio(mu, b, 2, 1.0) for b in fam.members())
+
 
 class TestSlabDedup:
     @pytest.mark.parametrize("fixture,k,max_members", [
