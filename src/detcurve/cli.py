@@ -66,7 +66,10 @@ def _load_sets(path, m, n_atoms):
         arr = np.asarray(idx, dtype=int)
         if arr.size and (arr.min() < 0 or arr.max() >= n_atoms):
             raise SystemExit("set index out of range")
-        fs.append(indicator(n_atoms, arr))
+        try:
+            fs.append(indicator(n_atoms, arr))
+        except ValueError as exc:  # a repeated index
+            raise SystemExit(f"--sets: {exc}") from exc
     return fs
 
 

@@ -225,17 +225,19 @@ def _sweep(z: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray
     semi-lengths from the increasing grid values, for atom coordinates z
     (..., N, d) in their frame relative to their centre.
 
-    An atom is inside when s <= 1.0, s summing (z_a * z_a) * (1.0 / l_a ** 2)
+    An atom is inside when s <= 1.0, s summing (z_a * z_a) * (1.0 / l_a) ** 2
     left to right over the axes as in geometry._axis_sum, which
     _single_mass and Ellipsoid.contains_many use too (for d >= 3 the order
-    decides atoms on s == 1).  s falls as the last length grows, so per
+    decides atoms on s == 1, and squaring the rounded inverse length, as
+    Ellipsoid does with its stored inv_lengths, can differ from 1.0 / l ** 2
+    in the last bit).  s falls as the last length grows, so per
     atom and prefix of the other lengths the count of admitting last-axis
     lengths gives the first one; weights are histogrammed there and summed
     cumulatively.
     """
     *batch, n, d = z.shape
     n_len = values.shape[0]
-    invsq = 1.0 / values ** 2
+    invsq = (1.0 / values) ** 2
     q = np.moveaxis(z * z, -1, -2)[..., None, :]  # (..., d, 1, N): atoms innermost
     prefix = np.zeros((*batch, 1, n))
     for a in range(d - 1):
@@ -324,7 +326,7 @@ def _refine(mu: WeightedPointMeasure, frame: np.ndarray, lengths: np.ndarray,
 def _single_mass(mu: WeightedPointMeasure, frame: np.ndarray,
                  lengths: np.ndarray) -> float:
     z = mu.points @ frame
-    s = _axis_sum(z * z * (1.0 / lengths ** 2))
+    s = _axis_sum(z * z * (1.0 / lengths) ** 2)
     return float(np.sum(mu.weights[s <= 1.0]))
 
 
@@ -632,27 +634,22 @@ def slab_implication_check(mu: WeightedPointMeasure, k: int, alpha: float,
     (c_slab, all_ok, worst_margin, n_checked).
     """
     tuples = family.length_tuples()
-    n_members = len(family.frames) * len(tuples)
-    stride = -(-n_members // max_members)  # 1 within the budget
-    members = [Ellipsoid.from_semi_lengths(tuples[i % len(tuples)],
-                                           frame=family.frames[i // len(tuples)])
-               for i in range(0, n_members, stride)]
-    flats = {}
-    for b in members:
-        flat = top_axes_flat(b, k)
-        flats.setdefault((flat.base_point.tobytes(), flat.basis.tobytes()), flat)
-    c_slab = slab_constant(mu, k, alpha, flats.values())
-    all_ok = True
-    worst = math.inf
-    for b in members:
-        mass = eval_measure(mu, b)
-        l_k = float(np.sort(b.semi_lengths)[::-1][k - 1])
-        bound = c_slab * l_k ** (alpha * k)
-        margin = bound - mass
-        worst = min(worst, margin)
-        if not (mass <= bound * (1.0 + rel_tol) or math.isinf(bound)):
-            all_ok = False
-    return c_slab, all_ok, worst, len(members)
+    swept = np.concatenate([m[0] for _, m in _frame_masses(
+        mu, family, tuples, np.zeros((1, mu.dim)))])
+    members = np.arange(0, swept.shape[0], -(-swept.shape[0] // max_members))
+    frame_of, tuple_of = np.divmod(members, len(tuples))
+    # semi-lengths as an Ellipsoid stores them: 1 / (1 / l) may differ from l
+    semi = 1.0 / (1.0 / tuples[tuple_of])
+    top = np.argsort(-semi, axis=1, kind="stable")[:, :k - 1]
+    _, firsts = np.unique(np.column_stack([frame_of, top]), axis=0,
+                          return_index=True)
+    flats = [top_axes_flat(Ellipsoid.from_semi_lengths(
+        tuples[tuple_of[i]], frame=family.frames[frame_of[i]]), k) for i in firsts]
+    c_slab = slab_constant(mu, k, alpha, flats)
+    bound = c_slab * np.sort(semi, axis=1)[:, mu.dim - k] ** (alpha * k)
+    mass = swept[members]
+    ok = (mass <= bound * (1.0 + rel_tol)) | np.isinf(bound)
+    return c_slab, bool(np.all(ok)), float(np.min(bound - mass)), len(members)
 
 
 # ---------------------------------------------------------------------------

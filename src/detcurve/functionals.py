@@ -9,6 +9,14 @@ vertex pinned at the origin.  Tuples whose determinant is at or below a
 threshold tau are excluded from the sum and counted separately, for every
 sign of gamma, so inverse powers never divide by (numerical) zero.
 
+Every exact quantity (the forms, sublevel_mass, dyadic_profile) comes from
+one enumerator, _enumerate: it walks the tuples in fixed blocks (only the
+nondecreasing ones, with multiplicities, when all slots are alike), forms
+their determinants and slot-value products, and hands each block to a
+reducer; blocks are combined in block order with math.fsum, so values do
+not depend on the worker count.  One pass can reduce to several exponents,
+which is how cauchy_schwarz_check gets its three forms.
+
 Exact enumeration is capped by a tuple budget; beyond it callers must switch
 to det_form_sampled, an unbiased uniform-tuple Monte Carlo estimate.
 """
@@ -121,13 +129,6 @@ def _decode(flat: np.ndarray, sizes) -> np.ndarray:
     return idx
 
 
-def _exact_tuple_count(sizes, budget: int, hint: str = "") -> int:
-    total = math.prod(sizes)
-    if total > budget:
-        raise BudgetExceededError(f"{total} tuples exceed the exact budget {budget}{hint}")
-    return total
-
-
 def _tuple_terms(points_list, values_list, idx: np.ndarray, pinned: bool):
     """Determinants and slot-value products of the index tuples (rows of idx)."""
     from .geometry import simplex_det_many
@@ -155,46 +156,59 @@ def _multiplicities(idx: np.ndarray) -> np.ndarray:
     return math.factorial(m) / fact_prod
 
 
-def _enumerate_form(measures, same: bool, fs, gamma: float, tau: float,
-                    pinned: bool, budget: int) -> FunctionalResult:
-    """Exact form over the product of the slot measures; nondecreasing
-    tuples with multiplicities when every slot has one measure and density."""
-    values_list = _values_for_slots(measures, fs, len(measures))
-    symmetric = same and (fs is None or all(
-        f is None for f in fs) or all(f is fs[0] for f in fs))
-    points_list = [m_.points for m_ in measures]
-    sizes = [m_.n_atoms for m_ in measures]
-    total = _exact_tuple_count(sizes, budget, "; use det_form_sampled")
+def _enumerate(points_list, values_list, pinned: bool, symmetric: bool,
+               budget: int, reduce):
+    """(tuple count, [reduce(dets, wprod, mult) per block]) over the product
+    of the slots, in block order.
+
+    The fixed block partition of the flat tuple index keeps the results
+    independent of the worker count.  symmetric=True keeps only
+    nondecreasing tuples and passes their multiplicities as mult (None
+    otherwise); every slot must then hold the same points and values.
+    """
+    sizes = [p.shape[0] for p in points_list]
+    total = math.prod(sizes)
+    if total > budget:
+        raise BudgetExceededError(f"{total} tuples exceed the exact budget {budget}")
 
     def block(start, stop):
-        flat = np.arange(start, stop, dtype=np.int64)
-        idx = _decode(flat, sizes)
+        idx = _decode(np.arange(start, stop, dtype=np.int64), sizes)
+        mult = None
         if symmetric:
-            keep = np.all(idx[:, :-1] <= idx[:, 1:], axis=1)
-            idx = idx[keep]
-            if idx.shape[0] == 0:
-                return 0.0, 0.0
+            idx = idx[np.all(idx[:, :-1] <= idx[:, 1:], axis=1)]
             mult = _multiplicities(idx)
-        else:
-            mult = None
         dets, wprod = _tuple_terms(points_list, values_list, idx, pinned)
+        return reduce(dets, wprod, mult)
+
+    return total, parallel.map_blocks(block, parallel.block_ranges(total))
+
+
+def _enumerate_form(measures, same: bool, fs, gammas, tau: float,
+                    pinned: bool, budget: int) -> list:
+    """Exact forms at each exponent in gammas, from one enumeration over the
+    product of the slot measures; nondecreasing tuples with multiplicities
+    when every slot has one measure and density."""
+    symmetric = same and (fs is None or all(
+        f is None for f in fs) or all(f is fs[0] for f in fs))
+
+    def reduce(dets, wprod, mult):
         included = dets > tau
         if mult is None:
             n_exc = float(np.count_nonzero(~included))
         else:
             n_exc = float(np.sum(mult[~included]))
             wprod *= mult
-        if gamma == 0.0:
-            contrib = wprod[included]
-        else:
-            contrib = wprod[included] * dets[included] ** (-gamma)
-        return float(np.sum(contrib)), n_exc
+        w_in, d_in = wprod[included], dets[included]
+        return [float(np.sum(w_in if g == 0.0 else w_in * d_in ** (-g)))
+                for g in gammas], n_exc
 
-    results = parallel.map_blocks(block, parallel.block_ranges(total))
-    value = math.fsum(r[0] for r in results)
+    total, results = _enumerate([m_.points for m_ in measures],
+                                _values_for_slots(measures, fs, len(measures)),
+                                pinned, symmetric, budget, reduce)
     excluded = int(round(math.fsum(r[1] for r in results)))
-    return FunctionalResult(value=value, tuples_total=total,
-                            tuples_excluded=excluded, stderr=None)
+    return [FunctionalResult(value=math.fsum(r[0][i] for r in results),
+                             tuples_total=total, tuples_excluded=excluded)
+            for i in range(len(gammas))]
 
 
 def _normalize_measures(mu, m: int):
@@ -222,7 +236,8 @@ def det_form(mu, k: int, gamma: float, fs=None, *, tau: float = None,
     measures, same = _normalize_measures(mu, k + 1)
     if tau is None:
         tau = difference_threshold(measures)
-    return _enumerate_form(measures, same, fs, gamma, tau, pinned=False, budget=budget)
+    return _enumerate_form(measures, same, fs, (gamma,), tau, pinned=False,
+                           budget=budget)[0]
 
 
 def det_form_pinned(mu, k: int, gamma: float, fs=None, *, tau: float = None,
@@ -237,7 +252,8 @@ def det_form_pinned(mu, k: int, gamma: float, fs=None, *, tau: float = None,
     measures, same = _normalize_measures(mu, k)
     if tau is None:
         tau = default_det_threshold(measures, k)
-    return _enumerate_form(measures, same, fs, gamma, tau, pinned=True, budget=budget)
+    return _enumerate_form(measures, same, fs, (gamma,), tau, pinned=True,
+                           budget=budget)[0]
 
 
 def det_form_sampled(mu, k: int, gamma: float, fs=None, *, samples: int,
@@ -299,25 +315,35 @@ def sublevel_mass(measures, delta: float, *, tau: float = None,
     if tau is None:
         tau = default_det_threshold(measures, k)
 
-    sizes = [m_.n_atoms for m_ in measures]
-    total = _exact_tuple_count(sizes, budget)
-    points_list = [m_.points for m_ in measures]
-    weights_list = [m_.weights for m_ in measures]
-
-    def block(start, stop):
-        idx = _decode(np.arange(start, stop, dtype=np.int64), sizes)
-        dets, wprod = _tuple_terms(points_list, weights_list, idx, pinned=True)
+    def reduce(dets, wprod, mult):
         band = (dets > tau) & (dets < delta)
         return float(np.sum(wprod[band]))
 
-    results = parallel.map_blocks(block, parallel.block_ranges(total))
+    _, results = _enumerate([m_.points for m_ in measures],
+                            [m_.weights for m_ in measures], pinned=True,
+                            symmetric=False, budget=budget, reduce=reduce)
     return math.fsum(results)
+
+
+def _index_sets(n: int, sets, k: int) -> list:
+    """The k atom-index sets as int arrays, each index in [0, n) at most once."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    sets = [np.asarray(s, dtype=int) for s in sets]
+    if len(sets) != k:
+        raise ValueError(f"expected {k} index sets")
+    for j, s in enumerate(sets):
+        if s.size and (s.min() < 0 or s.max() >= n):
+            raise ValueError(f"index set {j} has an index outside [0, {n})")
+        if np.unique(s).size != s.size:
+            raise ValueError(f"index set {j} repeats an index")
+    return sets
 
 
 def indicator(n: int, idx) -> np.ndarray:
     """Per-atom indicator vector of an index set, for use as an fs entry."""
     out = np.zeros(n)
-    out[np.asarray(idx, dtype=int)] = 1.0
+    out[_index_sets(n, [idx], 1)[0]] = 1.0
     return out
 
 
@@ -329,22 +355,11 @@ def dyadic_profile(mu: WeightedPointMeasure, k: int, sets, gamma: float, *,
     in the layer l = floor(log2 det); layer masses sum to the included
     product mass exactly.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    sets = [np.asarray(s, dtype=int) for s in sets]
-    if len(sets) != k:
-        raise ValueError(f"expected {k} index sets")
+    sets = _index_sets(mu.n_atoms, sets, k)
     if tau is None:
         tau = default_det_threshold(mu, k)
 
-    sizes = [s.shape[0] for s in sets]
-    total = _exact_tuple_count(sizes, budget)
-    points_list = [mu.points[s] for s in sets]
-    weights_list = [mu.weights[s] for s in sets]
-
-    def block(start, stop):
-        idx = _decode(np.arange(start, stop, dtype=np.int64), sizes)
-        dets, wprod = _tuple_terms(points_list, weights_list, idx, pinned=True)
+    def reduce(dets, wprod, mult):
         included = dets > tau
         exc_mass = float(np.sum(wprod[~included]))
         dets = dets[included]
@@ -356,9 +371,12 @@ def dyadic_profile(mu: WeightedPointMeasure, k: int, sets, gamma: float, *,
                 local[int(l)] = float(np.sum(wprod[levels == l]))
         return local, exc_mass
 
+    _, results = _enumerate([mu.points[s] for s in sets],
+                            [mu.weights[s] for s in sets], pinned=True,
+                            symmetric=False, budget=budget, reduce=reduce)
     layers: dict = {}
     excluded = []
-    for local, exc in parallel.map_blocks(block, parallel.block_ranges(total)):
+    for local, exc in results:
         excluded.append(exc)
         for l, m_ in local.items():
             layers[l] = layers.get(l, 0.0) + m_
@@ -380,15 +398,12 @@ def cauchy_schwarz_check(mu: WeightedPointMeasure, k: int, gamma: float, sets, *
     so the inequality is exactly Cauchy-Schwarz on the included tuples and
     must hold to rounding.  Returns (lhs, rhs, ok).
     """
-    sets = [np.asarray(s, dtype=int) for s in sets]
-    if len(sets) != k:
-        raise ValueError(f"expected {k} index sets")
+    sets = _index_sets(mu.n_atoms, sets, k)
     if tau is None:
         tau = default_det_threshold(mu, k)
     fs = [indicator(mu.n_atoms, s) for s in sets]
-    inv = det_form_pinned(mu, k, gamma, fs, tau=tau, budget=budget)
-    fwd = det_form_pinned(mu, k, -gamma, fs, tau=tau, budget=budget)
-    mass = det_form_pinned(mu, k, 0.0, fs, tau=tau, budget=budget)
+    inv, fwd, mass = _enumerate_form([mu] * k, True, fs, (gamma, -gamma, 0.0),
+                                     tau, pinned=True, budget=budget)
     lhs = mass.value ** 2
     rhs = fwd.value * inv.value
     ok = lhs <= rhs * (1.0 + rel_tol)
@@ -464,7 +479,7 @@ def weak_type_probe(mu: WeightedPointMeasure, k: int, gamma: float, alpha: float
     for t in range(trials):
         kind = kinds[t % len(kinds)]
         if set_sampler is not None:
-            sets = set_sampler(mu, k, rng)
+            sets = _index_sets(mu.n_atoms, set_sampler(mu, k, rng), k)
             kind = "custom"
         else:
             sets = _sample_sets(mu, k, rng, kind)

@@ -158,10 +158,6 @@ class Ellipsoid:
         with np.errstate(divide="ignore"):
             return np.where(self.inv_lengths == 0.0, np.inf, 1.0 / self.inv_lengths)
 
-    @property
-    def is_centered(self) -> bool:
-        return bool(np.all(self.center == 0.0))
-
     @classmethod
     def ball(cls, radius: float, dim: int, center=None) -> "Ellipsoid":
         if radius < 0:
@@ -265,21 +261,6 @@ def ellipsoid_of(q: np.ndarray) -> Ellipsoid:
     return Ellipsoid(center=np.zeros(q.shape[0]), frame=vt.T, inv_lengths=s)
 
 
-def project_complement(x, y) -> np.ndarray:
-    """Component of y orthogonal to the direction of x (x must be nonzero).
-
-    With P = project_complement, det(0, x, y_1, ..., y_m) factors as
-    ||x|| * det(0, P(x, y_1), ..., P(x, y_m)).
-    """
-    x = _as_point(x)
-    y = _as_point(y)
-    nx = float(np.linalg.norm(x))
-    if nx == 0.0:
-        raise ValueError("cannot project along the zero vector")
-    xhat = x / nx
-    return y - float(y @ xhat) * xhat
-
-
 @dataclass(frozen=True)
 class AffineSubspace:
     """Affine flat given by a base point and orthonormal basis rows (m, d), m < d."""
@@ -337,7 +318,7 @@ class AffineSubspace:
         return cls(base_point=base, basis=vt[keep])
 
     def distance(self, y) -> float:
-        return dist_affine(y, self)
+        return float(self.distance_many(_as_point(y)[None, :])[0])
 
     def distance_many(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -345,15 +326,6 @@ class AffineSubspace:
         if self.dim > 0:
             r = r - (r @ self.basis.T) @ self.basis
         return np.linalg.norm(r, axis=1)
-
-
-def dist_affine(y, flat: AffineSubspace) -> float:
-    """Euclidean distance from y to the affine flat."""
-    y = _as_point(y)
-    r = y - flat.base_point
-    if flat.dim > 0:
-        r = r - flat.basis.T @ (flat.basis @ r)
-    return float(np.linalg.norm(r))
 
 
 def det_content_bound(d: int, k: int) -> float:

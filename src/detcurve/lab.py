@@ -154,11 +154,6 @@ class FamilyParams:
                               j_max=self.j_max, mode=self.mode, seed=self.seed)
 
 
-KNOWN_CHECKS = ("sublevel", "sublevel_multi", "weak_type", "cauchy_schwarz",
-                "gaussian", "slab", "maximal", "necessity", "flat_weak_type",
-                "refinement_stability")
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Complete, serializable description of one verification run.
@@ -628,8 +623,46 @@ def verify_refinement_stability(config: "ScenarioConfig",
 # scenario runner
 
 
-def _co_measures(config: ScenarioConfig):
-    return [_realize(g) for g in config.co_generators]
+def _multi_check(config, mu):
+    measures = [mu] + [_realize(g) for g in config.co_generators]
+    if len(measures) != config.k:
+        measures = (measures * config.k)[:config.k]
+    families = [config.family.build(m_) for m_ in measures]
+    return verify_sublevel_bound_multi(measures, config.eps_grid, families,
+                                       budget=config.budget, refine=config.refine)
+
+
+def _necessity_check(config, mu):
+    base_floor = 2.0 ** (math.floor(math.log2(median_nn_distance(mu))) - 1)
+    return verify_necessity_growth(mu, config.k, config.alpha,
+                                   base_floor=base_floor,
+                                   deltas=config.floor_shrink,
+                                   seed=config.seed, refine=config.refine)
+
+
+# check name -> driver(config, mu, get_family) returning (records, constants);
+# the lambdas look the verify_* functions up in the module globals at call time
+_CHECKS = {
+    "sublevel": lambda c, mu, fam: verify_sublevel_bound(
+        mu, c.k, c.eps_grid, fam(), budget=c.budget, refine=c.refine),
+    "sublevel_multi": lambda c, mu, fam: _multi_check(c, mu),
+    "weak_type": lambda c, mu, fam: verify_weak_type_bound(
+        mu, c.k, c.gamma, c.alpha, fam(), trials=c.trials, seed=c.seed,
+        budget=c.budget, refine=c.refine, slack=c.slack),
+    "cauchy_schwarz": lambda c, mu, fam: verify_cauchy_schwarz(
+        mu, c.k, c.gamma, trials=c.trials, seed=c.seed, budget=c.budget),
+    "gaussian": lambda c, mu, fam: verify_gaussian_bounds(
+        mu, c.k, c.alpha, seed=c.seed),
+    "slab": lambda c, mu, fam: verify_slab_implication(mu, c.k, c.alpha, fam()),
+    "maximal": lambda c, mu, fam: verify_maximal_bound(
+        mu, c.k, c.alpha, seed=c.seed),
+    "necessity": lambda c, mu, fam: _necessity_check(c, mu),
+    "flat_weak_type": lambda c, mu, fam: verify_flat_blowup(
+        mu, c.k, c.gamma, c.alpha, trials=min(c.trials, 12), seed=c.seed,
+        budget=c.budget, slack=c.slack),
+    "refinement_stability": lambda c, mu, fam: verify_refinement_stability(c, mu),
+}
+KNOWN_CHECKS = tuple(_CHECKS)
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
@@ -646,53 +679,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 
     for name in config.checks:
         t0 = time.perf_counter()
-        if name == "sublevel":
-            records, consts = verify_sublevel_bound(
-                mu, config.k, config.eps_grid, get_family(),
-                budget=config.budget, refine=config.refine)
-        elif name == "sublevel_multi":
-            others = _co_measures(config)
-            measures = [mu] + others
-            if len(measures) != config.k:
-                measures = (measures * config.k)[:config.k]
-            families = [config.family.build(m_) for m_ in measures]
-            records, consts = verify_sublevel_bound_multi(
-                measures, config.eps_grid, families, budget=config.budget,
-                refine=config.refine)
-        elif name == "weak_type":
-            records, consts = verify_weak_type_bound(
-                mu, config.k, config.gamma, config.alpha, get_family(),
-                trials=config.trials, seed=config.seed, budget=config.budget,
-                refine=config.refine, slack=config.slack)
-        elif name == "cauchy_schwarz":
-            records, consts = verify_cauchy_schwarz(
-                mu, config.k, config.gamma, trials=config.trials,
-                seed=config.seed, budget=config.budget)
-        elif name == "gaussian":
-            records, consts = verify_gaussian_bounds(
-                mu, config.k, config.alpha, seed=config.seed)
-        elif name == "slab":
-            records, consts = verify_slab_implication(
-                mu, config.k, config.alpha, get_family())
-        elif name == "maximal":
-            records, consts = verify_maximal_bound(
-                mu, config.k, config.alpha, seed=config.seed)
-        elif name == "necessity":
-            nn = median_nn_distance(mu)
-            base_floor = 2.0 ** (math.floor(math.log2(nn)) - 1)
-            records, consts = verify_necessity_growth(
-                mu, config.k, config.alpha, base_floor=base_floor,
-                deltas=config.floor_shrink, seed=config.seed,
-                refine=config.refine)
-        elif name == "flat_weak_type":
-            records, consts = verify_flat_blowup(
-                mu, config.k, config.gamma, config.alpha,
-                trials=min(config.trials, 12), seed=config.seed,
-                budget=config.budget, slack=config.slack)
-        elif name == "refinement_stability":
-            records, consts = verify_refinement_stability(config, mu)
-        else:  # pragma: no cover - guarded by ScenarioConfig validation
-            raise ValueError(f"unknown check {name}")
+        records, consts = _CHECKS[name](config, mu, get_family)
         report.timings[name] = time.perf_counter() - t0
 
         for rec in records:

@@ -288,16 +288,10 @@ class TestMaximal:
 
 
 def brute_sweep(z, values, weights):
-    """Weight sum over atoms with s <= 1.0 per member, s summed in axis order."""
-    invsq = 1.0 / values ** 2
-    q = z * z
-    out = []
-    for idx in product(range(len(values)), repeat=z.shape[-1]):
-        s = np.zeros(z.shape[0])
-        for a, i in enumerate(idx):
-            s = s + q[:, a] * invsq[i]
-        out.append(np.sum(weights[s <= 1.0]))
-    return np.array(out)
+    """Weight sum over the atoms each member's Ellipsoid contains, z being
+    coordinates in the frame, so the sweep is pinned to the evaluator."""
+    return np.array([np.sum(weights[Ellipsoid.from_semi_lengths(lengths).contains_many(z)])
+                     for lengths in product(values, repeat=z.shape[-1])])
 
 
 def maximal_reference(mu, k, alpha, family, pts, inner=False):
@@ -400,7 +394,39 @@ class TestSweep:
         assert est.constant == max(curvature_ratio(mu, b, 2, 1.0) for b in fam.members())
 
 
+def slab_reference(mu, k, alpha, family, max_members, rel_tol=1e-9):
+    """The per-member Ellipsoid and eval_measure loop slab_implication_check
+    replaced."""
+    members = list(family.members())
+    members = members[::-(-len(members) // max_members)]
+    c_slab = slab_constant(mu, k, alpha, [top_axes_flat(b, k) for b in members])
+    all_ok, worst = True, math.inf
+    for b in members:
+        mass = eval_measure(mu, b)
+        bound = c_slab * float(np.sort(b.semi_lengths)[::-1][k - 1]) ** (alpha * k)
+        worst = min(worst, bound - mass)
+        all_ok &= mass <= bound * (1.0 + rel_tol) or math.isinf(bound)
+    return c_slab, all_ok, worst, len(members)
+
+
 class TestSlabDedup:
+    @pytest.mark.parametrize("fixture,alpha,max_members", [
+        ("cube64", 1.0, 4096), ("cube64", 0.75, 50),
+        ("circle240", 1.0, 4096), ("circle240", 0.75, 50)])
+    def test_matches_member_loop(self, request, fixture, alpha, max_members):
+        mu = request.getfixturevalue(fixture)
+        # no data-adapted frames: on cube64 they run through atoms (c_slab inf)
+        fam = EllipsoidFamily.dyadic(2, -5, 1, frames=default_frames(2, n_random=5, seed=1),
+                                     floor=median_nn_distance(mu))
+        got = slab_implication_check(mu, 2, alpha, fam, max_members=max_members)
+        want = slab_reference(mu, 2, alpha, fam, max_members)
+        assert math.isfinite(got[0])
+        assert got[0] == want[0] and got[1] == want[1] and got[3] == want[3]
+        if fixture == "cube64":  # weights 1/64 sum exactly in any order
+            assert got[2] == want[2]
+        else:
+            assert got[2] == pytest.approx(want[2], rel=1e-12)
+
     @pytest.mark.parametrize("fixture,k,max_members", [
         ("cube64", 2, 4096), ("cube64", 2, 50),
         ("sphere80_d3", 2, 4096), ("sphere80_d3", 3, 100)])

@@ -164,6 +164,34 @@ class TestInvariance:
             a ** (-k * gamma) * base.value, rel=1e-12)
         assert scaled.tuples_excluded == base.tuples_excluded
 
+    @given(st.sampled_from([(2, 3), (2, 4), (3, 2)]), st.integers(1, 2),
+           st.booleans(), st.booleans(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_permutation_invariance(self, grid, k, pinned, distinct, data):
+        # dyadic grid atoms, dilates and shifts keep every determinant exact,
+        # so exclusions cannot flip; only the summation order moves values
+        dim, side = grid
+        n = side ** dim
+        base = generate(GeneratorSpec("cube_lebesgue", dim, n))
+        weights = np.arange(1.0, n + 1.0) / (n * (n + 1) / 2.0)
+        mu = WeightedPointMeasure(base.points, weights)
+        m = k if pinned else k + 1
+        slots = ([mu, dilate(mu, 0.5), translate(mu, [0.25] * dim)][:m]
+                 if distinct else mu)
+        form = det_form_pinned if pinned else det_form
+        want = form(slots, k, 0.5)
+
+        perm = np.array(data.draw(st.permutations(range(n))))
+        shuffle = lambda x: WeightedPointMeasure(x.points[perm], x.weights[perm])
+        if distinct:
+            order = data.draw(st.permutations(range(m)))
+            moved = [shuffle(slots[j]) for j in order]
+        else:
+            moved = shuffle(mu)
+        got = form(moved, k, 0.5)
+        assert got.value == pytest.approx(want.value, rel=1e-12)
+        assert got.tuples_excluded == want.tuples_excluded
+
     def test_threshold_covariance(self, cube64):
         t1 = default_det_threshold(cube64, 2)
         t2 = default_det_threshold(dilate(cube64, 2.0), 2)
@@ -235,6 +263,21 @@ class TestCauchySchwarz:
         with pytest.raises(ValueError):
             cauchy_schwarz_check(cube64, 2, 0.5, [np.arange(4)])
 
+    @pytest.mark.parametrize("fixture,k", [("cube64", 1), ("cube64", 2),
+                                           ("sphere80_d3", 3)])
+    def test_one_pass_equals_three_forms(self, request, fixture, k):
+        mu = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(k)
+        for _ in range(5):
+            sets = [rng.choice(mu.n_atoms, size=rng.integers(1, 40), replace=False)
+                    for _ in range(k)]
+            fs = [indicator(mu.n_atoms, s) for s in sets]
+            inv, fwd, mass = (det_form_pinned(mu, k, g, fs) for g in (0.5, -0.5, 0.0))
+            lhs, rhs, ok = cauchy_schwarz_check(mu, k, 0.5, sets)
+            assert lhs == mass.value ** 2
+            assert rhs == fwd.value * inv.value
+            assert ok == (lhs <= rhs * (1.0 + 1e-12))
+
 
 class TestSampledForm:
     def test_unbiased_against_exact(self, cube64):
@@ -279,3 +322,38 @@ class TestIndicator:
     def test_one_hot(self):
         f = indicator(5, [0, 3])
         assert np.array_equal(f, [1.0, 0.0, 0.0, 1.0, 0.0])
+
+
+# every entry point that takes atom-index sets, called with k = 2 sets
+SET_TAKERS = {
+    "indicator": lambda mu, sets: [indicator(mu.n_atoms, s) for s in sets],
+    "dyadic_profile": lambda mu, sets: dyadic_profile(mu, 2, sets, 0.5),
+    "cauchy_schwarz_check": lambda mu, sets: cauchy_schwarz_check(mu, 2, 0.5, sets),
+    "weak_type_probe": lambda mu, sets: weak_type_probe(
+        mu, 2, 0.5, 1.0, trials=1, set_sampler=lambda mu_, k, rng: sets),
+}
+
+
+class TestIndexSets:
+    @pytest.mark.parametrize("taker", sorted(SET_TAKERS))
+    def test_rejects_repeated_index(self, cube64, taker):
+        # atom 0 twice would count its mass twice
+        with pytest.raises(ValueError, match="index set 0 repeats an index"):
+            SET_TAKERS[taker](cube64, [[0, 0, 5, 9], [3, 7, 11]])
+
+    @pytest.mark.parametrize("taker", sorted(SET_TAKERS))
+    def test_rejects_negative_index(self, cube64, taker):
+        # -1 would silently mean the last atom
+        with pytest.raises(ValueError, match=r"has an index outside \[0, 64\)"):
+            SET_TAKERS[taker](cube64, [[0, 5], [3, -1]])
+
+    @pytest.mark.parametrize("taker", sorted(SET_TAKERS))
+    def test_rejects_index_past_end(self, cube64, taker):
+        with pytest.raises(ValueError, match=r"index set 0 has an index outside \[0, 64\)"):
+            SET_TAKERS[taker](cube64, [[0, 64], [3]])
+
+    @pytest.mark.parametrize("taker", ["dyadic_profile", "cauchy_schwarz_check",
+                                       "weak_type_probe"])
+    def test_rejects_wrong_set_count(self, cube64, taker):
+        with pytest.raises(ValueError, match="expected 2 index sets"):
+            SET_TAKERS[taker](cube64, [[0, 1], [2], [3]])

@@ -13,7 +13,6 @@ from detcurve.measure import (
     WeightedPointMeasure,
     dilate,
     eval_measure,
-    flat_mass_diagnostic,
     generate,
     load_point_cloud,
     median_nn_distance,
@@ -149,20 +148,6 @@ class TestGenerators:
         spec = GeneratorSpec("subspace_lebesgue", 3, 32, 2,
                              params={"subspace_dim": 2})
         assert GeneratorSpec.from_dict(spec.to_dict()) == spec
-
-
-class TestFlatDiagnostic:
-    def test_line_measure_is_flagged(self, line64):
-        assert flat_mass_diagnostic(line64, 2) == pytest.approx(1.0)
-
-    def test_cube_measure_is_clean(self, cube64):
-        # the heaviest line in an 8x8 grid carries one row of atoms
-        assert flat_mass_diagnostic(cube64, 2) == pytest.approx(8.0 / 64.0)
-
-    def test_coincident_atoms_k1(self):
-        mu = WeightedPointMeasure(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
-                                  np.array([0.3, 0.4, 0.3]))
-        assert flat_mass_diagnostic(mu, 1) == pytest.approx(0.7)
 
 
 class TestPointCloudIO:
