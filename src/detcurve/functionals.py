@@ -10,15 +10,17 @@ threshold tau are excluded from the sum and counted separately, for every
 sign of gamma, so inverse powers never divide by (numerical) zero.
 
 Every exact quantity (the forms, sublevel_mass, dyadic_profile) comes from
-one enumerator, _enumerate: it walks the tuples in fixed blocks (only the
-nondecreasing ones, with multiplicities, when all slots are alike), forms
+one enumerator, _enumerate: it walks the tuples in fixed blocks, forms
 their determinants and slot-value products, and hands each block to a
 reducer; blocks are combined in block order with math.fsum, so values do
-not depend on the worker count.  One pass can reduce to several exponents,
-which is how cauchy_schwarz_check gets its three forms.
+not depend on the worker count.  When all slots are alike the blocks
+partition the ranks of the nondecreasing tuples, which are unranked
+directly and weighted by their multiplicities.  One pass can reduce to
+several exponents, which is how cauchy_schwarz_check gets its three forms.
 
-Exact enumeration is capped by a tuple budget; beyond it callers must switch
-to det_form_sampled, an unbiased uniform-tuple Monte Carlo estimate.
+Exact enumeration is capped by a budget on the tuples it visits; beyond it
+callers must switch to det_form_sampled, an unbiased uniform-tuple Monte
+Carlo estimate whose integrand is formed in the same fixed blocks.
 """
 
 from __future__ import annotations
@@ -118,38 +120,71 @@ def _values_for_slots(measures, fs, m: int):
     return vals
 
 
-def _decode(flat: np.ndarray, sizes) -> np.ndarray:
-    """Mixed-radix decode of flat tuple indices into an (len(flat), m) array."""
-    m = len(sizes)
-    idx = np.empty((flat.shape[0], m), dtype=np.int64)
+def _decode(flat: np.ndarray, sizes) -> list:
+    """Mixed-radix decode of flat tuple indices into per-slot index arrays."""
+    idx = [None] * len(sizes)
     rem = flat
-    for j in range(m - 1, -1, -1):
-        idx[:, j] = rem % sizes[j]
-        rem = rem // sizes[j]
+    for j in range(len(sizes) - 1, -1, -1):
+        rem, idx[j] = np.divmod(rem, sizes[j])
     return idx
 
 
-def _tuple_terms(points_list, values_list, idx: np.ndarray, pinned: bool):
-    """Determinants and slot-value products of the index tuples (rows of idx)."""
-    from .geometry import simplex_det_many
+def _rank_tables(n: int, m: int) -> list:
+    """tables[L - 1][v]: the number of nondecreasing length-L tuples over
+    [0, n) that start below v, the sum over u < v of C(n-u+L-2, L-1)."""
+    return [np.array([math.comb(n + L - 1, L) - math.comb(n - v + L - 1, L)
+                      for v in range(n + 1)], dtype=np.int64)
+            for L in range(1, m + 1)]
 
-    # the (M, m, d) stack is freed before the products are allocated
-    dets = simplex_det_many(
-        np.stack([points_list[j][idx[:, j]] for j in range(idx.shape[1])], axis=1),
-        pinned=pinned)
-    wprod = values_list[0][idx[:, 0]].copy()
-    for j in range(1, idx.shape[1]):
-        wprod *= values_list[j][idx[:, j]]
+
+def _unrank(ranks: np.ndarray, tables) -> list:
+    """Per-slot index arrays of the nondecreasing tuples with the given
+    lexicographic ranks (combinations with repetition, Knuth 7.2.1.3)."""
+    idx = []
+    low = np.zeros_like(ranks)
+    for cum in tables[:0:-1]:
+        # position among all tuples of this length, then its first entry
+        pos = ranks + cum[low]
+        low = np.searchsorted(cum, pos, side="right") - 1
+        ranks = pos - cum[low]
+        idx.append(low)
+    # one entry left: the remaining rank counts up from the previous entry
+    idx.append(low + ranks)
+    return idx
+
+
+def _tuple_terms(points_list, values_list, idx, pinned: bool):
+    """Determinants and slot-value products of the index tuples; idx[j]
+    holds the atom indices of slot j."""
+    from . import geometry
+
+    m, d = len(idx), points_list[0].shape[1]
+    if (m if pinned else m - 1) == d:
+        # square edge matrices: gather coordinates from contiguous columns
+        rows = [[np.take(col, idx[j]) for col in np.ascontiguousarray(points_list[j].T)]
+                for j in range(m)]
+        if not pinned:
+            base = rows.pop()
+            rows = [[x - b for x, b in zip(row, base)] for row in rows]
+        dets = np.abs(geometry._square_det(rows))
+    else:
+        # the (M, m, d) stack is freed before the products are allocated
+        dets = geometry.simplex_det_many(
+            np.stack([points_list[j][idx[j]] for j in range(m)], axis=1),
+            pinned=pinned)
+    wprod = np.take(values_list[0], idx[0])
+    for j in range(1, m):
+        wprod *= np.take(values_list[j], idx[j])
     return dets, wprod
 
 
-def _multiplicities(idx: np.ndarray) -> np.ndarray:
+def _multiplicities(idx) -> np.ndarray:
     """Number of distinct permutations of each nondecreasing index tuple."""
-    m = idx.shape[1]
-    run = np.ones(idx.shape[0])
-    fact_prod = np.ones(idx.shape[0])
+    m = len(idx)
+    run = np.ones(idx[0].shape[0])
+    fact_prod = np.ones(idx[0].shape[0])
     for j in range(1, m):
-        eq = idx[:, j] == idx[:, j - 1]
+        eq = idx[j] == idx[j - 1]
         run = np.where(eq, run + 1.0, 1.0)
         fact_prod *= run
     # fact_prod accumulates prod over runs of (run length)! one factor at a time
@@ -158,29 +193,37 @@ def _multiplicities(idx: np.ndarray) -> np.ndarray:
 
 def _enumerate(points_list, values_list, pinned: bool, symmetric: bool,
                budget: int, reduce):
-    """(tuple count, [reduce(dets, wprod, mult) per block]) over the product
-    of the slots, in block order.
+    """(ordered tuple count, [reduce(dets, wprod, mult) per block]) over the
+    product of the slots, in block order.
 
     The fixed block partition of the flat tuple index keeps the results
-    independent of the worker count.  symmetric=True keeps only
-    nondecreasing tuples and passes their multiplicities as mult (None
-    otherwise); every slot must then hold the same points and values.
+    independent of the worker count.  symmetric=True partitions the ranks
+    of the nondecreasing tuples instead and passes their multiplicities as
+    mult (None otherwise); every slot must then hold the same points and
+    values.  The budget caps the tuples visited.
     """
     sizes = [p.shape[0] for p in points_list]
     total = math.prod(sizes)
-    if total > budget:
-        raise BudgetExceededError(f"{total} tuples exceed the exact budget {budget}")
+    m = len(sizes)
+    visited = math.comb(sizes[0] + m - 1, m) if symmetric else total
+    if visited > budget:
+        raise BudgetExceededError(
+            f"{visited} tuples to enumerate ({total} ordered) exceed the "
+            f"exact budget {budget}")
+    tables = _rank_tables(sizes[0], m) if symmetric else None
 
     def block(start, stop):
-        idx = _decode(np.arange(start, stop, dtype=np.int64), sizes)
+        pos = np.arange(start, stop, dtype=np.int64)
         mult = None
         if symmetric:
-            idx = idx[np.all(idx[:, :-1] <= idx[:, 1:], axis=1)]
+            idx = _unrank(pos, tables)
             mult = _multiplicities(idx)
+        else:
+            idx = _decode(pos, sizes)
         dets, wprod = _tuple_terms(points_list, values_list, idx, pinned)
         return reduce(dets, wprod, mult)
 
-    return total, parallel.map_blocks(block, parallel.block_ranges(total))
+    return total, parallel.map_blocks(block, parallel.block_ranges(visited))
 
 
 def _enumerate_form(measures, same: bool, fs, gammas, tau: float,
@@ -275,21 +318,29 @@ def det_form_sampled(mu, k: int, gamma: float, fs=None, *, samples: int,
         tau = (default_det_threshold(measures, k) if pinned
                else difference_threshold(measures))
     vals = _values_for_slots(measures, fs, m)
+    points_list = [m_.points for m_ in measures]
     sizes = [m_.n_atoms for m_ in measures]
     rng = np.random.default_rng(seed)
-    idx = np.stack([rng.integers(0, sizes[j], size=samples) for j in range(m)], axis=1)
-    dets, wprod = _tuple_terms([m_.points for m_ in measures], vals, idx, pinned)
-    included = dets > tau
-    integrand = np.zeros(samples)
-    if gamma == 0.0:
-        integrand[included] = wprod[included]
-    else:
-        integrand[included] = wprod[included] * dets[included] ** (-gamma)
+    idx = [rng.integers(0, sizes[j], size=samples) for j in range(m)]
+
+    def block(start, stop):
+        dets, wprod = _tuple_terms(points_list, vals,
+                                   [ix[start:stop] for ix in idx], pinned)
+        included = dets > tau
+        integrand = np.zeros(stop - start)
+        if gamma == 0.0:
+            integrand[included] = wprod[included]
+        else:
+            integrand[included] = wprod[included] * dets[included] ** (-gamma)
+        return integrand, int(np.count_nonzero(~included))
+
+    results = parallel.map_blocks(block, parallel.block_ranges(samples))
+    integrand = np.concatenate([r[0] for r in results])
     total = math.prod(sizes)
     est = float(total * np.mean(integrand))
     err = float(total * np.std(integrand, ddof=1) / math.sqrt(samples))
     return FunctionalResult(value=est, tuples_total=samples,
-                            tuples_excluded=int(np.count_nonzero(~included)),
+                            tuples_excluded=sum(r[1] for r in results),
                             stderr=err)
 
 
@@ -362,13 +413,14 @@ def dyadic_profile(mu: WeightedPointMeasure, k: int, sets, gamma: float, *,
     def reduce(dets, wprod, mult):
         included = dets > tau
         exc_mass = float(np.sum(wprod[~included]))
-        dets = dets[included]
-        wprod = wprod[included]
-        local = {}
-        if dets.shape[0]:
-            levels = np.floor(np.log2(dets)).astype(int)
-            for l in np.unique(levels):
-                local[int(l)] = float(np.sum(wprod[levels == l]))
+        # one stable (radix) sort groups the layers and keeps each layer's
+        # tuples in block order, so each layer sum sees the masked order
+        levels = np.floor(np.log2(dets[included])).astype(np.int16)
+        order = np.argsort(levels, kind="stable")
+        levels, wprod = levels[order], wprod[included][order]
+        cuts = [0, *(np.flatnonzero(np.diff(levels)) + 1).tolist(), levels.size]
+        local = {int(levels[a]): float(np.sum(wprod[a:b]))
+                 for a, b in zip(cuts[:-1], cuts[1:]) if b > a}
         return local, exc_mass
 
     _, results = _enumerate([mu.points[s] for s in sets],

@@ -42,8 +42,9 @@ def _check_frame(frame: np.ndarray) -> np.ndarray:
     return frame
 
 
-def _square_det(mats: np.ndarray) -> np.ndarray:
-    """Batched determinant of (M, d, d) stacks.
+def _square_det(rows) -> np.ndarray:
+    """Batched d x d determinants; rows[i][j] is the (M,) array of entry
+    (i, j), so callers can gather entries from contiguous coordinate columns.
 
     d <= 3 uses cofactor expansion: every operation is a fixed circuit of
     products and sums, so the result commutes exactly with power-of-two
@@ -51,17 +52,15 @@ def _square_det(mats: np.ndarray) -> np.ndarray:
     guarantees neither (pivot ordering introduces ulp-level noise), which
     would break the exact dilation covariance of the forms.
     """
-    d = mats.shape[-1]
+    d = len(rows)
     if d == 1:
-        return mats[:, 0, 0].copy()
+        return rows[0][0]
     if d == 2:
-        return mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     if d == 3:
-        a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 0, 2]
-        p, q, r = mats[:, 1, 0], mats[:, 1, 1], mats[:, 1, 2]
-        u, v, w = mats[:, 2, 0], mats[:, 2, 1], mats[:, 2, 2]
+        (a, b, c), (p, q, r), (u, v, w) = rows
         return a * (q * w - r * v) - b * (p * w - r * u) + c * (p * v - q * u)
-    return np.linalg.det(mats)
+    return np.linalg.det(np.moveaxis(np.asarray(rows), -1, 0))
 
 
 def simplex_det(points) -> float:
@@ -77,7 +76,7 @@ def simplex_det(points) -> float:
         raise ValueError("need at least two points of equal dimension")
     diffs = pts[:-1] - pts[-1]
     if diffs.shape[0] == diffs.shape[1]:
-        return abs(float(_square_det(diffs[None])[0]))
+        return abs(float(_square_det(diffs[:, :, None])[0]))
     gram = diffs @ diffs.T
     trace = float(np.trace(gram))
     if trace == 0.0:
@@ -105,7 +104,7 @@ def simplex_det_many(stack: np.ndarray, pinned: bool = False) -> np.ndarray:
         raise ValueError(f"expected (M, m, d) stack, got shape {stack.shape}")
     diffs = stack if pinned else stack[:, :-1, :] - stack[:, -1:, :]
     if diffs.shape[1] == diffs.shape[2]:
-        return np.abs(_square_det(diffs))
+        return np.abs(_square_det(np.moveaxis(diffs, 0, -1)))
     gram = diffs @ np.swapaxes(diffs, 1, 2)
     det_g = np.linalg.det(gram)
     scale = np.prod(np.einsum("mii->mi", gram), axis=1)

@@ -6,9 +6,7 @@ Run ``pytest -s tests/test_acceptance.py`` to watch the lines as they go;
 plain ``pytest`` keeps them in the captured output.
 """
 
-import json
 import math
-import os
 import time
 
 import numpy as np

@@ -1,12 +1,14 @@
 """Determinant-kernel forms against nested-loop oracles and exact identities."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detcurve import functionals, parallel
 from detcurve.functionals import (
     BudgetExceededError,
     cauchy_schwarz_check,
@@ -19,6 +21,7 @@ from detcurve.functionals import (
     sublevel_mass,
     weak_type_probe,
 )
+from detcurve.geometry import simplex_det_many
 from detcurve.measure import (GeneratorSpec, WeightedPointMeasure, dilate,
                               generate, translate)
 
@@ -122,6 +125,17 @@ class TestExactForms:
         with pytest.raises(BudgetExceededError):
             det_form(cube64, 2, 0.5, budget=100)
 
+    def test_budget_counts_nondecreasing_tuples(self, cube64):
+        # 64^3 = 262144 ordered triples, C(66, 3) = 45760 nondecreasing ones
+        got = det_form(cube64, 2, 0.5, budget=50_000)
+        assert got.tuples_total == 64 ** 3
+        ones = [np.ones(64) for _ in range(3)]
+        want = det_form(cube64, 2, 0.5, ones)
+        assert got.value == pytest.approx(want.value, rel=1e-12)
+        assert got.tuples_excluded == want.tuples_excluded
+        with pytest.raises(BudgetExceededError, match=r"45760 tuples .*\(262144 ordered\)"):
+            det_form(cube64, 2, 0.5, budget=45_759)
+
     def test_rejects_negative_density(self, three_atoms):
         with pytest.raises(ValueError):
             det_form_pinned(three_atoms, 2, 0.5, [-np.ones(3), None])
@@ -191,6 +205,56 @@ class TestInvariance:
         got = form(moved, k, 0.5)
         assert got.value == pytest.approx(want.value, rel=1e-12)
         assert got.tuples_excluded == want.tuples_excluded
+
+    @given(st.sampled_from([(1, 8), (2, 2), (2, 4), (3, 2)]), st.booleans(),
+           st.sampled_from([1.0, -1.0, -2.0, 0.0, -0.5]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_dilation_covariance_pinned(self, grid, distinct, gamma, data):
+        # dyadic atoms and power-of-two factors scale tau, and the cofactor
+        # determinants of k = d, exactly; these exponents are exact powers
+        # (reciprocal, square, sqrt of a power of four), so every term then
+        # scales by one power of two.  The Gram route (k < d) goes through
+        # LAPACK, whose determinant rounds through log and exp.
+        dim, side = grid
+        n = side ** dim
+        base = generate(GeneratorSpec("cube_lebesgue", dim, n))
+        mu = WeightedPointMeasure(base.points,
+                                  np.arange(1.0, n + 1.0) / (n * (n + 1) / 2.0))
+        k = data.draw(st.integers(1, dim))
+        shifts = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        if not distinct:
+            shifts = [shifts[0]] * k
+        if gamma == -0.5:  # the square root scales exactly by powers of four
+            shifts = [2 * s_ for s_ in shifts]
+        # distinct slot objects take the ordered path, like the dilated ones
+        want = det_form_pinned([dilate(mu, 1.0) for _ in range(k)]
+                               if distinct else mu, k, gamma)
+        moved = ([dilate(mu, 2.0 ** s_) for s_ in shifts] if distinct
+                 else dilate(mu, 2.0 ** shifts[0]))
+        got = det_form_pinned(moved, k, gamma)
+        scaled = 2.0 ** (-gamma * sum(shifts)) * want.value
+        if k == dim:
+            assert got.value == scaled
+        else:
+            assert got.value == pytest.approx(scaled, rel=1e-12)
+        assert got.tuples_excluded == want.tuples_excluded
+
+    @given(st.sampled_from([(1, 8), (2, 4), (3, 2)]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_dilation_covariance_sublevel(self, grid, data):
+        dim, side = grid
+        n = side ** dim
+        base = generate(GeneratorSpec("cube_lebesgue", dim, n))
+        mu = WeightedPointMeasure(base.points,
+                                  np.arange(1.0, n + 1.0) / (n * (n + 1) / 2.0))
+        k = data.draw(st.integers(1, dim))
+        shifts = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        # a non-dyadic cutoff: no determinant of the grid lies on it
+        delta = 2.0 ** data.draw(st.integers(-6, 1)) / 3.0
+        want = sublevel_mass([mu] * k, delta)
+        got = sublevel_mass([dilate(mu, 2.0 ** s_) for s_ in shifts],
+                            delta * 2.0 ** sum(shifts))
+        assert got == want
 
     def test_threshold_covariance(self, cube64):
         t1 = default_det_threshold(cube64, 2)
@@ -357,3 +421,108 @@ class TestIndexSets:
     def test_rejects_wrong_set_count(self, cube64, taker):
         with pytest.raises(ValueError, match="expected 2 index sets"):
             SET_TAKERS[taker](cube64, [[0, 1], [2], [3]])
+
+
+def old_square_det(mats):
+    """The (M, d, d) stacked-view determinant the row layout replaced."""
+    d = mats.shape[-1]
+    if d == 1:
+        return mats[:, 0, 0].copy()
+    if d == 2:
+        return mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+    if d == 3:
+        a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 0, 2]
+        p, q, r = mats[:, 1, 0], mats[:, 1, 1], mats[:, 1, 2]
+        u, v, w = mats[:, 2, 0], mats[:, 2, 1], mats[:, 2, 2]
+        return a * (q * w - r * v) - b * (p * w - r * u) + c * (p * v - q * u)
+    return np.linalg.det(mats)
+
+
+def decode_filter(n, m):
+    """Nondecreasing tuples by decoding all n^m flat indices and filtering."""
+    idx = np.stack(functionals._decode(np.arange(n ** m, dtype=np.int64),
+                                       [n] * m), axis=1)
+    return idx[np.all(idx[:, :-1] <= idx[:, 1:], axis=1)]
+
+
+class TestKernelPaths:
+    """The tuple kernel against the simpler code it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("n,m", list(product(range(1, 10), range(1, 5))))
+    def test_unrank_equals_decode_filter(self, n, m):
+        tables = functionals._rank_tables(n, m)
+        count = math.comb(n + m - 1, m)
+        assert tables[-1][-1] == count
+        got = functionals._unrank(np.arange(count, dtype=np.int64), tables)
+        assert np.array_equal(np.stack(got, axis=1), decode_filter(n, m))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_square_dets_equal_stacked_reference(self, d, pinned):
+        rng = np.random.default_rng(d)
+        m = d if pinned else d + 1
+        pts = rng.standard_normal((50, d))
+        idx = [rng.integers(0, 50, size=4000) for _ in range(m)]
+        stack = np.stack([pts[ix] for ix in idx], axis=1)
+        diffs = stack if pinned else stack[:, :-1, :] - stack[:, -1:, :]
+        want = np.abs(old_square_det(diffs))
+        assert np.array_equal(simplex_det_many(stack, pinned=pinned), want)
+        # the forms' coordinate-major gather gives the same bits
+        dets, _ = functionals._tuple_terms([pts] * m, [np.ones(50)] * m,
+                                               idx, pinned)
+        assert np.array_equal(dets, want)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("k,pinned", [(2, True), (2, False), (3, False)])
+    def test_sampled_equals_single_batch(self, monkeypatch, sphere80_d3,
+                                         threads, k, pinned):
+        # more samples than one parallel block, so the blocked path splits
+        monkeypatch.setenv("DETCURVE_THREADS", threads)
+        mu, samples, gamma = sphere80_d3, parallel.BLOCK + 54_321, 0.5
+        m = k if pinned else k + 1
+        tau = (functionals.default_det_threshold(mu, k) if pinned
+               else functionals.difference_threshold([mu] * m))
+        rng = np.random.default_rng(7)
+        idx = np.stack([rng.integers(0, mu.n_atoms, size=samples)
+                        for _ in range(m)], axis=1)
+        dets = simplex_det_many(mu.points[idx], pinned=pinned)
+        wprod = np.prod(mu.weights[idx], axis=1)
+        included = dets > tau
+        integrand = np.zeros(samples)
+        integrand[included] = wprod[included] * dets[included] ** (-gamma)
+        total = mu.n_atoms ** m
+        got = det_form_sampled(mu, k, gamma, samples=samples, seed=7,
+                               pinned=pinned)
+        assert got.value == float(total * np.mean(integrand))
+        assert got.stderr == float(total * np.std(integrand, ddof=1)
+                                   / math.sqrt(samples))
+        assert got.tuples_excluded == int(np.count_nonzero(~included))
+
+    def test_dyadic_layers_equal_level_loop(self):
+        # 400 x 401 tuples span two blocks; uneven weights make order matter
+        base = generate(GeneratorSpec("sphere_uniform", 2, 420, 3))
+        w = np.random.default_rng(3).random(420)
+        mu = WeightedPointMeasure(base.points, w / w.sum())
+        sets = [np.arange(400), np.arange(19, 420)]
+        tau = functionals.default_det_threshold(mu, 2)
+
+        def level_loop(dets, wprod, mult):
+            included = dets > tau
+            local = {}
+            levels = np.floor(np.log2(dets[included])).astype(int)
+            for l in np.unique(levels):
+                local[int(l)] = float(np.sum(wprod[included][levels == l]))
+            return local, float(np.sum(wprod[~included]))
+
+        _, blocks = functionals._enumerate(
+            [mu.points[s] for s in sets], [mu.weights[s] for s in sets],
+            pinned=True, symmetric=False, budget=10 ** 7, reduce=level_loop)
+        assert len(blocks) == 2
+        layers = {}
+        for local, _ in blocks:
+            for l, m_ in local.items():
+                layers[l] = layers.get(l, 0.0) + m_
+        prof = dyadic_profile(mu, 2, sets, 0.5)
+        assert list(prof.layers) == sorted(layers)
+        assert all(prof.layers[l] == layers[l] for l in layers)
+        assert prof.excluded_mass == math.fsum(exc for _, exc in blocks)

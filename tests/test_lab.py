@@ -1,7 +1,5 @@
 """Scenario configs, verification drivers, and the explicit constants."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -1,7 +1,6 @@
 """Check records and scenario reports: serialization and summary lines."""
 
 import json
-import math
 
 import numpy as np
 import pytest
