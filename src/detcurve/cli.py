@@ -14,10 +14,9 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .curvature import default_family, estimate_curvature_constant
-from .functionals import det_form, det_form_pinned, det_form_sampled, indicator
+from .functionals import (_index_sets, det_form, det_form_pinned,
+                          det_form_sampled, indicator)
 from .lab import BUNDLED_SCENARIOS, ScenarioConfig, get_scenario, run_scenario
 from .measure import load_point_cloud
 from .reporting import emit_report
@@ -61,16 +60,11 @@ def _load_sets(path, m, n_atoms):
         raw = json.load(fh)
     if not isinstance(raw, list) or len(raw) != m:
         raise SystemExit(f"--sets file must hold {m} index lists")
-    fs = []
-    for idx in raw:
-        arr = np.asarray(idx, dtype=int)
-        if arr.size and (arr.min() < 0 or arr.max() >= n_atoms):
-            raise SystemExit("set index out of range")
-        try:
-            fs.append(indicator(n_atoms, arr))
-        except ValueError as exc:  # a repeated index
-            raise SystemExit(f"--sets: {exc}") from exc
-    return fs
+    try:
+        sets = _index_sets(n_atoms, raw, m)
+    except ValueError as exc:
+        raise SystemExit(f"--sets: {exc}") from exc
+    return [indicator(n_atoms, s) for s in sets]
 
 
 def _cmd_functional(args) -> int:

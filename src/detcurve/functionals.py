@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import parallel
+from . import geometry, parallel
 from .measure import WeightedPointMeasure
 
 DEFAULT_BUDGET = 10_000_000
@@ -156,24 +156,13 @@ def _unrank(ranks: np.ndarray, tables) -> list:
 def _tuple_terms(points_list, values_list, idx, pinned: bool):
     """Determinants and slot-value products of the index tuples; idx[j]
     holds the atom indices of slot j."""
-    from . import geometry
-
-    m, d = len(idx), points_list[0].shape[1]
-    if (m if pinned else m - 1) == d:
-        # square edge matrices: gather coordinates from contiguous columns
-        rows = [[np.take(col, idx[j]) for col in np.ascontiguousarray(points_list[j].T)]
-                for j in range(m)]
-        if not pinned:
-            base = rows.pop()
-            rows = [[x - b for x, b in zip(row, base)] for row in rows]
-        dets = np.abs(geometry._square_det(rows))
-    else:
-        # the (M, m, d) stack is freed before the products are allocated
-        dets = geometry.simplex_det_many(
-            np.stack([points_list[j][idx[j]] for j in range(m)], axis=1),
-            pinned=pinned)
+    # coordinates are gathered from contiguous columns and freed with the
+    # determinant temporaries before the products are allocated
+    dets = geometry._vertex_dets(
+        [[np.take(col, ix) for col in np.ascontiguousarray(points.T)]
+         for points, ix in zip(points_list, idx)], pinned)
     wprod = np.take(values_list[0], idx[0])
-    for j in range(1, m):
+    for j in range(1, len(idx)):
         wprod *= np.take(values_list[j], idx[j])
     return dets, wprod
 
@@ -377,18 +366,21 @@ def sublevel_mass(measures, delta: float, *, tau: float = None,
 
 
 def _index_sets(n: int, sets, k: int) -> list:
-    """The k atom-index sets as int arrays, each index in [0, n) at most once."""
+    """The k atom-index sets as int arrays: integer entries (or none), each
+    in [0, n) and at most once."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    sets = [np.asarray(s, dtype=int) for s in sets]
+    sets = [np.asarray(s) for s in sets]
     if len(sets) != k:
         raise ValueError(f"expected {k} index sets")
     for j, s in enumerate(sets):
+        if s.size and not np.issubdtype(s.dtype, np.integer):
+            raise ValueError(f"index set {j} has non-integer entries ({s.dtype})")
         if s.size and (s.min() < 0 or s.max() >= n):
             raise ValueError(f"index set {j} has an index outside [0, {n})")
         if np.unique(s).size != s.size:
             raise ValueError(f"index set {j} repeats an index")
-    return sets
+    return [s.astype(int) for s in sets]
 
 
 def indicator(n: int, idx) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Simplex determinants, ellipsoids, and content functionals.
 
 The determinant of a (k+1)-tuple of points is k! times the k-volume of the
-simplex they span, computed through the Gram matrix of edge vectors so the
+simplex they span.  Single, batched and enumerated determinants share one
+routine, _vertex_dets: square edge matrices (k == d) take their determinant
+directly, other shapes the square root of the k x k Gram determinant, so the
 value is defined for any ambient dimension d (it vanishes when k > d or the
-tuple is affinely degenerate).
+tuple is affinely degenerate).  Both go through one cofactor circuit up to
+3 x 3, so they are exact under power-of-two dilations.
 
 Ellipsoids are stored as a center, an orthonormal frame, and per-axis inverse
 semi-lengths.  Inverse lengths keep the membership sum finite for infinite
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 FRAME_TOL = 1e-12
-GRAM_CLAMP = 1e-14
 GRAM_DET_CLAMP = 1e-12
 
 
@@ -63,27 +65,48 @@ def _square_det(rows) -> np.ndarray:
     return np.linalg.det(np.moveaxis(np.asarray(rows), -1, 0))
 
 
+def _vertex_dets(rows, pinned: bool) -> np.ndarray:
+    """Batched simplex determinants; rows[i][j] is the (M,) array of
+    coordinate j of vertex i.
+
+    With pinned=True the origin is an implicit extra vertex; otherwise the
+    last vertex is the base and is subtracted from the others.  Square edge
+    matrices (k == d) give |det|, which cancels exactly for degenerate
+    tuples.  Otherwise the Gram entries are left-to-right coordinate sums,
+    and Gram determinants below GRAM_DET_CLAMP * prod(diag G) (the size of
+    their roundoff) are exact zeros, so degenerate tuples report 0 rather
+    than a sqrt(eps)-sized artifact.
+    """
+    if not pinned:
+        base = rows[-1]
+        rows = [[x - b for x, b in zip(row, base)] for row in rows[:-1]]
+    k, d = len(rows), len(rows[0])
+    if k == d:
+        return np.abs(_square_det(rows))
+    gram = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            s = rows[i][0] * rows[j][0]
+            for a in range(1, d):
+                s = s + rows[i][a] * rows[j][a]
+            gram[i][j] = gram[j][i] = s
+    det_g = _square_det(gram)
+    scale = math.prod(gram[i][i] for i in range(k))
+    det_g = np.where(det_g < GRAM_DET_CLAMP * scale, 0.0, det_g)
+    return np.sqrt(np.clip(det_g, 0.0, None))
+
+
 def simplex_det(points) -> float:
     """Determinant of a tuple of k+1 points in R^d, k >= 1.
 
-    Equals sqrt(det G) where G is the Gram matrix of differences against the
-    last point.  Eigenvalues of G below GRAM_CLAMP * trace(G) are treated as
-    exact zeros before the square root, so affinely degenerate tuples give 0
-    rather than a tiny complex artifact.
+    k! times the k-volume of their simplex: |det| of the differences
+    against the last point when k == d, sqrt(det G) of their Gram matrix
+    otherwise; the same bits as simplex_det_many on a one-tuple stack.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        raise ValueError("need at least two points of equal dimension")
-    diffs = pts[:-1] - pts[-1]
-    if diffs.shape[0] == diffs.shape[1]:
-        return abs(float(_square_det(diffs[:, :, None])[0]))
-    gram = diffs @ diffs.T
-    trace = float(np.trace(gram))
-    if trace == 0.0:
-        return 0.0
-    lam = np.linalg.eigvalsh(gram)
-    lam = np.where(lam < GRAM_CLAMP * trace, 0.0, lam)
-    return float(math.sqrt(float(np.prod(lam))))
+    if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] < 1:
+        raise ValueError("need at least two points of equal dimension d >= 1")
+    return float(_vertex_dets(pts[:, :, None], pinned=False)[0])
 
 
 def simplex_det_many(stack: np.ndarray, pinned: bool = False) -> np.ndarray:
@@ -91,25 +114,16 @@ def simplex_det_many(stack: np.ndarray, pinned: bool = False) -> np.ndarray:
 
     stack has shape (M, m, d): M tuples of m points each.  With pinned=True
     the origin is an implicit extra vertex and all m points are used as edge
-    vectors; otherwise the last point is the base vertex.
-
-    Square edge matrices (k == d) go through the plain determinant, which
-    cancels exactly for degenerate tuples.  The Gram route used when k < d
-    carries roundoff of order eps * prod(diag G), so Gram determinants below
-    GRAM_DET_CLAMP times that product are treated as exact zeros; degenerate
-    tuples then report 0 instead of a sqrt(eps)-sized artifact.
+    vectors; otherwise the last point is the base vertex.  Determinants and
+    Gram determinants up to 3 x 3 are fixed cofactor circuits, so the values
+    scale exactly under power-of-two dilations; degenerate tuples give 0.
     """
     stack = np.asarray(stack, dtype=float)
-    if stack.ndim != 3:
-        raise ValueError(f"expected (M, m, d) stack, got shape {stack.shape}")
-    diffs = stack if pinned else stack[:, :-1, :] - stack[:, -1:, :]
-    if diffs.shape[1] == diffs.shape[2]:
-        return np.abs(_square_det(np.moveaxis(diffs, 0, -1)))
-    gram = diffs @ np.swapaxes(diffs, 1, 2)
-    det_g = np.linalg.det(gram)
-    scale = np.prod(np.einsum("mii->mi", gram), axis=1)
-    det_g = np.where(det_g < GRAM_DET_CLAMP * scale, 0.0, det_g)
-    return np.sqrt(np.clip(det_g, 0.0, None))
+    if (stack.ndim != 3 or stack.shape[2] < 1
+            or stack.shape[1] < (1 if pinned else 2)):
+        raise ValueError(f"expected (M, m, d) stack with an edge vector and "
+                         f"d >= 1, got shape {stack.shape}")
+    return _vertex_dets(np.moveaxis(stack, 0, -1), pinned)
 
 
 def _axis_sum(terms: np.ndarray) -> np.ndarray:

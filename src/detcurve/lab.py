@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .curvature import (EllipsoidFamily, default_family, default_frames,
+from .curvature import (EllipsoidFamily, default_family,
                         estimate_curvature_constant, gaussian_content_check,
                         gaussian_lower_check, layer_cake_check,
                         maximal_weak_bound_check, min_content_at_mass,
@@ -478,12 +478,9 @@ def verify_slab_implication(mu: WeightedPointMeasure, k: int, alpha: float,
 def verify_maximal_bound(mu: WeightedPointMeasure, k: int, alpha: float, *,
                          p: float = 1.0, n_frames: int = 6, seed: int = 0):
     """Family-restricted maximal inequality on a doubling-closed family."""
-    rmax = mu.max_radius if mu.max_radius > 0 else 1.0
-    j_max = math.ceil(math.log2(2.0 * rmax))
-    nn = median_nn_distance(mu)
-    j_min = math.floor(math.log2(nn)) - 2 if nn > 0 else j_max - 8
+    j_min = math.floor(math.log2(median_nn_distance(mu))) - 2
     family = default_family(mu, n_frames=n_frames, n_pca=2, j_min=j_min,
-                            j_max=j_max, mode="doubling_dyadic", seed=seed)
+                            mode="doubling_dyadic", seed=seed)
     lhs, rhs, ok = maximal_weak_bound_check(mu, k, alpha, p, family)
     records = [CheckRecord(
         name="maximal-weak-bound", passed=ok, lhs=lhs, rhs=rhs,
@@ -505,15 +502,9 @@ def verify_necessity_growth(mu: WeightedPointMeasure, k: int, alpha: float, *,
     a lower-dimensional flat that is false by design, so the caller marks it
     expected_fail.
     """
-    frames = default_frames(mu.dim, n_random=n_frames, seed=seed,
-                            points=mu.points, weights=mu.weights, n_pca=4)
-    rmax = mu.max_radius if mu.max_radius > 0 else 1.0
-    j_max = math.ceil(math.log2(2.0 * rmax))
-
     def constant_at(floor):
-        j_min = math.floor(math.log2(floor))
-        fam = EllipsoidFamily.dyadic(mu.dim, j_min, j_max, frames=frames,
-                                     floor=floor)
+        fam = default_family(mu, n_frames=n_frames, n_pca=4, floor=floor,
+                             seed=seed)
         return estimate_curvature_constant(mu, k, alpha, fam,
                                            refine=refine).constant
 
@@ -569,12 +560,8 @@ def verify_flat_blowup(mu: WeightedPointMeasure, k: int, gamma: float,
     near = thickened_copy(mu, mu.dim - 1, offset)
     if coarse_floor is None:
         coarse_floor = median_nn_distance(mu)
-    frames = default_frames(near.dim, n_random=8, seed=seed,
-                            points=near.points, weights=near.weights, n_pca=2)
-    rmax = near.max_radius if near.max_radius > 0 else 1.0
-    j_max = math.ceil(math.log2(2.0 * rmax))
-    fam = EllipsoidFamily.dyadic(near.dim, math.floor(math.log2(coarse_floor)),
-                                 j_max, frames=frames, floor=coarse_floor)
+    fam = default_family(near, n_frames=8, n_pca=2, floor=coarse_floor,
+                         seed=seed)
     estimate = estimate_curvature_constant(near, k, alpha, fam, refine=refine)
     probe = weak_type_probe(near, k, gamma, alpha, trials=trials, seed=seed,
                             budget=budget)

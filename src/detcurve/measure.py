@@ -32,8 +32,8 @@ class WeightedPointMeasure:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         w = np.asarray(self.weights, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError(f"points must be a nonempty (N, d) array, got shape {pts.shape}")
+        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
+            raise ValueError(f"points must be a nonempty (N, d) array, d >= 1, got shape {pts.shape}")
         if w.shape != (pts.shape[0],):
             raise ValueError("weights must be a vector matching the number of points")
         if not np.all(np.isfinite(pts)):

@@ -66,7 +66,16 @@ class TestFunctional:
     def test_out_of_range_index_exits(self, cloud_path, tmp_path):
         sets_path = tmp_path / "sets.json"
         sets_path.write_text(json.dumps([[0], [99]]))
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match=r"index set 1 has an index outside \[0, 64\)"):
+            main(["functional", cloud_path, "--k", "1", "--gamma", "0.5",
+                  "--sets", str(sets_path)])
+
+    @pytest.mark.parametrize("bad", [[0.5, 1.7], [True, False], ["a", "b"]],
+                             ids=["float", "bool", "str"])
+    def test_non_integer_index_exits(self, cloud_path, tmp_path, bad):
+        sets_path = tmp_path / "sets.json"
+        sets_path.write_text(json.dumps([[2], bad]))
+        with pytest.raises(SystemExit, match="--sets: index set 1 has non-integer entries"):
             main(["functional", cloud_path, "--k", "1", "--gamma", "0.5",
                   "--sets", str(sets_path)])
 

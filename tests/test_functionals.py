@@ -211,10 +211,10 @@ class TestInvariance:
     @settings(max_examples=30, deadline=None)
     def test_dilation_covariance_pinned(self, grid, distinct, gamma, data):
         # dyadic atoms and power-of-two factors scale tau, and the cofactor
-        # determinants of k = d, exactly; these exponents are exact powers
-        # (reciprocal, square, sqrt of a power of four), so every term then
-        # scales by one power of two.  The Gram route (k < d) goes through
-        # LAPACK, whose determinant rounds through log and exp.
+        # determinants (of the edge matrix for k = d, of the Gram matrix for
+        # k < d), exactly; these exponents are exact powers (reciprocal,
+        # square, sqrt of a power of four), so every term then scales by one
+        # power of two.
         dim, side = grid
         n = side ** dim
         base = generate(GeneratorSpec("cube_lebesgue", dim, n))
@@ -233,10 +233,7 @@ class TestInvariance:
                  else dilate(mu, 2.0 ** shifts[0]))
         got = det_form_pinned(moved, k, gamma)
         scaled = 2.0 ** (-gamma * sum(shifts)) * want.value
-        if k == dim:
-            assert got.value == scaled
-        else:
-            assert got.value == pytest.approx(scaled, rel=1e-12)
+        assert got.value == scaled
         assert got.tuples_excluded == want.tuples_excluded
 
     @given(st.sampled_from([(1, 8), (2, 4), (3, 2)]), st.data())
@@ -415,6 +412,18 @@ class TestIndexSets:
     def test_rejects_index_past_end(self, cube64, taker):
         with pytest.raises(ValueError, match=r"index set 0 has an index outside \[0, 64\)"):
             SET_TAKERS[taker](cube64, [[0, 64], [3]])
+
+    @pytest.mark.parametrize("taker", sorted(SET_TAKERS))
+    @pytest.mark.parametrize("bad", [[0.5, 1.7], [True, False], ["3", "7"],
+                                     np.array([0.0, 1.0])],
+                             ids=["float", "bool", "str", "float-array"])
+    def test_rejects_non_integer_entries(self, cube64, taker, bad):
+        # [0.5, 1.7] would be truncated to atoms 0 and 1, a mask read as them
+        with pytest.raises(ValueError, match="index set 0 has non-integer entries"):
+            SET_TAKERS[taker](cube64, [bad, [3]])
+
+    def test_empty_set_is_valid(self, cube64):
+        assert not indicator(cube64.n_atoms, []).any()
 
     @pytest.mark.parametrize("taker", ["dyadic_profile", "cauchy_schwarz_check",
                                        "weak_type_probe"])

@@ -1,5 +1,6 @@
 """Determinants, contents, and subspace distances against direct oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,16 @@ from detcurve.geometry import (
     simplex_det,
     simplex_det_many,
 )
+
+
+def exact_det(matrix):
+    """Leibniz determinant of an integer matrix, in Python integers."""
+    total = 0
+    for perm in itertools.permutations(range(len(matrix))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        total += (-1) ** inversions * math.prod(matrix[i][p] for i, p in enumerate(perm))
+    return total
 
 
 def coordinate_det(points):
@@ -63,6 +74,8 @@ class TestSimplexDet:
     def test_rejects_single_point(self):
         with pytest.raises(ValueError):
             simplex_det([[1.0, 2.0]])
+        with pytest.raises(ValueError, match="d >= 1"):
+            simplex_det(np.zeros((2, 0)))
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -134,9 +147,47 @@ class TestSimplexDetMany:
         assert dets[0] == 0.0
         assert dets[1] == pytest.approx(np.linalg.norm(p), rel=1e-12)
 
+    @pytest.mark.parametrize("k,d", [(1, 2), (1, 3), (2, 3), (2, 5), (3, 4), (3, 5)])
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_gram_route_is_exact_on_integers(self, k, d, pinned):
+        # small-integer Gram entries and their cofactor determinants are
+        # exact, so the value is the correctly rounded root of the exact one
+        rng = np.random.default_rng(10 * k + d)
+        stack = rng.integers(-6, 7, size=(300, k if pinned else k + 1, d))
+        got = simplex_det_many(stack.astype(float), pinned=pinned)
+        for tup, value in zip(stack.tolist(), got):
+            vecs = tup if pinned else [[x - b for x, b in zip(v, tup[-1])]
+                                       for v in tup[:-1]]
+            gram = [[sum(x * y for x, y in zip(u, v)) for v in vecs] for u in vecs]
+            assert value == math.sqrt(exact_det(gram))
+
+    @pytest.mark.parametrize("k,d", [(1, 2), (2, 3), (2, 4), (3, 5)])
+    def test_gram_route_scales_exactly(self, k, d):
+        rng = np.random.default_rng(k + d)
+        stack = rng.normal(size=(500, k, d))
+        want = simplex_det_many(stack, pinned=True)
+        for s in (-3, 2, 5):
+            got = simplex_det_many(2.0 ** s * stack, pinned=True)
+            assert np.array_equal(got, 2.0 ** (k * s) * want)
+
+    @pytest.mark.parametrize("k,d", [(2, 1), (3, 1), (3, 2), (4, 3)])
+    def test_more_vertices_than_dimensions_is_zero(self, k, d):
+        rng = np.random.default_rng(k * d)
+        stack = rng.normal(size=(200, k + 1, d))
+        assert np.all(simplex_det_many(stack) == 0.0)
+        assert np.all(simplex_det_many(stack[:, :k], pinned=True) == 0.0)
+        assert all(simplex_det(pts) == 0.0 for pts in stack[:20])
+
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
             simplex_det_many(np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("shape,pinned", [((3, 1, 2), False), ((3, 0, 2), True),
+                                              ((3, 2, 0), False), ((3, 1, 0), True)])
+    def test_rejects_tuples_without_edges(self, shape, pinned):
+        # a lone vertex or zero-dimensional points span no edge vector
+        with pytest.raises(ValueError, match="edge vector"):
+            simplex_det_many(np.ones(shape), pinned=pinned)
 
 
 class TestEllipsoid:

@@ -1,4 +1,6 @@
-"""Import hygiene: every module-level import in the package and the tests is used."""
+"""Name hygiene: every module-level import in the package and the tests is
+used, and every module-level name the package defines is read somewhere in
+it or exported."""
 
 import ast
 from pathlib import Path
@@ -6,7 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*ROOT.glob("src/detcurve/*.py"), *ROOT.glob("tests/*.py")])
+PACKAGE = sorted(ROOT.glob("src/detcurve/*.py"))
+MODULES = sorted([*PACKAGE, *ROOT.glob("tests/*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -22,12 +25,46 @@ def unused_imports(source: str) -> list:
                 name = alias.asname or alias.name.split(".")[0]
                 bound[name] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used.update(exported(tree))
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def exported(tree) -> list:
+    """The names listed in a module's top-level __all__."""
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
                         for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
-    return sorted((line, name) for name, line in bound.items() if name not in used)
+            return ast.literal_eval(node.value)
+    return []
+
+
+def dead_names(sources: dict) -> list:
+    """(module, line, name) of the module-level functions, classes and
+    assignments that no module reads, as a name or an attribute, and that
+    no __all__ exports; dunder names are exempt."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = set()
+    for tree in trees.values():
+        read.update(exported(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [(mod, node.lineno, name) for name in names
+                     if name not in read and not name.startswith("__")]
+    return sorted(dead)
 
 
 def test_scan_flags_unused_and_keeps_reexports():
@@ -38,3 +75,17 @@ def test_scan_flags_unused_and_keeps_reexports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_dead_name_scan_flags_unread_definitions():
+    sources = {
+        "a": "LIMIT = 1\nSTALE = 2\n__all__ = ['api']\ndef api(): return LIMIT\n"
+             "def helper(): pass\nclass Old: pass\n",
+        "b": "from . import a\n__version__ = '1'\nx = a.helper\n",
+    }
+    assert dead_names(sources) == [("a", 2, "STALE"), ("a", 6, "Old"), ("b", 3, "x")]
+
+
+def test_no_dead_package_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert dead_names(sources) == []

@@ -41,6 +41,10 @@ class TestWeightedPointMeasure:
         with pytest.raises(ValueError):
             WeightedPointMeasure(np.zeros((3, 2)), np.ones(2))
 
+    def test_rejects_zero_dimensional_points(self):
+        with pytest.raises(ValueError, match="d >= 1"):
+            WeightedPointMeasure(np.zeros((3, 0)), np.ones(3))
+
 
 class TestEvalAndRestrict:
     def test_eval_with_callable(self, three_atoms):
