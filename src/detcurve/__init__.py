@@ -12,8 +12,8 @@ from .geometry import (AffineSubspace, Ellipsoid, det_content_bound,
                        simplex_det_many)
 from .measure import (GeneratorSpec, WeightedPointMeasure, dilate,
                       eval_measure, generate, load_point_cloud,
-                      median_nn_distance, mixture, pushforward, radial_split,
-                      restrict_normalize, save_point_cloud, translate)
+                      median_nn_distance, pushforward, save_point_cloud,
+                      translate)
 from .curvature import (CurvatureEstimate, EllipsoidFamily, GaussianForm,
                         curvature_ratio, default_family, default_frames,
                         estimate_curvature_constant, gaussian_content_check,
@@ -26,8 +26,7 @@ from .functionals import (BudgetExceededError, DyadicProfile,
                           cauchy_schwarz_check, det_form, det_form_pinned,
                           det_form_sampled, dyadic_profile, indicator,
                           sublevel_mass, weak_type_probe)
-from .reporting import (CheckRecord, ScenarioReport, emit_report,
-                        load_report)
+from .reporting import CheckRecord, ScenarioReport, emit_report
 from .lab import (BUNDLED_SCENARIOS, FamilyParams, ScenarioConfig,
                   get_scenario, multi_measure_factor, run_scenario,
                   rwt_bound, rwt_series_bound, rwt_series_constant,
@@ -46,16 +45,16 @@ __all__ = [
     "curvature_ratio", "default_family", "default_frames",
     "det_content_bound", "det_form", "det_form_pinned", "det_form_sampled",
     "dilate", "dyadic_profile", "ellipsoid_of", "emit_report",
-    "estimate_curvature_constant", "eval_measure", "gaussian_content_check",
-    "gaussian_integral", "gaussian_lower_check", "generate", "get_scenario",
-    "indicator", "k_content", "layer_cake_check", "load_point_cloud",
-    "load_report", "matrix_content", "maximal_function",
-    "maximal_weak_bound_check", "median_nn_distance", "min_content_at_mass",
-    "mixture", "multi_measure_factor", "pushforward", "radial_split",
-    "restrict_normalize", "run_scenario", "rwt_bound", "rwt_series_bound",
-    "rwt_series_constant", "save_point_cloud", "simplex_det",
-    "simplex_det_many", "slab_constant", "slab_implication_check",
-    "sublevel_mass", "sublevel_mass_factor", "sublevel_shrink_factor",
-    "translate", "verify_sublevel_bound", "verify_sublevel_bound_multi",
-    "verify_weak_type_bound", "weak_lp_norm", "weak_type_probe",
+    "estimate_curvature_constant", "eval_measure",
+    "gaussian_content_check", "gaussian_integral", "gaussian_lower_check",
+    "generate", "get_scenario", "indicator", "k_content",
+    "layer_cake_check", "load_point_cloud", "matrix_content",
+    "maximal_function", "maximal_weak_bound_check", "median_nn_distance",
+    "min_content_at_mass", "multi_measure_factor", "pushforward",
+    "run_scenario", "rwt_bound", "rwt_series_bound", "rwt_series_constant",
+    "save_point_cloud", "simplex_det", "simplex_det_many", "slab_constant",
+    "slab_implication_check", "sublevel_mass", "sublevel_mass_factor",
+    "sublevel_shrink_factor", "translate", "verify_sublevel_bound",
+    "verify_sublevel_bound_multi", "verify_weak_type_bound",
+    "weak_lp_norm", "weak_type_probe",
 ]

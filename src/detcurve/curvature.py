@@ -330,6 +330,36 @@ def _single_mass(mu: WeightedPointMeasure, frame: np.ndarray,
     return float(np.sum(mu.weights[s <= 1.0]))
 
 
+def _grid_then_refine(mu: WeightedPointMeasure, family: EllipsoidFamily,
+                      tuples: np.ndarray, pick, score, refine: int,
+                      minimize: bool, fallback=None) -> Ellipsoid:
+    """Witness of a grid search over the centred members, refined locally.
+
+    pick turns a frame's swept masses into a start (value, tuple index) or
+    None; fallback() gives the start (value, frame, lengths) if no frame
+    has one.  The best three starts get refine // n_starts evaluations each,
+    and only a strictly better refined score replaces the best.
+    """
+    starts = []
+    for frame, masses in _frame_masses(mu, family, tuples, np.zeros((1, mu.dim))):
+        start = pick(masses[0])
+        if start is not None:
+            starts.append((start[0], frame, tuples[start[1]]))
+    starts = starts or [fallback()]
+    starts.sort(key=lambda s: s[0], reverse=not minimize)
+
+    best_score, best_frame, best_lengths = starts[0]
+    if refine > 0:
+        n_starts = min(3, len(starts))
+        for _, frame, lengths in starts[:n_starts]:
+            fr, ln, sc = _refine(mu, np.array(frame), np.array(lengths, dtype=float),
+                                 family.floor, max(1, refine // n_starts), score,
+                                 minimize)
+            if (sc < best_score) if minimize else (sc > best_score):
+                best_score, best_frame, best_lengths = sc, fr, ln
+    return Ellipsoid.from_semi_lengths(best_lengths, frame=best_frame)
+
+
 def estimate_curvature_constant(mu: WeightedPointMeasure, k: int, alpha: float,
                                 family: EllipsoidFamily,
                                 refine: int = 160) -> CurvatureEstimate:
@@ -348,12 +378,10 @@ def estimate_curvature_constant(mu: WeightedPointMeasure, k: int, alpha: float,
     tuples = family.length_tuples()
     contents_a = _top_k_products(tuples, k) ** alpha
 
-    starts = []
-    for frame, masses in _frame_masses(mu, family, tuples, np.zeros((1, mu.dim))):
-        ratios = masses[0] / contents_a
+    def pick(masses):
+        ratios = masses / contents_a
         t = int(np.argmax(ratios))
-        starts.append((float(ratios[t]), frame, tuples[t]))
-    starts.sort(key=lambda s: -s[0])
+        return float(ratios[t]), t
 
     def score(frame, lengths):
         content = float(np.prod(np.sort(lengths)[::-1][:k]))
@@ -361,19 +389,8 @@ def estimate_curvature_constant(mu: WeightedPointMeasure, k: int, alpha: float,
             return -math.inf
         return _single_mass(mu, frame, lengths) / content ** alpha
 
-    best_score, best_frame, best_lengths = starts[0]
-    if refine > 0:
-        n_starts = min(3, len(starts))
-        per_start = max(1, refine // n_starts)
-        for _, frame, lengths in starts[:n_starts]:
-            fr, ln, sc = _refine(mu, np.array(frame),
-                                 np.array(lengths, dtype=float),
-                                 family.floor, per_start, score,
-                                 minimize=False)
-            if sc > best_score:
-                best_score, best_frame, best_lengths = sc, fr, ln
-
-    witness = Ellipsoid.from_semi_lengths(best_lengths, frame=best_frame)
+    witness = _grid_then_refine(mu, family, tuples, pick, score, refine,
+                                minimize=False)
     constant = curvature_ratio(mu, witness, k, alpha)
     return CurvatureEstimate(alpha=alpha, constant=constant, witness=witness,
                              family_size=family.size)
@@ -408,53 +425,30 @@ def min_content_at_mass(mu: WeightedPointMeasure, k: int, eps: float,
     tuples = family.length_tuples()
     contents = _top_k_products(tuples, k)
 
-    starts = []
-    for frame, masses in _frame_masses(mu, family, tuples, np.zeros((1, mu.dim))):
-        feasible = masses[0] >= eps_eff
+    def pick(masses):
+        feasible = masses >= eps_eff
         if not np.any(feasible):
-            continue
+            return None
         cand = np.where(feasible, contents, math.inf)
         t = int(np.argmin(cand))
-        starts.append((float(cand[t]), frame, tuples[t]))
-    starts.sort(key=lambda s: s[0])
-    if starts:
-        best_content, best_frame, best_lengths = starts[0]
-    else:
-        best_frame = None
+        return float(cand[t]), t
 
-    if best_frame is None:
+    def grow_ball():
         # grid top end too small for this mass level: grow balls until feasible
         radius = float(family.effective_lengths[-1])
         for _ in range(128):
             radius *= 2.0
-            ball = Ellipsoid.ball(radius, mu.dim)
-            if eval_measure(mu, ball) >= eps_eff:
-                best_frame = np.eye(mu.dim)
-                best_lengths = np.full(mu.dim, radius)
-                best_content = radius ** k
-                break
-        else:
-            raise RuntimeError("could not reach the requested mass level")
+            if eval_measure(mu, Ellipsoid.ball(radius, mu.dim)) >= eps_eff:
+                return radius ** k, np.eye(mu.dim), np.full(mu.dim, radius)
+        raise RuntimeError("could not reach the requested mass level")
 
     def score(frame, lengths):
         if _single_mass(mu, frame, lengths) < eps_eff:
             return math.inf
         return float(np.prod(np.sort(lengths)[::-1][:k]))
 
-    if refine > 0:
-        n_starts = min(3, max(1, len(starts)))
-        per_start = max(1, refine // n_starts)
-        pool = starts[:n_starts] or [(best_content, best_frame, best_lengths)]
-        best_score = math.inf
-        for _, frame, lengths in pool:
-            fr, ln, sc = _refine(mu, np.array(frame),
-                                 np.array(lengths, dtype=float),
-                                 family.floor, per_start, score,
-                                 minimize=True)
-            if sc < best_score:
-                best_score, best_frame, best_lengths = sc, fr, ln
-
-    witness = Ellipsoid.from_semi_lengths(best_lengths, frame=best_frame)
+    witness = _grid_then_refine(mu, family, tuples, pick, score, refine,
+                                minimize=True, fallback=grow_ball)
     return k_content(witness, k), witness
 
 
@@ -656,6 +650,33 @@ def slab_implication_check(mu: WeightedPointMeasure, k: int, alpha: float,
 # maximal function
 
 
+def _maximal(mu: WeightedPointMeasure, k: int, family: EllipsoidFamily,
+             centers: np.ndarray, reducers) -> list:
+    """One maximal function per (alpha, inner) reducer, from one sweep.
+
+    The inner members are the columns of the full length table whose
+    lengths all lie below the top grid value.  Their masses equal a sweep
+    of the inner table bit for bit: the same atoms fall in the same
+    histogram bins in the same order.
+    """
+    if family.mode != "doubling_dyadic":
+        raise ValueError("maximal_function needs a doubling_dyadic family")
+    if not 1 <= k <= mu.dim:
+        raise ValueError(f"k must be in [1, {mu.dim}]")
+    tuples = family.length_tuples()
+    inner_cols = np.all(tuples < family.effective_lengths[-1], axis=1)
+    if not inner_cols.any() and any(inner for _, inner in reducers):
+        raise ValueError("grid too small for inner members")
+    contents = _top_k_products(tuples, k)
+    cols = [inner_cols if inner else slice(None) for _, inner in reducers]
+    contents_a = [contents[c] ** alpha for c, (alpha, _) in zip(cols, reducers)]
+    outs = [np.zeros(centers.shape[0]) for _ in reducers]
+    for _, masses in _frame_masses(mu, family, tuples, centers):
+        for out, c, content_a in zip(outs, cols, contents_a):
+            np.maximum(out, np.max(masses[:, c] / content_a, axis=1), out=out)
+    return outs
+
+
 def maximal_function(mu: WeightedPointMeasure, k: int, alpha: float,
                      family: EllipsoidFamily, eval_points: np.ndarray = None,
                      inner: bool = False) -> np.ndarray:
@@ -664,19 +685,15 @@ def maximal_function(mu: WeightedPointMeasure, k: int, alpha: float,
     Requires a doubling_dyadic family.  inner=True restricts the sup to
     members whose doubled lengths stay inside the grid, the subfamily for
     which the covering step y' + 2B over y + B never leaves the family.
+    eval_points must be a finite (P, d) array (default: the atoms).
     """
-    if family.mode != "doubling_dyadic":
-        raise ValueError("maximal_function needs a doubling_dyadic family")
-    if not 1 <= k <= mu.dim:
-        raise ValueError(f"k must be in [1, {mu.dim}]")
     pts = mu.points if eval_points is None else np.asarray(eval_points, dtype=float)
-    tuples = family.length_tuples(inner=inner)
-    contents_a = _top_k_products(tuples, k) ** alpha
-
-    out = np.zeros(pts.shape[0])
-    for _, masses in _frame_masses(mu, family, tuples, pts):
-        out = np.maximum(out, np.max(masses / contents_a, axis=1))
-    return out
+    if pts.ndim != 2 or pts.shape[1] != mu.dim:
+        raise ValueError(f"eval_points must be a (P, {mu.dim}) array, "
+                         f"got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("eval_points must be finite")
+    return _maximal(mu, k, family, pts, [(alpha, inner)])[0]
 
 
 def weak_lp_norm(values, weights, p: float) -> float:
@@ -718,13 +735,15 @@ def maximal_weak_bound_check(mu: WeightedPointMeasure, k: int, alpha: float,
         max over atoms of F_inner <= 2^(alpha k) * ||F_alpha||_{p,inf}^(p/(p+1)),
 
     where F_inner takes the sup over members whose double stays in the
-    family (that is exactly what the covering argument consumes).  Returns
-    (lhs, rhs, ok).
+    family (that is exactly what the covering argument consumes).  Both
+    come from one sweep of the family around every atom, F_inner reading
+    its inner columns.  Returns (lhs, rhs, ok).
     """
-    f_full = maximal_function(mu, k, alpha, family, mu.points, inner=False)
+    if not p > 0:
+        raise ValueError("p must be positive")
+    f_full, f_inner = _maximal(mu, k, family, mu.points,
+                               [(alpha, False), (alpha * p / (p + 1.0), True)])
     wk = weak_lp_norm(f_full, mu.weights, p)
-    f_inner = maximal_function(mu, k, alpha * p / (p + 1.0), family,
-                               mu.points, inner=True)
     positive = mu.weights > 0.0
     lhs = float(np.max(f_inner[positive]))
     rhs = 2.0 ** (alpha * k) * wk ** (p / (p + 1.0))

@@ -3,10 +3,12 @@
 The determinant of a (k+1)-tuple of points is k! times the k-volume of the
 simplex they span.  Single, batched and enumerated determinants share one
 routine, _vertex_dets: square edge matrices (k == d) take their determinant
-directly, other shapes the square root of the k x k Gram determinant, so the
-value is defined for any ambient dimension d (it vanishes when k > d or the
-tuple is affinely degenerate).  Both go through one cofactor circuit up to
-3 x 3, so they are exact under power-of-two dilations.
+directly, other shapes the Cauchy-Binet root of the sum of the squared
+k x k minors, so the value is defined for any ambient dimension d (it
+vanishes when k > d or the tuple is affinely degenerate).  Determinants
+and minors up to 3 x 3 go through one cofactor circuit, so the values are
+exact under power-of-two dilations, and padding the points with zero
+coordinates leaves them unchanged.
 
 Ellipsoids are stored as a center, an orthonormal frame, and per-axis inverse
 semi-lengths.  Inverse lengths keep the membership sum finite for infinite
@@ -17,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 FRAME_TOL = 1e-12
-GRAM_DET_CLAMP = 1e-12
 
 
 def _as_point(y) -> np.ndarray:
@@ -72,10 +74,13 @@ def _vertex_dets(rows, pinned: bool) -> np.ndarray:
     With pinned=True the origin is an implicit extra vertex; otherwise the
     last vertex is the base and is subtracted from the others.  Square edge
     matrices (k == d) give |det|, which cancels exactly for degenerate
-    tuples.  Otherwise the Gram entries are left-to-right coordinate sums,
-    and Gram determinants below GRAM_DET_CLAMP * prod(diag G) (the size of
-    their roundoff) are exact zeros, so degenerate tuples report 0 rather
-    than a sqrt(eps)-sized artifact.
+    tuples.  Otherwise Cauchy-Binet gives sqrt(det E E^T) as the root of
+    the sum of the squared k x k minors of the k x d edge matrix E, over
+    column subsets in lexicographic order.  No term squares the condition
+    number, each minor cancels exactly where a square determinant does,
+    and zero-padded coordinates only add exact zeros (sqrt(x * x) == |x|
+    unless x * x under- or overflows), so padding keeps the value bits.
+    k > d has no subsets and gives zeros.
     """
     if not pinned:
         base = rows[-1]
@@ -83,25 +88,20 @@ def _vertex_dets(rows, pinned: bool) -> np.ndarray:
     k, d = len(rows), len(rows[0])
     if k == d:
         return np.abs(_square_det(rows))
-    gram = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            s = rows[i][0] * rows[j][0]
-            for a in range(1, d):
-                s = s + rows[i][a] * rows[j][a]
-            gram[i][j] = gram[j][i] = s
-    det_g = _square_det(gram)
-    scale = math.prod(gram[i][i] for i in range(k))
-    det_g = np.where(det_g < GRAM_DET_CLAMP * scale, 0.0, det_g)
-    return np.sqrt(np.clip(det_g, 0.0, None))
+    total = np.zeros(np.shape(rows[0][0]))
+    for cols in combinations(range(d), k):
+        minor = _square_det([[row[c] for c in cols] for row in rows])
+        total = total + minor * minor
+    return np.sqrt(total)
 
 
 def simplex_det(points) -> float:
     """Determinant of a tuple of k+1 points in R^d, k >= 1.
 
     k! times the k-volume of their simplex: |det| of the differences
-    against the last point when k == d, sqrt(det G) of their Gram matrix
-    otherwise; the same bits as simplex_det_many on a one-tuple stack.
+    against the last point when k == d, the root of the sum of their
+    squared k x k minors (Cauchy-Binet) otherwise; the same bits as
+    simplex_det_many on a one-tuple stack.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] < 1:
@@ -115,8 +115,9 @@ def simplex_det_many(stack: np.ndarray, pinned: bool = False) -> np.ndarray:
     stack has shape (M, m, d): M tuples of m points each.  With pinned=True
     the origin is an implicit extra vertex and all m points are used as edge
     vectors; otherwise the last point is the base vertex.  Determinants and
-    Gram determinants up to 3 x 3 are fixed cofactor circuits, so the values
-    scale exactly under power-of-two dilations; degenerate tuples give 0.
+    the Cauchy-Binet minors of k < d up to 3 x 3 are fixed cofactor
+    circuits, so the values scale exactly under power-of-two dilations and
+    dyadic degenerate tuples give 0.
     """
     stack = np.asarray(stack, dtype=float)
     if (stack.ndim != 3 or stack.shape[2] < 1

@@ -210,27 +210,8 @@ class ScenarioConfig:
         def gen_dict(g):
             return g.to_dict() if isinstance(g, GeneratorSpec) else str(g)
 
-        out = {
-            "name": self.name,
-            "generator": gen_dict(self.generator),
-            "co_generators": [gen_dict(g) for g in self.co_generators],
-            "pushforward_drop": self.pushforward_drop,
-            "k": self.k,
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "eps_grid": list(self.eps_grid),
-            "checks": list(self.checks),
-            "expected_fail": list(self.expected_fail),
-            "family": asdict(self.family),
-            "budget": self.budget,
-            "trials": self.trials,
-            "seed": self.seed,
-            "refine": self.refine,
-            "slack": self.slack,
-            "floor_shrink": list(self.floor_shrink),
-            "refinement_counts": list(self.refinement_counts),
-        }
-        return out
+        return {**asdict(self), "generator": gen_dict(self.generator),
+                "co_generators": [gen_dict(g) for g in self.co_generators]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -239,14 +220,9 @@ class ScenarioConfig:
 
         kwargs = dict(data)
         kwargs["generator"] = gen_load(data["generator"])
-        kwargs["co_generators"] = tuple(
-            gen_load(g) for g in data.get("co_generators", ()))
+        kwargs["co_generators"] = [gen_load(g) for g in data.get("co_generators", ())]
         if "family" in data:
             kwargs["family"] = FamilyParams(**data["family"])
-        for key in ("eps_grid", "checks", "expected_fail", "floor_shrink",
-                    "refinement_counts"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 
 

@@ -21,8 +21,6 @@ import numpy as np
 
 from .geometry import Ellipsoid
 
-MASS_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class WeightedPointMeasure:
@@ -97,15 +95,6 @@ def eval_measure(mu: WeightedPointMeasure, region) -> float:
     return float(np.sum(mu.weights[mask]))
 
 
-def restrict_normalize(mu: WeightedPointMeasure, region) -> WeightedPointMeasure:
-    """Restriction to a region, rescaled to total mass 1."""
-    mask = _region_mask(mu.points, region)
-    mass = float(np.sum(mu.weights[mask]))
-    if mass <= 0.0:
-        raise ValueError("cannot normalize a restriction with zero mass")
-    return WeightedPointMeasure(points=mu.points[mask], weights=mu.weights[mask] / mass)
-
-
 def dilate(mu: WeightedPointMeasure, a: float) -> WeightedPointMeasure:
     """Isotropic dilation: atoms scaled by a, weights unchanged."""
     if not (np.isfinite(a) and a > 0):
@@ -126,67 +115,6 @@ def pushforward(mu: WeightedPointMeasure, lin) -> WeightedPointMeasure:
     if lin.ndim != 2 or lin.shape[1] != mu.dim:
         raise ValueError(f"map must be (m, {mu.dim}), got shape {lin.shape}")
     return WeightedPointMeasure(points=mu.points @ lin.T, weights=mu.weights)
-
-
-def mixture(measures, coefficients) -> WeightedPointMeasure:
-    """Convex-style combination sum_i c_i * mu_i (c_i >= 0, not all zero)."""
-    measures = list(measures)
-    coeffs = np.asarray(coefficients, dtype=float)
-    if len(measures) == 0 or coeffs.shape != (len(measures),):
-        raise ValueError("need one coefficient per measure")
-    if np.any(coeffs < 0) or not np.any(coeffs > 0):
-        raise ValueError("coefficients must be nonnegative with at least one positive")
-    dim = measures[0].dim
-    if any(m.dim != dim for m in measures):
-        raise ValueError("all measures must share one ambient dimension")
-    pts = np.concatenate([m.points for m in measures], axis=0)
-    w = np.concatenate([c * m.weights for c, m in zip(coeffs, measures)])
-    return WeightedPointMeasure(points=pts, weights=w)
-
-
-def radial_split(mu: WeightedPointMeasure, eps: float):
-    """Split off the outermost mass eps.
-
-    Returns (outer, inner, r0) where r0 = sup{r : mu(||x|| >= r) >= eps},
-    outer has total mass exactly eps, is supported on {||x|| >= r0}, and is
-    the unique convex combination of the restrictions to {||x|| >= r0} and
-    {||x|| > r0} with that mass.  Atoms at radius exactly r0 are split
-    fractionally; inner = mu - outer is nonnegative.
-    """
-    if not 0 < eps <= 1:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    if abs(mu.total_mass - 1.0) > MASS_TOL:
-        raise ValueError("radial_split expects a probability measure (total mass 1)")
-    radii = mu.radii
-    order = np.argsort(-radii, kind="stable")
-    cum = np.cumsum(mu.weights[order])
-    pos = int(np.searchsorted(cum, eps - MASS_TOL))
-    pos = min(pos, mu.n_atoms - 1)
-    r0 = float(radii[order[pos]])
-
-    at_r0 = radii == r0
-    above = radii > r0
-    mass_above = float(np.sum(mu.weights[above]))
-    mass_at = float(np.sum(mu.weights[at_r0]))
-    if mass_at > 0.0:
-        t = (eps - mass_above) / mass_at
-    else:
-        t = 0.0
-    t = min(max(t, 0.0), 1.0)
-
-    w_outer = np.where(above, mu.weights, 0.0)
-    w_outer = np.where(at_r0, t * mu.weights, w_outer)
-    w_inner = mu.weights - w_outer
-    w_inner = np.clip(w_inner, 0.0, None)
-    return _prune_zeros(mu.points, w_outer), _prune_zeros(mu.points, w_inner), r0
-
-
-def _prune_zeros(points: np.ndarray, weights: np.ndarray) -> WeightedPointMeasure:
-    keep = weights > 0.0
-    if not np.any(keep):
-        # keep a single zero-weight atom so the measure object stays valid
-        return WeightedPointMeasure(points=points[:1], weights=np.zeros(1))
-    return WeightedPointMeasure(points=points[keep], weights=weights[keep])
 
 
 @dataclass(frozen=True)

@@ -193,7 +193,3 @@ def emit_report(report: ScenarioReport, path, fmt: str = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
-
-def load_report(path) -> ScenarioReport:
-    with open(str(path), encoding="utf-8") as fh:
-        return ScenarioReport.from_json(fh.read())

@@ -279,6 +279,13 @@ class TestMaximal:
         assert weak_lp_norm(values, weights, 2.0) == pytest.approx(1.5)
         assert weak_lp_norm(np.zeros(3), np.ones(3), 1.0) == 0.0
 
+    @pytest.mark.parametrize("points", [
+        np.array([[0.0, np.nan]]), np.array([[np.inf, 0.0]]), np.zeros(2), np.zeros((3, 3))])
+    def test_rejects_bad_eval_points(self, cube64, points):
+        fam = EllipsoidFamily.dyadic(2, -2, 1, mode="doubling_dyadic")
+        with pytest.raises(ValueError, match="eval_points"):
+            maximal_function(cube64, 2, 1.0, fam, points)
+
     def test_weak_bound_on_cube(self, cube64):
         fam = EllipsoidFamily.dyadic(
             2, -5, 1, frames=default_frames(2, n_random=3, seed=1),
@@ -309,6 +316,54 @@ def maximal_reference(mu, k, alpha, family, pts, inner=False):
             masses = np.einsum("n,nt->t", mu.weights, (s <= 1.0).astype(float))
             out[m] = max(out[m], float(np.max(masses / contents_a)))
     return out
+
+
+def weak_bound_reference(mu, k, alpha, p, family):
+    """The check as two separate sweeps: the full table at alpha and the
+    inner table at alpha p / (p + 1)."""
+    def sup(tuples, a):
+        contents_a = np.prod(np.sort(tuples, axis=1)[:, ::-1][:, :k], axis=1) ** a
+        out = np.zeros(mu.n_atoms)
+        for _, masses in curvature._frame_masses(mu, family, tuples, mu.points):
+            out = np.maximum(out, np.max(masses / contents_a, axis=1))
+        return out
+
+    wk = weak_lp_norm(sup(family.length_tuples(), alpha), mu.weights, p)
+    f_inner = sup(family.length_tuples(inner=True), alpha * p / (p + 1.0))
+    lhs = float(np.max(f_inner[mu.weights > 0.0]))
+    rhs = 2.0 ** (alpha * k) * wk ** (p / (p + 1.0))
+    return lhs, rhs, lhs <= rhs * (1.0 + 1e-9)
+
+
+class TestMaximalOneSweep:
+    @pytest.mark.parametrize("fixture", ["cube64", "circle240", "sphere80_d3"])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_matches_two_sweeps(self, request, fixture, k, p):
+        mu = request.getfixturevalue(fixture)
+        fam = EllipsoidFamily.dyadic(mu.dim, -4, 1, mode="doubling_dyadic",
+                                     frames=default_frames(mu.dim, n_random=2, seed=3))
+        got = maximal_weak_bound_check(mu, k, 0.75, p, fam)
+        assert got == weak_bound_reference(mu, k, 0.75, p, fam)
+
+    def test_one_sweep(self, cube64, monkeypatch):
+        calls = []
+        original = curvature._frame_masses
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(curvature, "_frame_masses", counting)
+        fam = EllipsoidFamily.dyadic(2, -3, 1, mode="doubling_dyadic")
+        maximal_weak_bound_check(cube64, 2, 1.0, 1.0, fam)
+        assert len(calls) == 1
+
+    def test_grid_without_inner_members(self, cube64):
+        fam = EllipsoidFamily.dyadic(2, 0, 0, mode="doubling_dyadic")
+        with pytest.raises(ValueError, match="inner members"):
+            maximal_weak_bound_check(cube64, 2, 1.0, 1.0, fam)
+        assert maximal_function(cube64, 2, 1.0, fam).shape == (64,)
 
 
 class TestSweep:

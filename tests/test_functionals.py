@@ -168,6 +168,25 @@ class TestInvariance:
         assert moved.value == base.value
         assert moved.tuples_excluded == base.tuples_excluded
 
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+           st.sampled_from([0.5, -1.0, 1.5]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_zero_padding_invariant(self, dim, k, pad, gamma, seed):
+        # zero coordinates add exact zero minors, so every determinant, both
+        # thresholds and hence the forms keep their bits in the larger space
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        mu = WeightedPointMeasure(rng.normal(size=(n, dim)),
+                                  rng.uniform(0.1, 1.0, n))
+        cols = np.sort(rng.choice(dim + pad, dim, replace=False))
+        points = np.zeros((n, dim + pad))
+        points[:, cols] = mu.points
+        padded = WeightedPointMeasure(points, mu.weights)
+        for form in (det_form, det_form_pinned):
+            want, got = form(mu, k, gamma), form(padded, k, gamma)
+            assert got.value == want.value
+            assert got.tuples_excluded == want.tuples_excluded
+
     def test_dilation_identity_pinned(self, cube64):
         # dets scale by a^k, so the form scales by a^(-k gamma); default
         # thresholds are covariant, making the identity exact
@@ -211,10 +230,10 @@ class TestInvariance:
     @settings(max_examples=30, deadline=None)
     def test_dilation_covariance_pinned(self, grid, distinct, gamma, data):
         # dyadic atoms and power-of-two factors scale tau, and the cofactor
-        # determinants (of the edge matrix for k = d, of the Gram matrix for
-        # k < d), exactly; these exponents are exact powers (reciprocal,
-        # square, sqrt of a power of four), so every term then scales by one
-        # power of two.
+        # determinants (of the edge matrix for k = d, of its Cauchy-Binet
+        # minors for k < d), exactly; these exponents are exact powers
+        # (reciprocal, square, sqrt of a power of four), so every term then
+        # scales by one power of two.
         dim, side = grid
         n = side ** dim
         base = generate(GeneratorSpec("cube_lebesgue", dim, n))

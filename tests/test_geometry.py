@@ -58,18 +58,29 @@ class TestSimplexDet:
         assert simplex_det(pts) == 0.0
 
     def test_collinear_in_higher_dimension(self):
-        # k = 2 in d = 3, affinely degenerate: Gram route with the clamp
+        # k = 2 in d = 3, affinely degenerate: every Cauchy-Binet minor of
+        # the dyadic edge matrix cancels exactly
         base = np.array([1.0, 2.0, 3.0])
         d = np.array([0.5, -1.0, 2.0])
         pts = np.stack([base, base + d, base + 2 * d])
         assert simplex_det(pts) == 0.0
 
     def test_embedding_invariance(self):
-        # padding a zero coordinate must not change the value
+        # padding a zero coordinate must not change the value: the padded
+        # minors are exact zeros and sqrt(x * x) == |x|
         rng = np.random.default_rng(11)
         pts = rng.normal(size=(3, 2))
         padded = np.hstack([pts, np.zeros((3, 1))])
-        assert simplex_det(padded) == pytest.approx(simplex_det(pts), rel=1e-9)
+        assert simplex_det(padded) == simplex_det(pts)
+
+    @pytest.mark.parametrize("eps", [1e-6, 5e-7, 1e-9])
+    def test_thin_triangle_padded(self, eps):
+        # a thin, non-degenerate triangle keeps its exact value in R^3
+        pts = np.array([[1.0, 0.0], [1.0, eps], [0.0, 0.0]])
+        padded = np.hstack([pts, np.zeros((3, 1))])
+        assert simplex_det(pts) == eps
+        assert simplex_det(padded) == eps
+        assert simplex_det_many(padded[None, :2], pinned=True)[0] == eps
 
     def test_rejects_single_point(self):
         with pytest.raises(ValueError):

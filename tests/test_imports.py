@@ -3,6 +3,7 @@ used, and every module-level name the package defines is read somewhere in
 it or exported."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -89,3 +90,21 @@ def test_dead_name_scan_flags_unread_definitions():
 def test_no_dead_package_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert dead_names(sources) == []
+
+
+def test_bench_tracing_targets_resolve(monkeypatch):
+    # bench/tracing.py wraps package functions by name and times the lab
+    # checks by name: a deletion or rename must fail here, not in the bench
+    from detcurve import lab
+
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    missing = []
+    for module, attr, _, _ in tracing.TARGETS:
+        obj = module
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not (module.__name__.startswith("detcurve") and callable(obj)):
+            missing.append(f"{module.__name__}.{attr}")
+    assert missing == []
+    assert tuple(tracing.CHECK_FUNCTIONS) == lab.KNOWN_CHECKS

@@ -16,10 +16,7 @@ from detcurve.measure import (
     generate,
     load_point_cloud,
     median_nn_distance,
-    mixture,
     pushforward,
-    radial_split,
-    restrict_normalize,
     save_point_cloud,
     translate,
 )
@@ -55,16 +52,6 @@ class TestEvalAndRestrict:
         ball = Ellipsoid.ball(0.75, 2)
         assert eval_measure(three_atoms, ball) == pytest.approx(0.25)
 
-    def test_restrict_normalize(self, three_atoms):
-        nu = restrict_normalize(three_atoms, lambda pts: pts[:, 0] > 0.25)
-        assert nu.total_mass == pytest.approx(1.0)
-        assert nu.n_atoms == 2
-        assert np.allclose(sorted(nu.weights), [1.0 / 3.0, 2.0 / 3.0])
-
-    def test_restrict_empty_raises(self, three_atoms):
-        with pytest.raises(ValueError):
-            restrict_normalize(three_atoms, lambda pts: pts[:, 0] > 10.0)
-
 
 class TestTransforms:
     def test_dilate(self, three_atoms):
@@ -82,28 +69,6 @@ class TestTransforms:
         assert nu.dim == 1
         assert np.allclose(nu.points[:, 0], three_atoms.points[:, 0])
         assert nu.total_mass == pytest.approx(1.0)
-
-    def test_mixture(self, three_atoms):
-        nu = mixture([three_atoms, translate(three_atoms, [5.0, 5.0])],
-                     [0.25, 0.75])
-        assert nu.total_mass == pytest.approx(1.0)
-        assert nu.n_atoms == 6
-
-    def test_radial_split_fractional_atom(self):
-        mu = WeightedPointMeasure(
-            np.array([[2.0, 0.0], [1.0, 0.0], [0.0, 0.0]]),
-            np.array([0.2, 0.5, 0.3]))
-        outer, inner, r0 = radial_split(mu, 0.45)
-        assert r0 == pytest.approx(1.0)
-        assert outer.total_mass == pytest.approx(0.45)
-        assert inner.total_mass == pytest.approx(0.55)
-        # the radius-1 atom splits: 0.25 outer, 0.25 inner
-        assert np.all(outer.radii >= 1.0)
-
-    def test_radial_split_whole_measure(self, three_atoms):
-        outer, inner, r0 = radial_split(three_atoms, 1.0)
-        assert outer.total_mass == pytest.approx(1.0)
-        assert inner.n_atoms == 0 or inner.total_mass == pytest.approx(0.0)
 
 
 class TestGenerators:

@@ -9,7 +9,6 @@ from detcurve.reporting import (
     CheckRecord,
     ScenarioReport,
     emit_report,
-    load_report,
     runtime_versions,
 )
 
@@ -98,7 +97,7 @@ class TestScenarioReport:
         rep = sample_report()
         path = tmp_path / "rep.json"
         emit_report(rep, path)
-        back = load_report(path)
+        back = ScenarioReport.from_json(path.read_text(encoding="utf-8"))
         assert back.scenario == "sample"
         csv_path = tmp_path / "rep.csv"
         emit_report(rep, csv_path)
