@@ -24,8 +24,8 @@ from .curvature import (CurvatureEstimate, EllipsoidFamily, GaussianForm,
 from .functionals import (BudgetExceededError, DyadicProfile,
                           FunctionalResult, WeakTypeProbeResult,
                           cauchy_schwarz_check, det_form, det_form_pinned,
-                          det_form_sampled, dyadic_profile, indicator,
-                          sublevel_mass, weak_type_probe)
+                          det_form_sampled, dyadic_profile, sublevel_mass,
+                          weak_type_probe)
 from .reporting import CheckRecord, ScenarioReport, emit_report
 from .lab import (BUNDLED_SCENARIOS, FamilyParams, ScenarioConfig,
                   get_scenario, multi_measure_factor, run_scenario,
@@ -47,7 +47,7 @@ __all__ = [
     "dilate", "dyadic_profile", "ellipsoid_of", "emit_report",
     "estimate_curvature_constant", "eval_measure",
     "gaussian_content_check", "gaussian_integral", "gaussian_lower_check",
-    "generate", "get_scenario", "indicator", "k_content",
+    "generate", "get_scenario", "k_content",
     "layer_cake_check", "load_point_cloud", "matrix_content",
     "maximal_function", "maximal_weak_bound_check", "median_nn_distance",
     "min_content_at_mass", "multi_measure_factor", "pushforward",

@@ -15,10 +15,11 @@ import os
 import sys
 
 from .curvature import default_family, estimate_curvature_constant
-from .functionals import (_index_sets, det_form, det_form_pinned,
-                          det_form_sampled, indicator)
+from .functionals import (_index_sets, default_det_threshold, det_form,
+                          det_form_pinned, det_form_sampled,
+                          difference_threshold)
 from .lab import BUNDLED_SCENARIOS, ScenarioConfig, get_scenario, run_scenario
-from .measure import load_point_cloud
+from .measure import WeightedPointMeasure, load_point_cloud
 from .reporting import emit_report
 
 
@@ -55,31 +56,40 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _load_sets(path, m, n_atoms):
+def _load_sets(path, m, mu):
+    """One slot measure per index set: the atoms of the set, their weights."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, list) or len(raw) != m:
         raise SystemExit(f"--sets file must hold {m} index lists")
     try:
-        sets = _index_sets(n_atoms, raw, m)
+        sets = _index_sets(mu.n_atoms, raw, m)
     except ValueError as exc:
         raise SystemExit(f"--sets: {exc}") from exc
-    return [indicator(n_atoms, s) for s in sets]
+    for j, s in enumerate(sets):
+        if not s.size:
+            raise SystemExit(f"--sets: index set {j} is empty")
+    return [WeightedPointMeasure(mu.points[s], mu.weights[s]) for s in sets]
 
 
 def _cmd_functional(args) -> int:
     mu = load_point_cloud(args.cloud)
-    m = args.k if args.pinned else args.k + 1
-    fs = _load_sets(args.sets, m, mu.n_atoms) if args.sets else None
+    slots, tau = mu, None
+    if args.sets:
+        m = args.k if args.pinned else args.k + 1
+        slots = _load_sets(args.sets, m, mu)
+        tau = (default_det_threshold(mu, args.k) if args.pinned
+               else difference_threshold([mu] * m))
     if args.samples:
-        result = det_form_sampled(mu, args.k, args.gamma, fs,
+        result = det_form_sampled(slots, args.k, args.gamma, tau=tau,
                                   samples=args.samples, seed=args.seed,
                                   pinned=args.pinned)
     elif args.pinned:
-        result = det_form_pinned(mu, args.k, args.gamma, fs,
+        result = det_form_pinned(slots, args.k, args.gamma, tau=tau,
                                  budget=args.budget)
     else:
-        result = det_form(mu, args.k, args.gamma, fs, budget=args.budget)
+        result = det_form(slots, args.k, args.gamma, tau=tau,
+                          budget=args.budget)
     out = {
         "value": result.value,
         "tuples_total": result.tuples_total,
@@ -160,7 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fn.add_argument("--pinned", action="store_true",
                       help="pin one vertex at the origin (k-fold form)")
     p_fn.add_argument("--sets", default=None,
-                      help="JSON file with per-slot atom index lists")
+                      help="JSON file, one nonempty atom-index list per slot; "
+                           "each slot runs over its set only (tuple counts: the "
+                           "product of set sizes) with the whole cloud's tau")
     p_fn.add_argument("--budget", type=int, default=10_000_000)
     p_fn.add_argument("--samples", type=int, default=0,
                       help="sample this many tuples instead of enumerating")

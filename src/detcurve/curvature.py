@@ -118,8 +118,7 @@ class EllipsoidFamily:
 
 
 def default_frames(dim: int, n_random: int = 64, seed: int = 0,
-                   points: np.ndarray = None, weights: np.ndarray = None,
-                   n_pca: int = 8) -> list:
+                   points: np.ndarray = None, n_pca: int = 8) -> list:
     """Coordinate frame, data-adapted principal frames, and random rotations.
 
     Principal frames come from the full cloud (both raw second moment and
@@ -180,7 +179,7 @@ def default_family(mu: WeightedPointMeasure, *, n_frames: int = 64, n_pca: int =
         else:
             j_min = j_max - 12
     frames = default_frames(mu.dim, n_random=n_frames, seed=seed,
-                            points=mu.points, weights=mu.weights, n_pca=n_pca)
+                            points=mu.points, n_pca=n_pca)
     return EllipsoidFamily.dyadic(mu.dim, j_min, j_max, frames=frames,
                                   floor=floor_val, mode=mode)
 
@@ -210,6 +209,14 @@ def curvature_ratio(mu: WeightedPointMeasure, ellipsoid: Ellipsoid, k: int,
     if math.isinf(content):
         return 0.0
     return mass / content ** alpha
+
+
+def _check_k_alpha(mu: WeightedPointMeasure, k: int, alpha: float = None) -> None:
+    """Named errors for k outside [1, d] and, when given, alpha <= 0."""
+    if not 1 <= k <= mu.dim:
+        raise ValueError(f"k must be in [1, {mu.dim}], got {k}")
+    if alpha is not None and not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
 
 
 def _top_k_products(tuples: np.ndarray, k: int) -> np.ndarray:
@@ -259,6 +266,9 @@ def _frame_masses(mu: WeightedPointMeasure, family: EllipsoidFamily,
                   tuples: np.ndarray, centers: np.ndarray):
     """Per frame, (frame, masses) with masses (P, T): row i holds the
     members centred at centers[i]."""
+    if family.dim != mu.dim:
+        raise ValueError(f"family dimension {family.dim} does not match the "
+                         f"measure's {mu.dim}")
     values = np.unique(tuples)
     step = max(1, SWEEP_BLOCK // (mu.n_atoms * len(values) ** (mu.dim - 1)))
     for frame in family.frames:
@@ -281,8 +291,8 @@ def _givens(d: int, i: int, j: int, theta: float) -> np.ndarray:
     return g
 
 
-def _refine(mu: WeightedPointMeasure, frame: np.ndarray, lengths: np.ndarray,
-            floor: float, budget: int, score_fn, minimize: bool):
+def _refine(frame: np.ndarray, lengths: np.ndarray, floor: float, budget: int,
+            score_fn, minimize: bool):
     """First-improvement hill climb over axis rescalings and small rotations.
 
     Deterministic: moves are tried in a fixed cycle and only strict
@@ -352,7 +362,7 @@ def _grid_then_refine(mu: WeightedPointMeasure, family: EllipsoidFamily,
     if refine > 0:
         n_starts = min(3, len(starts))
         for _, frame, lengths in starts[:n_starts]:
-            fr, ln, sc = _refine(mu, np.array(frame), np.array(lengths, dtype=float),
+            fr, ln, sc = _refine(np.array(frame), np.array(lengths, dtype=float),
                                  family.floor, max(1, refine // n_starts), score,
                                  minimize)
             if (sc < best_score) if minimize else (sc > best_score):
@@ -368,13 +378,7 @@ def estimate_curvature_constant(mu: WeightedPointMeasure, k: int, alpha: float,
     Monotone in family enlargement by construction.  refine is the local
     search evaluation budget (0 disables it).
     """
-    if not 1 <= k <= mu.dim:
-        raise ValueError(f"k must be in [1, {mu.dim}]")
-    if family.dim != mu.dim:
-        raise ValueError("family dimension does not match the measure")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-
+    _check_k_alpha(mu, k, alpha)
     tuples = family.length_tuples()
     contents_a = _top_k_products(tuples, k) ** alpha
 
@@ -405,8 +409,7 @@ def min_content_at_mass(mu: WeightedPointMeasure, k: int, eps: float,
     the ball of its largest semi-length, so centered balls are optimal and
     the answer is the radius quantile at mass eps.
     """
-    if not 1 <= k <= mu.dim:
-        raise ValueError(f"k must be in [1, {mu.dim}]")
+    _check_k_alpha(mu, k)
     total = mu.total_mass
     eps_eff = eps - 1e-9 * max(1.0, eps)
     if not 0 < eps <= total + 1e-9:
@@ -420,8 +423,6 @@ def min_content_at_mass(mu: WeightedPointMeasure, k: int, eps: float,
         r = float(mu.radii[order][pos])
         return r, Ellipsoid.ball(r, mu.dim)
 
-    if family.dim != mu.dim:
-        raise ValueError("family dimension does not match the measure")
     tuples = family.length_tuples()
     contents = _top_k_products(tuples, k)
 
@@ -583,8 +584,7 @@ def slab_constant(mu: WeightedPointMeasure, k: int, alpha: float,
     all real widths (shrinking delta to the nearest atom distance below only
     increases the ratio).  Mass at distance zero makes the sup infinite.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    _check_k_alpha(mu, k, alpha)
     scale = max(1.0, mu.max_radius)
     zero_tol = 1e-12 * scale
     best = 0.0
@@ -627,6 +627,9 @@ def slab_implication_check(mu: WeightedPointMeasure, k: int, alpha: float,
     distinct flat enters slab_constant once.  Returns
     (c_slab, all_ok, worst_margin, n_checked).
     """
+    _check_k_alpha(mu, k, alpha)
+    if max_members < 1:
+        raise ValueError(f"max_members must be at least 1, got {max_members}")
     tuples = family.length_tuples()
     swept = np.concatenate([m[0] for _, m in _frame_masses(
         mu, family, tuples, np.zeros((1, mu.dim)))])
@@ -661,8 +664,8 @@ def _maximal(mu: WeightedPointMeasure, k: int, family: EllipsoidFamily,
     """
     if family.mode != "doubling_dyadic":
         raise ValueError("maximal_function needs a doubling_dyadic family")
-    if not 1 <= k <= mu.dim:
-        raise ValueError(f"k must be in [1, {mu.dim}]")
+    for alpha, _ in reducers:
+        _check_k_alpha(mu, k, alpha)
     tuples = family.length_tuples()
     inner_cols = np.all(tuples < family.effective_lengths[-1], axis=1)
     if not inner_cols.any() and any(inner for _, inner in reducers):

@@ -18,6 +18,9 @@ partition the ranks of the nondecreasing tuples, which are unranked
 directly and weighted by their multiplicities.  One pass can reduce to
 several exponents, which is how cauchy_schwarz_check gets its three forms.
 
+An index set E_j enters only by restricting slot j to its atoms, so set
+forms enumerate and count E_1 x ... x E_k, with the whole measure's tau.
+
 Exact enumeration is capped by a budget on the tuples it visits; beyond it
 callers must switch to det_form_sampled, an unbiased uniform-tuple Monte
 Carlo estimate whose integrand is formed in the same fixed blocks.
@@ -102,11 +105,10 @@ def difference_threshold(measures) -> float:
     return TAU_SCALE * spread ** (len(measures) - 1)
 
 
-def _values_for_slots(measures, fs, m: int):
+def _values_for_slots(measures, fs):
     """Per-slot atom values f_j * w_j, validating shapes and signs."""
     vals = []
-    for j in range(m):
-        mu = measures[j]
+    for j, mu in enumerate(measures):
         w = mu.weights
         if fs is not None and fs[j] is not None:
             f = np.asarray(fs[j], dtype=float)
@@ -215,13 +217,10 @@ def _enumerate(points_list, values_list, pinned: bool, symmetric: bool,
     return total, parallel.map_blocks(block, parallel.block_ranges(visited))
 
 
-def _enumerate_form(measures, same: bool, fs, gammas, tau: float,
-                    pinned: bool, budget: int) -> list:
+def _enumerate_form(points_list, values_list, tau: float, symmetric: bool,
+                    gammas, pinned: bool, budget: int) -> list:
     """Exact forms at each exponent in gammas, from one enumeration over the
-    product of the slot measures; nondecreasing tuples with multiplicities
-    when every slot has one measure and density."""
-    symmetric = same and (fs is None or all(
-        f is None for f in fs) or all(f is fs[0] for f in fs))
+    product of the slots (see _enumerate for symmetric)."""
 
     def reduce(dets, wprod, mult):
         included = dets > tau
@@ -234,23 +233,32 @@ def _enumerate_form(measures, same: bool, fs, gammas, tau: float,
         return [float(np.sum(w_in if g == 0.0 else w_in * d_in ** (-g)))
                 for g in gammas], n_exc
 
-    total, results = _enumerate([m_.points for m_ in measures],
-                                _values_for_slots(measures, fs, len(measures)),
-                                pinned, symmetric, budget, reduce)
+    total, results = _enumerate(points_list, values_list, pinned, symmetric,
+                                budget, reduce)
     excluded = int(round(math.fsum(r[1] for r in results)))
     return [FunctionalResult(value=math.fsum(r[0][i] for r in results),
                              tuples_total=total, tuples_excluded=excluded)
             for i in range(len(gammas))]
 
 
-def _normalize_measures(mu, m: int):
-    if isinstance(mu, WeightedPointMeasure):
-        return [mu] * m, True
-    measures = list(mu)
+def _form_slots(mu, k: int, fs, tau, pinned: bool):
+    """(slot points, slot values, tau, symmetric) of a form of order k on one
+    measure or a list of k (pinned) or k+1 slot measures: tau defaults to
+    the slots' threshold, and symmetric holds when every slot has one
+    measure and one density, so the nondecreasing tuples suffice."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    m = k if pinned else k + 1
+    measures = [mu] * m if isinstance(mu, WeightedPointMeasure) else list(mu)
     if len(measures) != m:
         raise ValueError(f"expected {m} measures, got {len(measures)}")
-    same = all(x is measures[0] for x in measures)
-    return measures, same
+    if tau is None:
+        tau = (default_det_threshold(measures, k) if pinned
+               else difference_threshold(measures))
+    symmetric = all(x is measures[0] for x in measures) and (
+        fs is None or all(f is None for f in fs) or all(f is fs[0] for f in fs))
+    return ([m_.points for m_ in measures], _values_for_slots(measures, fs),
+            tau, symmetric)
 
 
 def det_form(mu, k: int, gamma: float, fs=None, *, tau: float = None,
@@ -263,13 +271,8 @@ def det_form(mu, k: int, gamma: float, fs=None, *, tau: float = None,
     measure and one density, enumeration runs over nondecreasing tuples
     with multiplicity weights, cutting the determinant work by (k+1)!.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    measures, same = _normalize_measures(mu, k + 1)
-    if tau is None:
-        tau = difference_threshold(measures)
-    return _enumerate_form(measures, same, fs, (gamma,), tau, pinned=False,
-                           budget=budget)[0]
+    return _enumerate_form(*_form_slots(mu, k, fs, tau, pinned=False), (gamma,),
+                           pinned=False, budget=budget)[0]
 
 
 def det_form_pinned(mu, k: int, gamma: float, fs=None, *, tau: float = None,
@@ -279,13 +282,8 @@ def det_form_pinned(mu, k: int, gamma: float, fs=None, *, tau: float = None,
     Same kernel and exclusion conventions as det_form; dets here are
     det(0, y_1, ..., y_k).
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    measures, same = _normalize_measures(mu, k)
-    if tau is None:
-        tau = default_det_threshold(measures, k)
-    return _enumerate_form(measures, same, fs, (gamma,), tau, pinned=True,
-                           budget=budget)[0]
+    return _enumerate_form(*_form_slots(mu, k, fs, tau, pinned=True), (gamma,),
+                           pinned=True, budget=budget)[0]
 
 
 def det_form_sampled(mu, k: int, gamma: float, fs=None, *, samples: int,
@@ -297,20 +295,12 @@ def det_form_sampled(mu, k: int, gamma: float, fs=None, *, samples: int,
     count times the sample mean of the integrand, which is unbiased for the
     exact sum.  stderr is the standard error of that estimate.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    points_list, vals, tau, _ = _form_slots(mu, k, fs, tau, pinned)
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    m = k if pinned else k + 1
-    measures, _ = _normalize_measures(mu, m)
-    if tau is None:
-        tau = (default_det_threshold(measures, k) if pinned
-               else difference_threshold(measures))
-    vals = _values_for_slots(measures, fs, m)
-    points_list = [m_.points for m_ in measures]
-    sizes = [m_.n_atoms for m_ in measures]
+    sizes = [p.shape[0] for p in points_list]
     rng = np.random.default_rng(seed)
-    idx = [rng.integers(0, sizes[j], size=samples) for j in range(m)]
+    idx = [rng.integers(0, n, size=samples) for n in sizes]
 
     def block(start, stop):
         dets, wprod = _tuple_terms(points_list, vals,
@@ -383,13 +373,6 @@ def _index_sets(n: int, sets, k: int) -> list:
     return [s.astype(int) for s in sets]
 
 
-def indicator(n: int, idx) -> np.ndarray:
-    """Per-atom indicator vector of an index set, for use as an fs entry."""
-    out = np.zeros(n)
-    out[_index_sets(n, [idx], 1)[0]] = 1.0
-    return out
-
-
 def dyadic_profile(mu: WeightedPointMeasure, k: int, sets, gamma: float, *,
                    tau: float = None, budget: int = DEFAULT_BUDGET) -> DyadicProfile:
     """Layer decomposition of the pinned form over E_1 x ... x E_k.
@@ -438,16 +421,16 @@ def cauchy_schwarz_check(mu: WeightedPointMeasure, k: int, gamma: float, sets, *
                          rel_tol: float = 1e-12) -> tuple:
     """Duality check (included mass)^2 <= (form at +gamma) * (form at -gamma).
 
-    Both forms run over E_1 x ... x E_k with the same exclusion threshold,
-    so the inequality is exactly Cauchy-Schwarz on the included tuples and
+    Both forms run over E_1 x ... x E_k with the whole measure's tau, so
+    the inequality is exactly Cauchy-Schwarz on the included tuples and
     must hold to rounding.  Returns (lhs, rhs, ok).
     """
     sets = _index_sets(mu.n_atoms, sets, k)
     if tau is None:
         tau = default_det_threshold(mu, k)
-    fs = [indicator(mu.n_atoms, s) for s in sets]
-    inv, fwd, mass = _enumerate_form([mu] * k, True, fs, (gamma, -gamma, 0.0),
-                                     tau, pinned=True, budget=budget)
+    inv, fwd, mass = _enumerate_form(
+        [mu.points[s] for s in sets], [mu.weights[s] for s in sets], tau, False,
+        (gamma, -gamma, 0.0), pinned=True, budget=budget)
     lhs = mass.value ** 2
     rhs = fwd.value * inv.value
     ok = lhs <= rhs * (1.0 + rel_tol)
@@ -502,10 +485,10 @@ def weak_type_probe(mu: WeightedPointMeasure, k: int, gamma: float, alpha: float
     balls, half-spaces, and shells in rotation, or a caller-provided
     sampler) and the ratio
 
-        det_form_pinned on indicators / prod_j mu(E_j)^(1 - gamma/(k alpha))
+        pinned form over E_1 x ... x E_k / prod_j mu(E_j)^(1 - gamma/(k alpha))
 
-    is recorded.  Requires 0 < gamma < k * alpha for the exponent to make
-    sense; the sup and its witness family are returned.
+    is recorded with the whole measure's tau.  Requires 0 < gamma < k alpha
+    for the exponent to make sense; the sup and its witness are returned.
     """
     if not (0 < gamma < k * alpha):
         raise ValueError("need 0 < gamma < k * alpha")
@@ -530,8 +513,9 @@ def weak_type_probe(mu: WeightedPointMeasure, k: int, gamma: float, alpha: float
         masses = [float(np.sum(mu.weights[s])) for s in sets]
         if any(m_ <= 0.0 for m_ in masses):
             continue
-        fs = [indicator(mu.n_atoms, s) for s in sets]
-        form = det_form_pinned(mu, k, gamma, fs, tau=tau, budget=budget)
+        form, = _enumerate_form([mu.points[s] for s in sets],
+                                [mu.weights[s] for s in sets], tau, False,
+                                (gamma,), pinned=True, budget=budget)
         denom = 1.0
         for m_ in masses:
             denom *= m_ ** exponent

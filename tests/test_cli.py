@@ -1,12 +1,17 @@
 """End-to-end command-line tests run in process through main()."""
 
 import json
+from itertools import product
 
+import numpy as np
 import pytest
 
 from detcurve.cli import main
+from detcurve.functionals import default_det_threshold, difference_threshold
+from detcurve.geometry import simplex_det_many
 from detcurve.lab import get_scenario
-from detcurve.measure import GeneratorSpec, generate, save_point_cloud
+from detcurve.measure import (GeneratorSpec, generate, load_point_cloud,
+                              save_point_cloud)
 
 
 @pytest.fixture(scope="module")
@@ -44,10 +49,37 @@ class TestFunctional:
                      "--pinned", "--sets", str(sets_path)])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
-        # the index sets weight the densities; enumeration still covers
-        # every atom pair
-        assert out["tuples_total"] == 64 * 64 and out["pinned"]
+        # each slot is restricted to its set: 4 x 4 pairs, not 64 x 64
+        assert out["tuples_total"] == 4 * 4 and out["pinned"]
         assert out["value"] > 0
+
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_sets_count_excluded_over_the_sets(self, cloud_path, capsys,
+                                               tmp_path, pinned):
+        # overlapping sets: pairs that repeat an atom have determinant 0
+        sets = [[0, 1, 2, 3, 9], [2, 3, 4, 5], [3, 5, 8]]
+        k = 2
+        m = k if pinned else k + 1
+        mu = load_point_cloud(cloud_path)
+        tau = (default_det_threshold(mu, k) if pinned
+               else difference_threshold([mu] * m))
+        tuples = np.array(list(product(*sets[:m])))
+        dets = simplex_det_many(mu.points[tuples], pinned=pinned)
+        sets_path = tmp_path / "sets.json"
+        sets_path.write_text(json.dumps(sets[:m]))
+        code = main(["functional", cloud_path, "--k", str(k), "--gamma", "0.5",
+                     "--sets", str(sets_path)] + (["--pinned"] if pinned else []))
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["tuples_total"] == len(tuples)
+        assert out["tuples_excluded"] == int(np.count_nonzero(dets <= tau)) > 0
+
+    def test_empty_set_exits(self, cloud_path, tmp_path):
+        sets_path = tmp_path / "sets.json"
+        sets_path.write_text(json.dumps([[0, 1], []]))
+        with pytest.raises(SystemExit, match="--sets: index set 1 is empty"):
+            main(["functional", cloud_path, "--k", "2", "--gamma", "0.5",
+                  "--pinned", "--sets", str(sets_path)])
 
     def test_sampled_reports_stderr(self, cloud_path, capsys):
         code = main(["functional", cloud_path, "--k", "2", "--gamma", "0.25",

@@ -79,8 +79,7 @@ class TestEllipsoidFamily:
                             length_grid=np.array([1.0, 0.5]))
 
     def test_default_frames_are_orthonormal(self, cube64):
-        frames = default_frames(2, n_random=8, seed=0,
-                                points=cube64.points, weights=cube64.weights)
+        frames = default_frames(2, n_random=8, seed=0, points=cube64.points)
         assert np.allclose(frames[0], np.eye(2))
         for f in frames:
             assert np.allclose(f.T @ f, np.eye(2), atol=1e-10)
@@ -507,3 +506,52 @@ class TestSlabDedup:
         assert n_checked == len(members)
         # one flat per frame and ordered choice of k-1 longest axes at most
         assert len(seen) <= len(fam.frames) * math.perm(mu.dim, k - 1)
+
+
+
+# the curvature entry points on the d = 2 cube, with the arguments each takes
+CURVATURE_ENTRIES = {
+    "estimate_curvature_constant": (lambda mu, a: estimate_curvature_constant(
+        mu, a["k"], a["alpha"], a["family"], refine=0), ("k", "alpha", "family")),
+    "min_content_at_mass": (lambda mu, a: min_content_at_mass(
+        mu, a["k"], 0.5, a["family"], refine=0), ("k", "family")),
+    "slab_implication_check": (lambda mu, a: slab_implication_check(
+        mu, a["k"], a["alpha"], a["family"], max_members=a["max_members"]),
+        ("k", "alpha", "family", "max_members")),
+    "maximal_function": (lambda mu, a: maximal_function(
+        mu, a["k"], a["alpha"], a["family"]), ("k", "alpha", "family")),
+    "maximal_weak_bound_check": (lambda mu, a: maximal_weak_bound_check(
+        mu, a["k"], a["alpha"], 1.0, a["family"]), ("k", "alpha", "family")),
+}
+BAD_ARGUMENTS = [
+    ("k", 0, r"k must be in \[1, 2\], got 0"),
+    ("k", 3, r"k must be in \[1, 2\], got 3"),
+    ("alpha", 0.0, "alpha must be positive"),
+    ("alpha", -1.0, "alpha must be positive"),
+    ("family", 3, "family dimension 3 does not match the measure's 2"),
+    ("max_members", 0, "max_members must be at least 1"),
+    ("max_members", -1, "max_members must be at least 1"),
+]
+
+
+def entry_arguments(**override):
+    args = {"k": 2, "alpha": 1.0, "max_members": 64, "family": 2, **override}
+    args["family"] = EllipsoidFamily.dyadic(args["family"], -4, 0,
+                                            mode="doubling_dyadic")
+    return args
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("entry,name,value,message", [
+        pytest.param(entry, name, value, message, id=f"{entry}-{name}={value}")
+        for entry, (_, takes) in sorted(CURVATURE_ENTRIES.items())
+        for name, value, message in BAD_ARGUMENTS if name in takes])
+    def test_rejects_by_name(self, cube64, entry, name, value, message):
+        # before the checks: a vacuous slab pass at k > d, raw matmul errors
+        # for a family of another dimension, a maximal function at alpha < 0
+        with pytest.raises(ValueError, match=message):
+            CURVATURE_ENTRIES[entry][0](cube64, entry_arguments(**{name: value}))
+
+    @pytest.mark.parametrize("entry", sorted(CURVATURE_ENTRIES))
+    def test_valid_arguments_run(self, cube64, entry):
+        CURVATURE_ENTRIES[entry][0](cube64, entry_arguments())

@@ -16,14 +16,31 @@ from detcurve.functionals import (
     det_form,
     det_form_pinned,
     det_form_sampled,
+    difference_threshold,
     dyadic_profile,
-    indicator,
     sublevel_mass,
     weak_type_probe,
 )
 from detcurve.geometry import simplex_det_many
 from detcurve.measure import (GeneratorSpec, WeightedPointMeasure, dilate,
                               generate, translate)
+
+
+def indicator(n, idx):
+    """Per-atom indicator density of an index set: with it a form runs over
+    every atom tuple, the reference route for the set-restricted slots."""
+    out = np.zeros(n)
+    out[np.asarray(idx, dtype=int)] = 1.0
+    return out
+
+
+def set_slots(mu, sets):
+    """One slot measure per index set: its atoms and their weights."""
+    return [WeightedPointMeasure(mu.points[s], mu.weights[s]) for s in sets]
+
+
+def rel_diff(got, want):
+    return 0.0 if got == want else abs(got - want) / abs(want)
 
 
 def oracle_pinned(mu, gamma, tau):
@@ -348,11 +365,12 @@ class TestCauchySchwarz:
     def test_one_pass_equals_three_forms(self, request, fixture, k):
         mu = request.getfixturevalue(fixture)
         rng = np.random.default_rng(k)
+        tau = default_det_threshold(mu, k)
         for _ in range(5):
             sets = [rng.choice(mu.n_atoms, size=rng.integers(1, 40), replace=False)
                     for _ in range(k)]
-            fs = [indicator(mu.n_atoms, s) for s in sets]
-            inv, fwd, mass = (det_form_pinned(mu, k, g, fs) for g in (0.5, -0.5, 0.0))
+            inv, fwd, mass = (det_form_pinned(set_slots(mu, sets), k, g, tau=tau)
+                              for g in (0.5, -0.5, 0.0))
             lhs, rhs, ok = cauchy_schwarz_check(mu, k, 0.5, sets)
             assert lhs == mass.value ** 2
             assert rhs == fwd.value * inv.value
@@ -398,15 +416,81 @@ class TestWeakTypeProbe:
             weak_type_probe(cube64, 2, 3.0, 1.0, trials=2)
 
 
-class TestIndicator:
-    def test_one_hot(self):
-        f = indicator(5, [0, 3])
-        assert np.array_equal(f, [1.0, 0.0, 0.0, 1.0, 0.0])
+class TestRestrictedSlots:
+    """Index sets restrict the slots; the indicator densities over all atoms
+    give the same forms, summed in other blocks."""
+
+    CASES = [("cube64", 1), ("cube64", 2), ("cube256", 1), ("cube256", 2),
+             ("circle240", 1), ("circle240", 2), ("sphere80_d3", 1),
+             ("sphere80_d3", 2), ("sphere80_d3", 3)]
+
+    @staticmethod
+    def draw_sets(mu, k, rng):
+        return [rng.choice(mu.n_atoms, size=rng.integers(1, min(mu.n_atoms, 60)),
+                           replace=False) for _ in range(k)]
+
+    @pytest.mark.parametrize("fixture,k", CASES)
+    def test_forms_match_indicator_route(self, request, fixture, k):
+        mu = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(10 + k)
+        tau = default_det_threshold(mu, k)
+        worst = 0.0
+        for _ in range(4 if k < 3 else 2):
+            sets = self.draw_sets(mu, k, rng)
+            fs = [indicator(mu.n_atoms, s) for s in sets]
+            for g in (0.5, -0.5, 0.0):
+                want = det_form_pinned(mu, k, g, fs)
+                got = det_form_pinned(set_slots(mu, sets), k, g, tau=tau)
+                worst = max(worst, rel_diff(got.value, want.value))
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("fixture,k", CASES)
+    def test_weak_type_ratios_match_indicator_route(self, request, fixture, k):
+        mu = request.getfixturevalue(fixture)
+        drawn = []
+
+        def sampler(mu_, k_, rng):
+            drawn.append(self.draw_sets(mu_, k_, rng))
+            return drawn[-1]
+
+        gamma, alpha = 0.5, 1.0
+        res = weak_type_probe(mu, k, gamma, alpha, trials=3 if k < 3 else 2,
+                              seed=k, set_sampler=sampler)
+        exponent = 1.0 - gamma / (k * alpha)
+        for sets, ratio in zip(drawn, res.ratios):
+            form = det_form_pinned(mu, k, gamma,
+                                   [indicator(mu.n_atoms, s) for s in sets])
+            denom = 1.0
+            for s in sets:
+                denom *= float(np.sum(mu.weights[s])) ** exponent
+            assert rel_diff(ratio, form.value / denom) <= 1e-15
+
+    @pytest.mark.parametrize("pinned", [True, False])
+    @pytest.mark.parametrize("fixture,k", [("cube64", 1), ("cube64", 2),
+                                           ("sphere80_d3", 2)])
+    def test_counts_run_over_the_sets(self, request, fixture, k, pinned):
+        # sets of more than half of 20 atoms overlap, so tuples that repeat
+        # an atom are excluded whenever there are two slots
+        mu = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(k)
+        m = k if pinned else k + 1
+        sets = [rng.choice(20, size=int(rng.integers(11, 20)), replace=False)
+                for _ in range(m)]
+        if pinned:
+            tau = default_det_threshold(mu, k)
+            got = det_form_pinned(set_slots(mu, sets), k, 0.5, tau=tau)
+        else:
+            tau = difference_threshold([mu] * m)
+            got = det_form(set_slots(mu, sets), k, 0.5, tau=tau)
+        tuples = np.array(list(product(*sets)))
+        dets = simplex_det_many(mu.points[tuples], pinned=pinned)
+        assert got.tuples_total == math.prod(len(s) for s in sets)
+        assert got.tuples_excluded == int(np.count_nonzero(dets <= tau))
+        assert got.tuples_excluded > 0 or m == 1
 
 
 # every entry point that takes atom-index sets, called with k = 2 sets
 SET_TAKERS = {
-    "indicator": lambda mu, sets: [indicator(mu.n_atoms, s) for s in sets],
     "dyadic_profile": lambda mu, sets: dyadic_profile(mu, 2, sets, 0.5),
     "cauchy_schwarz_check": lambda mu, sets: cauchy_schwarz_check(mu, 2, 0.5, sets),
     "weak_type_probe": lambda mu, sets: weak_type_probe(
@@ -442,7 +526,12 @@ class TestIndexSets:
             SET_TAKERS[taker](cube64, [bad, [3]])
 
     def test_empty_set_is_valid(self, cube64):
-        assert not indicator(cube64.n_atoms, []).any()
+        # no tuple meets an empty set, so the set form has zero mass
+        sets = [[], [3, 7, 11]]
+        prof = dyadic_profile(cube64, 2, sets, 0.5)
+        assert prof.layers == {}
+        assert prof.included_mass == 0.0 and prof.excluded_mass == 0.0
+        assert cauchy_schwarz_check(cube64, 2, 0.5, sets) == (0.0, 0.0, True)
 
     @pytest.mark.parametrize("taker", ["dyadic_profile", "cauchy_schwarz_check",
                                        "weak_type_probe"])

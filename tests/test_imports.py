@@ -1,6 +1,6 @@
 """Name hygiene: every module-level import in the package and the tests is
-used, and every module-level name the package defines is read somewhere in
-it or exported."""
+used, every module-level name the package defines is read somewhere in it
+or exported, and every parameter with a default is read by its function."""
 
 import ast
 import importlib
@@ -68,6 +68,25 @@ def dead_names(sources: dict) -> list:
     return sorted(dead)
 
 
+def unread_defaults(source: str) -> list:
+    """(line, function, parameter) of the parameters with a default value
+    that their function or method never reads: a caller can pass them, and
+    nothing happens."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        defaulted = positional[len(positional) - len(args.defaults):] + [
+            a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [(node.lineno, node.name, a.arg) for a in defaulted
+                   if a.arg not in read]
+    return sorted(unread)
+
+
 def test_scan_flags_unused_and_keeps_reexports():
     src = "import os\nimport json as j\nfrom a import b, c\n__all__ = ['c']\nj.dumps(1)\n"
     assert unused_imports(src) == [(1, "os"), (3, "b")]
@@ -90,6 +109,21 @@ def test_dead_name_scan_flags_unread_definitions():
 def test_no_dead_package_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert dead_names(sources) == []
+
+
+def test_unread_default_scan_flags_ignored_parameters():
+    src = ("def f(a, b=1, *, c=2, d=None, e):\n    return a + c + e\n"
+           "class K:\n    def m(self, x=0, y=1):\n"
+           "        def inner(z=3):\n            return y\n"
+           "        return inner()\n")
+    # d is only a default, b is positional; y is read in a nested function
+    assert unread_defaults(src) == [(1, "f", "b"), (1, "f", "d"),
+                                    (4, "m", "x"), (5, "inner", "z")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unread_default_parameters(path):
+    assert unread_defaults(path.read_text(encoding="utf-8")) == []
 
 
 def test_bench_tracing_targets_resolve(monkeypatch):
