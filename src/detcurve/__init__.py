@@ -14,8 +14,8 @@ from .measure import (GeneratorSpec, WeightedPointMeasure, dilate,
                       eval_measure, generate, load_point_cloud,
                       median_nn_distance, pushforward, save_point_cloud,
                       translate)
-from .curvature import (CurvatureEstimate, EllipsoidFamily, GaussianForm,
-                        curvature_ratio, default_family, default_frames,
+from .curvature import (CurvatureEstimate, EllipsoidFamily, curvature_ratio,
+                        default_family, default_frames,
                         estimate_curvature_constant, gaussian_content_check,
                         gaussian_integral, gaussian_lower_check,
                         layer_cake_check, maximal_function,
@@ -39,7 +39,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineSubspace", "BUNDLED_SCENARIOS", "BudgetExceededError",
     "CheckRecord", "CurvatureEstimate", "DyadicProfile", "Ellipsoid",
-    "EllipsoidFamily", "FamilyParams", "FunctionalResult", "GaussianForm",
+    "EllipsoidFamily", "FamilyParams", "FunctionalResult",
     "GeneratorSpec", "ScenarioConfig", "ScenarioReport",
     "WeakTypeProbeResult", "WeightedPointMeasure", "cauchy_schwarz_check",
     "curvature_ratio", "default_family", "default_frames",

@@ -6,7 +6,9 @@ semi-lengths.  Everything here works with finite search families: frames
 (orthonormal axis systems) crossed with per-axis dyadic semi-lengths, with a
 scale floor so that atomic measures do not trivially blow the ratio up.
 Estimates are therefore certified lower bounds for the true constant, with a
-deterministic local refinement to tighten them.
+deterministic local refinement to tighten them.  The slab, Gaussian,
+weak-type and radius-quantile checks read the level masses mu({f <= t}) of a
+per-atom value f from one primitive, _level_masses.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 
 from .geometry import (AffineSubspace, Ellipsoid, k_content, matrix_content,
                        _axis_sum, _check_frame)
-from .measure import WeightedPointMeasure, eval_measure, median_nn_distance
+from .measure import (WeightedPointMeasure, _check_k_alpha, eval_measure,
+                      median_nn_distance)
 
 MODES = ("scale_floored_search", "doubling_dyadic")
 
@@ -211,17 +214,21 @@ def curvature_ratio(mu: WeightedPointMeasure, ellipsoid: Ellipsoid, k: int,
     return mass / content ** alpha
 
 
-def _check_k_alpha(mu: WeightedPointMeasure, k: int, alpha: float = None) -> None:
-    """Named errors for k outside [1, d] and, when given, alpha <= 0."""
-    if not 1 <= k <= mu.dim:
-        raise ValueError(f"k must be in [1, {mu.dim}], got {k}")
-    if alpha is not None and not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-
-
 def _top_k_products(tuples: np.ndarray, k: int) -> np.ndarray:
     ordered = np.sort(tuples, axis=1)[:, ::-1]
     return np.prod(ordered[:, :k], axis=1)
+
+
+def _level_masses(values: np.ndarray, weights: np.ndarray) -> tuple:
+    """(levels, mass): the distinct values in increasing order and
+    mass[i] = mu({f <= levels[i]}), the cumulative weight in stable sorted
+    order read at the last atom of each level."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    cum = np.cumsum(weights[order])
+    last = np.ones(ordered.size, dtype=bool)
+    last[:-1] = ordered[:-1] != ordered[1:]
+    return ordered[last], cum[last]
 
 
 SWEEP_BLOCK = 1 << 14  # atom x prefix entries per block of centres
@@ -388,7 +395,7 @@ def estimate_curvature_constant(mu: WeightedPointMeasure, k: int, alpha: float,
         return float(ratios[t]), t
 
     def score(frame, lengths):
-        content = float(np.prod(np.sort(lengths)[::-1][:k]))
+        content = float(_top_k_products(lengths[None, :], k)[0])
         if content <= 0.0:
             return -math.inf
         return _single_mass(mu, frame, lengths) / content ** alpha
@@ -416,11 +423,9 @@ def min_content_at_mass(mu: WeightedPointMeasure, k: int, eps: float,
         raise ValueError(f"eps must lie in (0, total mass], got {eps}")
 
     if k == 1:
-        order = np.argsort(mu.radii, kind="stable")
-        cum = np.cumsum(mu.weights[order])
-        pos = int(np.searchsorted(cum, eps_eff))
-        pos = min(pos, mu.n_atoms - 1)
-        r = float(mu.radii[order][pos])
+        radii, mass = _level_masses(mu.radii, mu.weights)
+        pos = min(int(np.searchsorted(mass, eps_eff)), radii.size - 1)
+        r = float(radii[pos])
         return r, Ellipsoid.ball(r, mu.dim)
 
     tuples = family.length_tuples()
@@ -446,7 +451,7 @@ def min_content_at_mass(mu: WeightedPointMeasure, k: int, eps: float,
     def score(frame, lengths):
         if _single_mass(mu, frame, lengths) < eps_eff:
             return math.inf
-        return float(np.prod(np.sort(lengths)[::-1][:k]))
+        return float(_top_k_products(lengths[None, :], k)[0])
 
     witness = _grid_then_refine(mu, family, tuples, pick, score, refine,
                                 minimize=True, fallback=grow_ball)
@@ -457,42 +462,14 @@ def min_content_at_mass(mu: WeightedPointMeasure, k: int, eps: float,
 # Gaussian test functions
 
 
-@dataclass(frozen=True)
-class GaussianForm:
-    """Test function x -> exp(-||Q x - center||^2)."""
-
-    matrix: np.ndarray
-    center: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.matrix, dtype=float)
-        c = np.asarray(self.center, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise ValueError("matrix must be square")
-        if c.shape != (q.shape[0],):
-            raise ValueError("center dimension mismatch")
-        q = q.copy()
-        q.setflags(write=False)
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "matrix", q)
-        object.__setattr__(self, "center", c)
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        arg = points @ self.matrix.T - self.center
-        return np.exp(-np.einsum("nd,nd->n", arg, arg))
-
-    def content(self, k: int) -> float:
-        return matrix_content(self.matrix, k)
-
-
 def gaussian_integral(mu: WeightedPointMeasure, q: np.ndarray, x0=None) -> float:
     """Exact atom sum of exp(-||Q x - x0||^2) against the measure."""
     q = np.asarray(q, dtype=float)
-    if x0 is None:
-        x0 = np.zeros(q.shape[0])
-    form = GaussianForm(matrix=q, center=np.asarray(x0, dtype=float))
-    return float(np.sum(mu.weights * form.values(mu.points)))
+    x0 = np.zeros(q.shape[0]) if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (q.shape[0],):
+        raise ValueError(f"x0 must have shape ({q.shape[0]},), got {x0.shape}")
+    arg = mu.points @ q.T - x0
+    return float(np.sum(mu.weights * np.exp(-np.einsum("nd,nd->n", arg, arg))))
 
 
 def gaussian_lower_check(mu: WeightedPointMeasure, q: np.ndarray,
@@ -524,12 +501,8 @@ def layer_cake_check(mu: WeightedPointMeasure, q: np.ndarray) -> tuple:
     """
     q = np.asarray(q, dtype=float)
     lhs = gaussian_integral(mu, q)
-    r = np.linalg.norm(mu.points @ q.T, axis=1)
-    order = np.argsort(r, kind="stable")
-    r_sorted = r[order]
-    cum = np.cumsum(mu.weights[order])
-    breaks, last_idx = np.unique(r_sorted[::-1], return_index=True)
-    masses = cum[len(r_sorted) - 1 - last_idx]  # mass at or below each break
+    breaks, masses = _level_masses(np.linalg.norm(mu.points @ q.T, axis=1),
+                                   mu.weights)
     rhs = 0.0
     for i, (a, m_) in enumerate(zip(breaks, masses)):
         b2 = breaks[i + 1] ** 2 if i + 1 < len(breaks) else math.inf
@@ -556,18 +529,20 @@ def gaussian_content_check(mu: WeightedPointMeasure, q: np.ndarray, k: int,
     qk = matrix_content(q, k)
     if not math.isfinite(qk):
         return lhs, math.inf, 0.0, True
-    r = np.linalg.norm(mu.points @ q.T, axis=1)
-    positive = r[(r > 0.0) & (mu.weights > 0.0)]
-    if positive.size == 0 or float(np.sum(mu.weights[r == 0.0])) > 0.0:
+    levels, mass = _level_masses(np.linalg.norm(mu.points @ q.T, axis=1),
+                                 mu.weights)
+    charged = levels[mass > 0.0]  # from the smallest norm that carries weight
+    if charged.size == 0 or charged[0] == 0.0:
         # mass sits at ||Qx|| = 0: no dyadic level has zero mass below it
         return lhs, math.inf, math.inf, True
-    j_lo = math.floor(math.log2(float(np.min(positive)))) - 1
-    j_hi = math.ceil(math.log2(float(np.max(r))))
+    j_lo = math.floor(math.log2(float(charged[0]))) - 1
+    j_hi = math.ceil(math.log2(float(levels[-1])))
     c_dyadic = 0.0
     for j in range(j_lo + 1, j_hi + 1):
         t = 2.0 ** j
-        mass = float(np.sum(mu.weights[r <= t]))
-        c_dyadic = max(c_dyadic, mass / (t ** k * qk) ** alpha)
+        at = int(np.searchsorted(levels, t, side="right"))
+        below = float(mass[at - 1]) if at else 0.0
+        c_dyadic = max(c_dyadic, below / (t ** k * qk) ** alpha)
     bound = math.gamma(k * alpha / 2.0 + 1.0) * 2.0 ** (k * alpha) * c_dyadic * qk ** alpha
     return lhs, bound, c_dyadic, lhs <= bound * (1.0 + rel_tol)
 
@@ -585,26 +560,19 @@ def slab_constant(mu: WeightedPointMeasure, k: int, alpha: float,
     increases the ratio).  Mass at distance zero makes the sup infinite.
     """
     _check_k_alpha(mu, k, alpha)
-    scale = max(1.0, mu.max_radius)
-    zero_tol = 1e-12 * scale
+    zero_tol = 1e-12 * max(1.0, mu.max_radius)
     best = 0.0
     for flat in subspaces:
         if flat.dim != k - 1:
             raise ValueError(f"slab flats must have dimension k-1={k - 1}, got {flat.dim}")
         if flat.ambient_dim != mu.dim:
             raise ValueError("flat ambient dimension mismatch")
-        dist = flat.distance_many(mu.points)
-        on_flat = dist <= zero_tol
-        if float(np.sum(mu.weights[on_flat])) > 0.0:
+        dist, mass = _level_masses(flat.distance_many(mu.points), mu.weights)
+        off = int(np.searchsorted(dist, zero_tol, side="right"))
+        if off and mass[off - 1] > 0.0:
             return math.inf
-        order = np.argsort(dist, kind="stable")
-        d_sorted = dist[order]
-        cum = np.cumsum(mu.weights[order])
-        is_last = np.ones(len(d_sorted), dtype=bool)
-        is_last[:-1] = d_sorted[:-1] != d_sorted[1:]
-        ratios = cum[is_last] / d_sorted[is_last] ** (alpha * k)
-        if ratios.size:
-            best = max(best, float(np.max(ratios)))
+        if off < dist.size:
+            best = max(best, float(np.max(mass[off:] / dist[off:] ** (alpha * k))))
     return best
 
 
@@ -703,7 +671,7 @@ def weak_lp_norm(values, weights, p: float) -> float:
     """Weak L^p norm (sup_t t^p mu(|f| > t))^(1/p), exact for finite data.
 
     The sup is attained as t increases to a distinct value of |f|, where the
-    super-level mass is mu(|f| >= value).
+    super-level mass is mu(|f| >= value), the level mass of -|f|.
     """
     if not p > 0:
         raise ValueError("p must be positive")
@@ -711,19 +679,15 @@ def weak_lp_norm(values, weights, p: float) -> float:
     w = np.asarray(weights, dtype=float)
     if v.shape != w.shape:
         raise ValueError("values and weights must have matching shape")
-    order = np.argsort(-v, kind="stable")
-    v_sorted = v[order]
-    cum = np.cumsum(w[order])
-    firsts = np.ones(len(v_sorted), dtype=bool)
-    firsts[1:] = v_sorted[1:] != v_sorted[:-1]
-    lasts = np.ones(len(v_sorted), dtype=bool)
-    lasts[:-1] = v_sorted[:-1] != v_sorted[1:]
-    vals = v_sorted[firsts]
-    mass_ge = cum[lasts]
-    keep = vals > 0.0
+    if np.isnan(v).any():
+        raise ValueError("values must not be NaN")
+    if not np.all(np.isfinite(w) & (w >= 0.0)):
+        raise ValueError("weights must be finite and nonnegative")
+    neg, mass_ge = _level_masses(-v, w)
+    keep = neg < 0.0
     if not np.any(keep):
         return 0.0
-    best = float(np.max(vals[keep] ** p * mass_ge[keep]))
+    best = float(np.max((-neg[keep]) ** p * mass_ge[keep]))
     return best ** (1.0 / p)
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, parallel
-from .measure import WeightedPointMeasure
+from .measure import WeightedPointMeasure, _check_k_alpha
 
 DEFAULT_BUDGET = 10_000_000
 TAU_SCALE = 1e-12
@@ -381,6 +381,7 @@ def dyadic_profile(mu: WeightedPointMeasure, k: int, sets, gamma: float, *,
     in the layer l = floor(log2 det); layer masses sum to the included
     product mass exactly.
     """
+    _check_k_alpha(mu, k)
     sets = _index_sets(mu.n_atoms, sets, k)
     if tau is None:
         tau = default_det_threshold(mu, k)
@@ -425,6 +426,7 @@ def cauchy_schwarz_check(mu: WeightedPointMeasure, k: int, gamma: float, sets, *
     the inequality is exactly Cauchy-Schwarz on the included tuples and
     must hold to rounding.  Returns (lhs, rhs, ok).
     """
+    _check_k_alpha(mu, k)
     sets = _index_sets(mu.n_atoms, sets, k)
     if tau is None:
         tau = default_det_threshold(mu, k)
@@ -490,6 +492,7 @@ def weak_type_probe(mu: WeightedPointMeasure, k: int, gamma: float, alpha: float
     is recorded with the whole measure's tau.  Requires 0 < gamma < k alpha
     for the exponent to make sense; the sup and its witness are returned.
     """
+    _check_k_alpha(mu, k)
     if not (0 < gamma < k * alpha):
         raise ValueError("need 0 < gamma < k * alpha")
     if abs(mu.total_mass - 1.0) > 1e-9:

@@ -66,6 +66,14 @@ class WeightedPointMeasure:
         return float(np.max(self.radii))
 
 
+def _check_k_alpha(mu: WeightedPointMeasure, k: int, alpha: float = None) -> None:
+    """Named errors for k outside [1, d] and, when given, alpha <= 0."""
+    if not 1 <= k <= mu.dim:
+        raise ValueError(f"k must be in [1, {mu.dim}], got {k}")
+    if alpha is not None and not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+
+
 def _region_mask(points: np.ndarray, region) -> np.ndarray:
     """Boolean mask of atoms inside a region.
 

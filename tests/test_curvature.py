@@ -12,7 +12,6 @@ from detcurve import curvature
 from detcurve.curvature import (
     CurvatureEstimate,
     EllipsoidFamily,
-    GaussianForm,
     curvature_ratio,
     default_family,
     default_frames,
@@ -30,7 +29,7 @@ from detcurve.curvature import (
     top_axes_flat,
     weak_lp_norm,
 )
-from detcurve.geometry import AffineSubspace, Ellipsoid, k_content
+from detcurve.geometry import AffineSubspace, Ellipsoid, k_content, matrix_content
 from detcurve.measure import WeightedPointMeasure, eval_measure, median_nn_distance
 
 
@@ -167,11 +166,16 @@ class TestGaussian:
         assert gaussian_integral(three_atoms, q) == pytest.approx(want, rel=1e-14)
 
     def test_form_center_shift(self, three_atoms):
-        q = np.eye(2)
-        x0 = np.array([1.0, 0.0])
-        form = GaussianForm(matrix=q, center=x0)
-        vals = form.values(three_atoms.points)
-        assert vals[0] == pytest.approx(1.0)  # atom (1,0) sits at the center
+        # atom (1, 0) sits at the centre x0 and contributes its full weight
+        got = gaussian_integral(three_atoms, np.eye(2), np.array([1.0, 0.0]))
+        want = 0.5 + 0.25 * math.exp(-2.0) + 0.25 * math.exp(-0.5)
+        assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("x0", [0.5, [1.0], [1.0, 0.0, 0.0]])
+    def test_rejects_misshapen_center(self, three_atoms, x0):
+        # a scalar or one-entry centre would broadcast silently
+        with pytest.raises(ValueError, match=r"x0 must have shape \(2,\)"):
+            gaussian_integral(three_atoms, np.eye(2), x0)
 
     def test_lower_bound_random(self, cube64):
         rng = np.random.default_rng(6)
@@ -219,6 +223,15 @@ class TestSlab:
         axis = AffineSubspace(np.zeros(2), np.array([[1.0, 0.0]]))
         assert slab_constant(mu, 2, 1.0, [axis]) == pytest.approx(2.0)
         assert slab_constant(mu, 2, 2.0, [axis]) == pytest.approx(8.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_weight_atom_on_flat(self):
+        # the atom on the flat has no mass, so the flat keeps its ratios;
+        # the old 0/0 ratio was NaN and max(best, nan) dropped them
+        mu = WeightedPointMeasure(np.array([[0.3, 0.0], [0.0, 0.5], [0.0, 1.0]]),
+                                  np.array([0.0, 0.5, 0.5]))
+        axis = AffineSubspace(np.zeros(2), np.array([[1.0, 0.0]]))
+        assert slab_constant(mu, 2, 1.0, [axis]) == 2.0
 
     def test_on_flat_mass_is_infinite(self, line64):
         axis = AffineSubspace(np.zeros(2), np.array([[1.0, 0.0]]))
@@ -277,6 +290,16 @@ class TestMaximal:
         assert weak_lp_norm(values, weights, 1.0) == pytest.approx(1.0)
         assert weak_lp_norm(values, weights, 2.0) == pytest.approx(1.5)
         assert weak_lp_norm(np.zeros(3), np.ones(3), 1.0) == 0.0
+
+    @pytest.mark.parametrize("values,weights,message", [
+        ([np.nan, 1.0], [0.5, 0.5], "values must not be NaN"),
+        ([1.0, 2.0], [-0.5, 1.5], "weights must be finite and nonnegative"),
+        ([1.0, 2.0], [np.inf, 0.5], "weights must be finite and nonnegative"),
+        ([1.0, 2.0], [np.nan, 0.5], "weights must be finite and nonnegative")])
+    def test_weak_lp_norm_rejects_bad_input(self, values, weights, message):
+        # a NaN atom used to drop out of every level, taking its mass along
+        with pytest.raises(ValueError, match=message):
+            weak_lp_norm(np.array(values), np.array(weights), 1.0)
 
     @pytest.mark.parametrize("points", [
         np.array([[0.0, np.nan]]), np.array([[np.inf, 0.0]]), np.zeros(2), np.zeros((3, 3))])
@@ -555,3 +578,127 @@ class TestArgumentChecks:
     @pytest.mark.parametrize("entry", sorted(CURVATURE_ENTRIES))
     def test_valid_arguments_run(self, cube64, entry):
         CURVATURE_ENTRIES[entry][0](cube64, entry_arguments())
+
+
+# the inline distribution functions that curvature._level_masses replaced
+
+
+def slab_flat_reference(mu, k, alpha, flat):
+    """One flat's term of slab_constant as the per-flat sort computed it."""
+    dist = flat.distance_many(mu.points)
+    if float(np.sum(mu.weights[dist <= 1e-12 * max(1.0, mu.max_radius)])) > 0.0:
+        return math.inf
+    order = np.argsort(dist, kind="stable")
+    d_sorted = dist[order]
+    cum = np.cumsum(mu.weights[order])
+    is_last = np.ones(len(d_sorted), dtype=bool)
+    is_last[:-1] = d_sorted[:-1] != d_sorted[1:]
+    ratios = cum[is_last] / d_sorted[is_last] ** (alpha * k)
+    return max(0.0, float(np.max(ratios)))
+
+
+def layer_cake_reference(mu, q):
+    lhs = gaussian_integral(mu, q)
+    r = np.linalg.norm(mu.points @ q.T, axis=1)
+    order = np.argsort(r, kind="stable")
+    r_sorted = r[order]
+    cum = np.cumsum(mu.weights[order])
+    breaks, last_idx = np.unique(r_sorted[::-1], return_index=True)
+    masses = cum[len(r_sorted) - 1 - last_idx]
+    rhs = 0.0
+    for i, (a, m_) in enumerate(zip(breaks, masses)):
+        b2 = breaks[i + 1] ** 2 if i + 1 < len(breaks) else math.inf
+        tail = 0.0 if math.isinf(b2) else math.exp(-b2)
+        rhs += m_ * (math.exp(-a * a) - tail)
+    denom = abs(lhs) if lhs != 0.0 else 1.0
+    return lhs, rhs, abs(lhs - rhs) / denom
+
+
+def gaussian_content_reference(mu, q, k, alpha, rel_tol=1e-9):
+    """One masked sum per dyadic level."""
+    lhs = gaussian_integral(mu, q)
+    qk = matrix_content(q, k)
+    r = np.linalg.norm(mu.points @ q.T, axis=1)
+    positive = r[(r > 0.0) & (mu.weights > 0.0)]
+    if positive.size == 0 or float(np.sum(mu.weights[r == 0.0])) > 0.0:
+        return lhs, math.inf, math.inf, True
+    j_lo = math.floor(math.log2(float(np.min(positive)))) - 1
+    j_hi = math.ceil(math.log2(float(np.max(r))))
+    c_dyadic = 0.0
+    for j in range(j_lo + 1, j_hi + 1):
+        t = 2.0 ** j
+        mass = float(np.sum(mu.weights[r <= t]))
+        c_dyadic = max(c_dyadic, mass / (t ** k * qk) ** alpha)
+    bound = math.gamma(k * alpha / 2.0 + 1.0) * 2.0 ** (k * alpha) * c_dyadic * qk ** alpha
+    return lhs, bound, c_dyadic, lhs <= bound * (1.0 + rel_tol)
+
+
+def weak_lp_norm_reference(values, weights, p):
+    v = np.abs(values)
+    order = np.argsort(-v, kind="stable")
+    v_sorted = v[order]
+    cum = np.cumsum(weights[order])
+    firsts = np.ones(len(v_sorted), dtype=bool)
+    firsts[1:] = v_sorted[1:] != v_sorted[:-1]
+    lasts = np.ones(len(v_sorted), dtype=bool)
+    lasts[:-1] = v_sorted[:-1] != v_sorted[1:]
+    vals = v_sorted[firsts]
+    mass_ge = cum[lasts]
+    keep = vals > 0.0
+    if not np.any(keep):
+        return 0.0
+    return float(np.max(vals[keep] ** p * mass_ge[keep])) ** (1.0 / p)
+
+
+def radius_quantile_reference(mu, eps):
+    """min_content_at_mass at k = 1."""
+    eps_eff = eps - 1e-9 * max(1.0, eps)
+    order = np.argsort(mu.radii, kind="stable")
+    cum = np.cumsum(mu.weights[order])
+    pos = min(int(np.searchsorted(cum, eps_eff)), mu.n_atoms - 1)
+    return float(mu.radii[order][pos])
+
+
+@pytest.fixture(scope="module")
+def tied_cloud():
+    """Random weights on 16 lattice sites off the origin: repeated atoms,
+    and norms and distances tied between x and -x."""
+    rng = np.random.default_rng(4)
+    pts = (2.0 * rng.integers(-2, 2, size=(200, 2)) + 1.0) / 8.0
+    return WeightedPointMeasure(pts, rng.uniform(0.5, 1.5, 200) / 200.0)
+
+
+class TestLevelMasses:
+    @pytest.mark.parametrize("fixture", ["cube64", "circle240", "sphere80_d3",
+                                         "tied_cloud"])
+    def test_matches_inline_copies(self, request, fixture):
+        mu = request.getfixturevalue(fixture)
+        d = mu.dim
+        family = EllipsoidFamily.dyadic(d, -2, 0)
+        rng = np.random.default_rng(12)
+        for i in range(20):
+            q = rng.normal(size=(d, d)) * 2.0 ** rng.uniform(-2, 2)
+            assert layer_cake_check(mu, q) == layer_cake_reference(mu, q)
+            # a cumulative sum replaces the masked sums
+            assert gaussian_content_check(mu, q, 2, 0.75) == pytest.approx(
+                gaussian_content_reference(mu, q, 2, 0.75), rel=1e-14)
+
+            values = np.round(rng.exponential(size=mu.n_atoms), 1)  # ties, zeros
+            p = 0.5 + 2.0 * rng.random()
+            assert (weak_lp_norm(values, mu.weights, p)
+                    == weak_lp_norm_reference(values, mu.weights, p))
+
+            eps = mu.total_mass * (1.0 if i == 0 else rng.uniform(0.01, 1.0))
+            radius, _ = min_content_at_mass(mu, 1, eps, family)
+            assert radius == radius_quantile_reference(mu, eps)
+
+            for k in range(2, d + 1):
+                basis = (np.eye(d) if i % 2 else
+                         np.linalg.qr(rng.normal(size=(d, d)))[0].T)[:k - 1]
+                # every fifth flat runs through an atom: an infinite constant
+                base = (mu.points[rng.integers(mu.n_atoms)] if i % 5 == 0
+                        else rng.normal(size=d) * 0.1)
+                flat = AffineSubspace(base, basis)
+                alpha = 0.5 + rng.random()
+                assert (slab_constant(mu, k, alpha, [flat])
+                        == slab_flat_reference(mu, k, alpha, flat))

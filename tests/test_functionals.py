@@ -489,12 +489,14 @@ class TestRestrictedSlots:
         assert got.tuples_excluded > 0 or m == 1
 
 
-# every entry point that takes atom-index sets, called with k = 2 sets
+# every entry point that takes atom-index sets, called with k sets (k = 2
+# unless given)
 SET_TAKERS = {
-    "dyadic_profile": lambda mu, sets: dyadic_profile(mu, 2, sets, 0.5),
-    "cauchy_schwarz_check": lambda mu, sets: cauchy_schwarz_check(mu, 2, 0.5, sets),
-    "weak_type_probe": lambda mu, sets: weak_type_probe(
-        mu, 2, 0.5, 1.0, trials=1, set_sampler=lambda mu_, k, rng: sets),
+    "dyadic_profile": lambda mu, sets, k=2: dyadic_profile(mu, k, sets, 0.5),
+    "cauchy_schwarz_check": lambda mu, sets, k=2: cauchy_schwarz_check(
+        mu, k, 0.5, sets),
+    "weak_type_probe": lambda mu, sets, k=2: weak_type_probe(
+        mu, k, 0.5, 1.0, trials=1, set_sampler=lambda mu_, k_, rng: sets),
 }
 
 
@@ -524,6 +526,14 @@ class TestIndexSets:
         # [0.5, 1.7] would be truncated to atoms 0 and 1, a mask read as them
         with pytest.raises(ValueError, match="index set 0 has non-integer entries"):
             SET_TAKERS[taker](cube64, [bad, [3]])
+
+    @pytest.mark.parametrize("taker", sorted(SET_TAKERS))
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_rejects_k_outside_dimension(self, cube64, taker, k):
+        # at k = 3 every tuple in the plane has determinant 0, so all would
+        # be excluded: a vacuous pass
+        with pytest.raises(ValueError, match=rf"k must be in \[1, 2\], got {k}"):
+            SET_TAKERS[taker](cube64, [[0, 1], [2, 3], [4, 5]][:k], k=k)
 
     def test_empty_set_is_valid(self, cube64):
         # no tuple meets an empty set, so the set form has zero mass
