@@ -472,19 +472,18 @@ def gaussian_integral(mu: WeightedPointMeasure, q: np.ndarray, x0=None) -> float
     return float(np.sum(mu.weights * np.exp(-np.einsum("nd,nd->n", arg, arg))))
 
 
-def gaussian_lower_check(mu: WeightedPointMeasure, q: np.ndarray,
-                         rel_tol: float = 1e-12) -> tuple:
+def gaussian_lower_check(mu: WeightedPointMeasure, q: np.ndarray) -> tuple:
     """exp(-1) * mu({||Qx||^2 <= 1}) <= integral of exp(-||Qx||^2).
 
     Pointwise exp(-||Qx||^2) >= exp(-1) on the sublevel set, so this holds
-    exactly; rel_tol only absorbs summation roundoff.
+    exactly; a relative tolerance of 1e-12 only absorbs summation roundoff.
     """
     q = np.asarray(q, dtype=float)
     img = mu.points @ q.T
     s = np.einsum("nd,nd->n", img, img)
     lhs = math.exp(-1.0) * float(np.sum(mu.weights[s <= 1.0]))
     rhs = gaussian_integral(mu, q)
-    return lhs, rhs, lhs <= rhs * (1.0 + rel_tol)
+    return lhs, rhs, lhs <= rhs * (1.0 + 1e-12)
 
 
 def layer_cake_check(mu: WeightedPointMeasure, q: np.ndarray) -> tuple:
@@ -513,7 +512,7 @@ def layer_cake_check(mu: WeightedPointMeasure, q: np.ndarray) -> tuple:
 
 
 def gaussian_content_check(mu: WeightedPointMeasure, q: np.ndarray, k: int,
-                           alpha: float, rel_tol: float = 1e-9) -> tuple:
+                           alpha: float) -> tuple:
     """Gaussian integral against the dyadic curvature constant of Q's ellipsoid.
 
     If mu(t E_Q) <= C (t^k |Q|_k)^alpha along dyadic t covering the support,
@@ -522,7 +521,7 @@ def gaussian_content_check(mu: WeightedPointMeasure, q: np.ndarray, k: int,
         integral <= Gamma(k alpha / 2 + 1) * 2^(k alpha) * C * |Q|_k^alpha,
 
     the 2^(k alpha) paying for rounding t up to the next dyadic level.
-    Returns (lhs, bound, c_dyadic, ok).
+    Returns (lhs, bound, c_dyadic, ok), ok within a relative 1e-9.
     """
     q = np.asarray(q, dtype=float)
     lhs = gaussian_integral(mu, q)
@@ -544,7 +543,7 @@ def gaussian_content_check(mu: WeightedPointMeasure, q: np.ndarray, k: int,
         below = float(mass[at - 1]) if at else 0.0
         c_dyadic = max(c_dyadic, below / (t ** k * qk) ** alpha)
     bound = math.gamma(k * alpha / 2.0 + 1.0) * 2.0 ** (k * alpha) * c_dyadic * qk ** alpha
-    return lhs, bound, c_dyadic, lhs <= bound * (1.0 + rel_tol)
+    return lhs, bound, c_dyadic, lhs <= bound * (1.0 + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +583,7 @@ def top_axes_flat(ellipsoid: Ellipsoid, k: int) -> AffineSubspace:
 
 
 def slab_implication_check(mu: WeightedPointMeasure, k: int, alpha: float,
-                           family: EllipsoidFamily, max_members: int = 4096,
-                           rel_tol: float = 1e-9) -> tuple:
+                           family: EllipsoidFamily, max_members: int = 4096) -> tuple:
     """Slab control implies the ellipsoid bound: checked member by member.
 
     Every point of B lies within its k-th largest semi-length of the span of
@@ -593,7 +591,7 @@ def slab_implication_check(mu: WeightedPointMeasure, k: int, alpha: float,
     once the slab family contains each member's top-axis span.  A span
     depends only on the frame and on which axes are longest, so each
     distinct flat enters slab_constant once.  Returns
-    (c_slab, all_ok, worst_margin, n_checked).
+    (c_slab, all_ok, worst_margin, n_checked), all_ok within a relative 1e-9.
     """
     _check_k_alpha(mu, k, alpha)
     if max_members < 1:
@@ -613,7 +611,7 @@ def slab_implication_check(mu: WeightedPointMeasure, k: int, alpha: float,
     c_slab = slab_constant(mu, k, alpha, flats)
     bound = c_slab * np.sort(semi, axis=1)[:, mu.dim - k] ** (alpha * k)
     mass = swept[members]
-    ok = (mass <= bound * (1.0 + rel_tol)) | np.isinf(bound)
+    ok = (mass <= bound * (1.0 + 1e-9)) | np.isinf(bound)
     return c_slab, bool(np.all(ok)), float(np.min(bound - mass)), len(members)
 
 
@@ -692,8 +690,7 @@ def weak_lp_norm(values, weights, p: float) -> float:
 
 
 def maximal_weak_bound_check(mu: WeightedPointMeasure, k: int, alpha: float,
-                             p: float, family: EllipsoidFamily,
-                             rel_tol: float = 1e-9) -> tuple:
+                             p: float, family: EllipsoidFamily) -> tuple:
     """Self-improvement of the maximal function under the doubling family.
 
     If F_alpha has finite weak L^p norm then the maximal function at the
@@ -704,7 +701,7 @@ def maximal_weak_bound_check(mu: WeightedPointMeasure, k: int, alpha: float,
     where F_inner takes the sup over members whose double stays in the
     family (that is exactly what the covering argument consumes).  Both
     come from one sweep of the family around every atom, F_inner reading
-    its inner columns.  Returns (lhs, rhs, ok).
+    its inner columns.  Returns (lhs, rhs, ok), ok within a relative 1e-9.
     """
     if not p > 0:
         raise ValueError("p must be positive")
@@ -714,4 +711,4 @@ def maximal_weak_bound_check(mu: WeightedPointMeasure, k: int, alpha: float,
     positive = mu.weights > 0.0
     lhs = float(np.max(f_inner[positive]))
     rhs = 2.0 ** (alpha * k) * wk ** (p / (p + 1.0))
-    return lhs, rhs, lhs <= rhs * (1.0 + rel_tol)
+    return lhs, rhs, lhs <= rhs * (1.0 + 1e-9)

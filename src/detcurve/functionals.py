@@ -286,16 +286,17 @@ def det_form_pinned(mu, k: int, gamma: float, fs=None, *, tau: float = None,
                            pinned=True, budget=budget)[0]
 
 
-def det_form_sampled(mu, k: int, gamma: float, fs=None, *, samples: int,
+def det_form_sampled(mu, k: int, gamma: float, *, samples: int,
                      seed: int = 0, tau: float = None,
                      pinned: bool = False) -> FunctionalResult:
-    """Monte Carlo estimate of det_form (or the pinned variant).
+    """Monte Carlo estimate of det_form (or the pinned variant) with the
+    constant density 1 in every slot.
 
     Tuples are drawn uniformly with replacement; the estimator is the tuple
     count times the sample mean of the integrand, which is unbiased for the
     exact sum.  stderr is the standard error of that estimate.
     """
-    points_list, vals, tau, _ = _form_slots(mu, k, fs, tau, pinned)
+    points_list, vals, tau, _ = _form_slots(mu, k, None, tau, pinned)
     if samples < 2:
         raise ValueError("need at least 2 samples")
     sizes = [p.shape[0] for p in points_list]
@@ -373,18 +374,17 @@ def _index_sets(n: int, sets, k: int) -> list:
     return [s.astype(int) for s in sets]
 
 
-def dyadic_profile(mu: WeightedPointMeasure, k: int, sets, gamma: float, *,
-                   tau: float = None, budget: int = DEFAULT_BUDGET) -> DyadicProfile:
+def dyadic_profile(mu: WeightedPointMeasure, k: int, sets, gamma: float) -> DyadicProfile:
     """Layer decomposition of the pinned form over E_1 x ... x E_k.
 
-    sets is a list of k atom-index collections.  Each included tuple lands
-    in the layer l = floor(log2 det); layer masses sum to the included
-    product mass exactly.
+    sets is a list of k atom-index collections.  Tuples at or below the
+    whole measure's tau are excluded; each included tuple lands in the
+    layer l = floor(log2 det), and layer masses sum to the included product
+    mass exactly.  Enumeration is capped at DEFAULT_BUDGET tuples.
     """
     _check_k_alpha(mu, k)
     sets = _index_sets(mu.n_atoms, sets, k)
-    if tau is None:
-        tau = default_det_threshold(mu, k)
+    tau = default_det_threshold(mu, k)
 
     def reduce(dets, wprod, mult):
         included = dets > tau
@@ -401,7 +401,7 @@ def dyadic_profile(mu: WeightedPointMeasure, k: int, sets, gamma: float, *,
 
     _, results = _enumerate([mu.points[s] for s in sets],
                             [mu.weights[s] for s in sets], pinned=True,
-                            symmetric=False, budget=budget, reduce=reduce)
+                            symmetric=False, budget=DEFAULT_BUDGET, reduce=reduce)
     layers: dict = {}
     excluded = []
     for local, exc in results:
@@ -418,7 +418,7 @@ def dyadic_profile(mu: WeightedPointMeasure, k: int, sets, gamma: float, *,
 
 
 def cauchy_schwarz_check(mu: WeightedPointMeasure, k: int, gamma: float, sets, *,
-                         tau: float = None, budget: int = DEFAULT_BUDGET,
+                         budget: int = DEFAULT_BUDGET,
                          rel_tol: float = 1e-12) -> tuple:
     """Duality check (included mass)^2 <= (form at +gamma) * (form at -gamma).
 
@@ -428,10 +428,9 @@ def cauchy_schwarz_check(mu: WeightedPointMeasure, k: int, gamma: float, sets, *
     """
     _check_k_alpha(mu, k)
     sets = _index_sets(mu.n_atoms, sets, k)
-    if tau is None:
-        tau = default_det_threshold(mu, k)
     inv, fwd, mass = _enumerate_form(
-        [mu.points[s] for s in sets], [mu.weights[s] for s in sets], tau, False,
+        [mu.points[s] for s in sets], [mu.weights[s] for s in sets],
+        default_det_threshold(mu, k), False,
         (gamma, -gamma, 0.0), pinned=True, budget=budget)
     lhs = mass.value ** 2
     rhs = fwd.value * inv.value
@@ -480,7 +479,7 @@ def _sample_sets(mu: WeightedPointMeasure, k: int, rng, kind: str):
 
 def weak_type_probe(mu: WeightedPointMeasure, k: int, gamma: float, alpha: float, *,
                     trials: int = 100, seed: int = 0, set_sampler=None,
-                    tau: float = None, budget: int = DEFAULT_BUDGET) -> WeakTypeProbeResult:
+                    budget: int = DEFAULT_BUDGET) -> WeakTypeProbeResult:
     """Empirical sup over set families of the normalized pinned form.
 
     For each trial a family E_1, ..., E_k is drawn (random subsets, metric
@@ -497,8 +496,7 @@ def weak_type_probe(mu: WeightedPointMeasure, k: int, gamma: float, alpha: float
         raise ValueError("need 0 < gamma < k * alpha")
     if abs(mu.total_mass - 1.0) > 1e-9:
         raise ValueError("weak_type_probe expects a probability measure")
-    if tau is None:
-        tau = default_det_threshold(mu, k)
+    tau = default_det_threshold(mu, k)
     rng = np.random.default_rng(seed)
     kinds = ("subset", "ball", "halfspace", "shell")
     exponent = 1.0 - gamma / (k * alpha)

@@ -173,16 +173,15 @@ class Ellipsoid:
             return np.where(self.inv_lengths == 0.0, np.inf, 1.0 / self.inv_lengths)
 
     @classmethod
-    def ball(cls, radius: float, dim: int, center=None) -> "Ellipsoid":
+    def ball(cls, radius: float, dim: int) -> "Ellipsoid":
+        """The ball of the given radius centred at the origin."""
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        if center is None:
-            center = np.zeros(dim)
         if radius == 0.0:
             inv = np.full(dim, np.inf)
         else:
             inv = np.full(dim, 0.0 if math.isinf(radius) else 1.0 / radius)
-        return cls(center=np.asarray(center, dtype=float), frame=np.eye(dim), inv_lengths=inv)
+        return cls(center=np.zeros(dim), frame=np.eye(dim), inv_lengths=inv)
 
     @classmethod
     def from_semi_lengths(cls, lengths, frame=None, center=None) -> "Ellipsoid":
@@ -312,10 +311,10 @@ class AffineSubspace:
         return self.basis.shape[1]
 
     @classmethod
-    def from_points(cls, points, rank_tol: float = 1e-12) -> "AffineSubspace":
+    def from_points(cls, points) -> "AffineSubspace":
         """Affine hull of the given points, orthonormalized by SVD.
 
-        Near-dependent directions (singular value below rank_tol times the
+        Near-dependent directions (singular value at most 1e-12 times the
         largest) are dropped, so degenerate tuples span a lower flat.
         """
         pts = np.asarray(points, dtype=float)
@@ -328,7 +327,7 @@ class AffineSubspace:
         _, s, vt = np.linalg.svd(diffs, full_matrices=False)
         if s.size == 0 or s[0] == 0.0:
             return cls(base_point=base, basis=np.zeros((0, pts.shape[1])))
-        keep = s > rank_tol * s[0]
+        keep = s > 1e-12 * s[0]
         return cls(base_point=base, basis=vt[keep])
 
     def distance(self, y) -> float:

@@ -70,29 +70,26 @@ def _check_rwt_exponents(alpha: float, gamma: float) -> None:
         raise ValueError("need 0 < gamma < alpha")
 
 
-def rwt_series_bound(k: int, alpha: float, gamma: float, l0: int, *,
-                     curvature: float = 1.0,
-                     set_mass_product: float = 1.0) -> float:
-    """Two-sided layer bound at integer crossover l0.
+def rwt_series_bound(k: int, alpha: float, gamma: float, l0: int) -> float:
+    """Two-sided layer bound at integer crossover l0, at curvature constant
+    W = 1 and set-mass product P = 1.
 
     Layers are indexed so layer l holds determinants in [2^(-l-1), 2^(-l)),
     where the kernel is at most 2^(gamma (l+1)).  Below the crossover the
-    layer mass is bounded by the product of set masses; above it by the
+    layer mass is bounded by the product of set masses P; above it by the
     sublevel estimate A_E * 2^(-l alpha) with
 
-        A_E = (k^k/k!) * C_k * c_k^(-alpha) * W * P^(1 - 1/k),
+        A_E = (k^k/k!) * C_k * c_k^(-alpha) * W * P^(1 - 1/k)
 
-    W the curvature constant and P the product of set masses (the k^k/k!
-    enters because restricting to distinct sets yields distinct normalized
-    measures).  Both geometric series are summed in closed form.
+    (the k^k/k! enters because restricting to distinct sets yields distinct
+    normalized measures).  Both geometric series are summed in closed form;
+    rwt_bound carries W and the set masses by homogeneity.
     """
     _check_rwt_exponents(alpha, gamma)
     c_k = sublevel_shrink_factor(k)
     big_c = sublevel_mass_factor(k)
-    p = set_mass_product
-    w = curvature
-    head = p * 2.0 ** gamma * 2.0 ** (gamma * l0) / (1.0 - 2.0 ** -gamma)
-    a_e = multi_measure_factor(k) * big_c * c_k ** -alpha * w * p ** (1.0 - 1.0 / k)
+    head = 2.0 ** gamma * 2.0 ** (gamma * l0) / (1.0 - 2.0 ** -gamma)
+    a_e = multi_measure_factor(k) * big_c * c_k ** -alpha
     tail = a_e * 2.0 ** gamma * 2.0 ** ((gamma - alpha) * (l0 + 1)) \
         / (1.0 - 2.0 ** (gamma - alpha))
     return head + tail
@@ -100,7 +97,7 @@ def rwt_series_bound(k: int, alpha: float, gamma: float, l0: int, *,
 
 def rwt_series_constant(k: int, alpha: float, gamma: float) -> float:
     """Closed-form constant: 2^(alpha-gamma) times the real-crossover minimum
-    of rwt_series_bound at curvature = set masses = 1.
+    of rwt_series_bound.
 
     The normalized set form is then bounded by
 
@@ -198,6 +195,15 @@ class ScenarioConfig:
         needs_gamma = {"weak_type", "flat_weak_type"} & set(self.checks)
         if needs_gamma and not 0 < self.gamma < self.alpha:
             raise ValueError("weak-type checks need 0 < gamma < alpha")
+        if len(self.co_generators) > self.k - 1:
+            raise ValueError(f"co_generators fill at most the k - 1 = {self.k - 1} "
+                             f"slots after the first, got {len(self.co_generators)}")
+        if "refinement_stability" in self.checks:
+            if not isinstance(self.generator, GeneratorSpec):
+                raise ValueError("refinement_stability resizes the generator, so it "
+                                 "needs a GeneratorSpec, not a point-cloud file")
+            if len(self.refinement_counts) < 2:
+                raise ValueError("refinement_stability needs two refinement_counts")
         object.__setattr__(self, "eps_grid", eps)
         object.__setattr__(self, "checks", tuple(self.checks))
         object.__setattr__(self, "expected_fail", tuple(self.expected_fail))
@@ -246,13 +252,12 @@ def scenario_measure(config: ScenarioConfig) -> WeightedPointMeasure:
 
 
 def verify_sublevel_bound(mu: WeightedPointMeasure, k: int, eps_grid, family,
-                          *, budget: int = DEFAULT_BUDGET, refine: int = 160,
-                          slack: float = 1.0):
+                          *, budget: int = DEFAULT_BUDGET, refine: int = 160):
     """Searched min-content level against the sublevel mass bound.
 
     For each eps: delta_hat from the family search (an upper bound for the
     true infimum, so the check errs toward failing), then the k-fold pinned
-    sublevel mass at c_k * delta_hat must stay below C_k * eps * slack.
+    sublevel mass at c_k * delta_hat must stay below C_k * eps.
     """
     if abs(mu.total_mass - 1.0) > 1e-9:
         raise ValueError("verify_sublevel_bound expects a probability measure")
@@ -274,7 +279,7 @@ def verify_sublevel_bound(mu: WeightedPointMeasure, k: int, eps_grid, family,
         delta_hat, witness = min_content_at_mass(mu, k, eps, family,
                                                  refine=refine)
         value = sublevel_mass([mu] * k, c_k * delta_hat, budget=budget)
-        bound = big_c * eps * slack
+        bound = big_c * eps
         records.append(CheckRecord(
             name=f"sublevel-bound-eps-{eps:g}", passed=value <= bound,
             lhs=value, rhs=bound, margin=bound - value,
@@ -289,7 +294,7 @@ def verify_sublevel_bound(mu: WeightedPointMeasure, k: int, eps_grid, family,
 
 def verify_sublevel_bound_multi(measures, eps_grid, families, *,
                                 budget: int = DEFAULT_BUDGET,
-                                refine: int = 160, slack: float = 1.0):
+                                refine: int = 160):
     """Mixed-measure variant: threshold from the per-measure content levels.
 
     k = len(measures); the threshold is c_k times the geometric mean product
@@ -312,7 +317,7 @@ def verify_sublevel_bound_multi(measures, eps_grid, families, *,
             deltas.append(delta_hat)
             level *= delta_hat ** (1.0 / k)
         value = sublevel_mass(measures, c_k * level, budget=budget)
-        bound = bound_factor * eps * slack
+        bound = bound_factor * eps
         records.append(CheckRecord(
             name=f"sublevel-mixed-eps-{eps:g}", passed=value <= bound,
             lhs=value, rhs=bound, margin=bound - value,
@@ -394,9 +399,10 @@ def verify_cauchy_schwarz(mu: WeightedPointMeasure, k: int, gamma: float, *,
 
 
 def verify_gaussian_bounds(mu: WeightedPointMeasure, k: int, alpha: float, *,
-                           n_lower: int = 100, n_layer: int = 20,
-                           seed: int = 0, layer_tol: float = 1e-6):
-    """Exact lower bound, layer decomposition, and dyadic content bound."""
+                           seed: int = 0):
+    """Exact lower bound on 100 random Q, then layer decomposition (relative
+    error below 1e-6) and dyadic content bound on 20 random Q each."""
+    n_lower, n_layer, layer_tol = 100, 20, 1e-6
     d = mu.dim
     rng = np.random.default_rng(seed)
 
@@ -452,10 +458,12 @@ def verify_slab_implication(mu: WeightedPointMeasure, k: int, alpha: float,
 
 
 def verify_maximal_bound(mu: WeightedPointMeasure, k: int, alpha: float, *,
-                         p: float = 1.0, n_frames: int = 6, seed: int = 0):
-    """Family-restricted maximal inequality on a doubling-closed family."""
+                         seed: int = 0):
+    """Family-restricted maximal inequality at p = 1 on a doubling-closed
+    family with 6 random frames."""
+    p = 1.0
     j_min = math.floor(math.log2(median_nn_distance(mu))) - 2
-    family = default_family(mu, n_frames=n_frames, n_pca=2, j_min=j_min,
+    family = default_family(mu, n_frames=6, n_pca=2, j_min=j_min,
                             mode="doubling_dyadic", seed=seed)
     lhs, rhs, ok = maximal_weak_bound_check(mu, k, alpha, p, family)
     records = [CheckRecord(
@@ -469,14 +477,13 @@ def verify_maximal_bound(mu: WeightedPointMeasure, k: int, alpha: float, *,
 def verify_necessity_growth(mu: WeightedPointMeasure, k: int, alpha: float, *,
                             base_floor: float, deltas=(1, 2, 3),
                             n_frames: int = 16, seed: int = 0,
-                            refine: int = 160, stability_factor: float = 2.0):
+                            refine: int = 160):
     """Curvature blow-up of a flat-supported measure as the floor shrinks.
 
     The growth records assert constant(floor / 2^dj) >= 0.9 * 2^(k alpha dj)
     * constant(floor).  The companion stability record asserts the constant
-    stays within stability_factor across the sweep; for a measure carried by
-    a lower-dimensional flat that is false by design, so the caller marks it
-    expected_fail.
+    stays within a factor 2 across the sweep; for a measure carried by a
+    lower-dimensional flat that is false by design, so it is expected_fail.
     """
     def constant_at(floor):
         fam = default_family(mu, n_frames=n_frames, n_pca=4, floor=floor,
@@ -503,7 +510,7 @@ def verify_necessity_growth(mu: WeightedPointMeasure, k: int, alpha: float, *,
     spread = last / base if base > 0 else math.inf
     records.append(CheckRecord(
         name="bounded-curvature-across-floors",
-        passed=spread <= stability_factor, lhs=spread, rhs=stability_factor,
+        passed=spread <= 2.0, lhs=spread, rhs=2.0,
         expected_fail=True,
         details={"note": "flat-supported measures admit no single curvature "
                          "constant; this stability assertion must fail"}))
@@ -520,25 +527,26 @@ def thickened_copy(mu: WeightedPointMeasure, coordinate: int,
 
 
 def verify_flat_blowup(mu: WeightedPointMeasure, k: int, gamma: float,
-                       alpha: float, *, offset: float = 2.0 ** -28,
-                       coarse_floor: float = None, trials: int = 12,
+                       alpha: float, *, trials: int = 12,
                        seed: int = 0, budget: int = DEFAULT_BUDGET,
-                       refine: int = 64, slack: float = 0.25):
+                       slack: float = 0.25):
     """Near-flat measure versus the weak-type bound at a coarse floor.
 
-    The measure is thickened off its flat by a tiny transverse offset and the
-    curvature constant is measured with the floor held at the atom spacing,
-    the scale where the measure still looks curved.  The probe then exploits
-    determinants of the order of the offset, so the bound fails: exactly the
-    necessity direction of the equivalence.  All records are expected_fail.
+    The measure is thickened off its flat by a transverse offset of 2^-28
+    and the curvature constant is measured (local refinement budget 64)
+    with the floor held at the atom spacing, the median nearest-neighbour
+    distance, the scale where the measure still looks curved.  The probe
+    then exploits determinants of the order of the offset, so the bound
+    fails: exactly the necessity direction of the equivalence.  All records
+    are expected_fail.
     """
     _check_rwt_exponents(alpha, gamma)
+    offset = 2.0 ** -28
     near = thickened_copy(mu, mu.dim - 1, offset)
-    if coarse_floor is None:
-        coarse_floor = median_nn_distance(mu)
+    coarse_floor = median_nn_distance(mu)
     fam = default_family(near, n_frames=8, n_pca=2, floor=coarse_floor,
                          seed=seed)
-    estimate = estimate_curvature_constant(near, k, alpha, fam, refine=refine)
+    estimate = estimate_curvature_constant(near, k, alpha, fam, refine=64)
     probe = weak_type_probe(near, k, gamma, alpha, trials=trials, seed=seed,
                             budget=budget)
     bound = rwt_bound(k, alpha, gamma, estimate.constant * (1.0 + slack),
@@ -557,12 +565,12 @@ def verify_flat_blowup(mu: WeightedPointMeasure, k: int, gamma: float,
 
 
 def verify_refinement_stability(config: "ScenarioConfig",
-                                mu: WeightedPointMeasure, *,
-                                factor: float = 2.0):
-    """Curvature estimate stability across sample-size refinement."""
+                                mu: WeightedPointMeasure):
+    """Curvature estimate stability across sample-size refinement: the
+    constants at the first and last refinement_counts agree within a
+    factor 2."""
     counts = config.refinement_counts
-    if len(counts) < 2:
-        raise ValueError("refinement_stability needs two refinement_counts")
+    factor = 2.0
     records = []
     values = []
     for count in counts:

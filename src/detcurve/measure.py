@@ -74,33 +74,11 @@ def _check_k_alpha(mu: WeightedPointMeasure, k: int, alpha: float = None) -> Non
         raise ValueError(f"alpha must be positive, got {alpha}")
 
 
-def _region_mask(points: np.ndarray, region) -> np.ndarray:
-    """Boolean mask of atoms inside a region.
-
-    The region may be an Ellipsoid or a predicate.  A predicate is first
-    tried vectorized on the whole (N, d) array; a result that is not an
-    (N,) boolean mask, or a TypeError, ValueError or IndexError (what a
-    per-point predicate raises on an array), falls back to a per-point
-    call.  Any other exception propagates.
-    """
-    n = points.shape[0]
-    if isinstance(region, Ellipsoid):
-        return region.contains_many(points)
-    if not callable(region):
-        raise TypeError(f"region must be an Ellipsoid or callable, got {type(region)!r}")
-    try:
-        out = np.asarray(region(points))
-        if out.shape == (n,) and out.dtype == bool:
-            return out
-    except (TypeError, ValueError, IndexError):
-        pass
-    return np.fromiter((bool(region(p)) for p in points), dtype=bool, count=n)
-
-
-def eval_measure(mu: WeightedPointMeasure, region) -> float:
-    """Mass of the region: the exact weight sum over atoms inside it."""
-    mask = _region_mask(mu.points, region)
-    return float(np.sum(mu.weights[mask]))
+def eval_measure(mu: WeightedPointMeasure, region: Ellipsoid) -> float:
+    """Mass of an ellipsoid: the exact weight sum over atoms inside it."""
+    if not isinstance(region, Ellipsoid):
+        raise TypeError(f"region must be an Ellipsoid, got {type(region).__name__}")
+    return float(np.sum(mu.weights[region.contains_many(mu.points)]))
 
 
 def dilate(mu: WeightedPointMeasure, a: float) -> WeightedPointMeasure:
@@ -311,7 +289,10 @@ def save_point_cloud(mu: WeightedPointMeasure, path, fmt: str = None) -> None:
 def load_point_cloud(path, fmt: str = None) -> WeightedPointMeasure:
     """Read a point cloud from CSV (header required) or JSON records.
 
-    Missing weight entries default to 1/N.
+    Missing weight entries default to 1/N.  A row (data line or record,
+    numbered from 1) with the wrong number of entries, other keys than the
+    first record or a non-numeric entry raises a ValueError naming the file
+    and the row.
     """
     path = Path(path)
     fmt = fmt or path.suffix.lstrip(".").lower()
@@ -327,13 +308,16 @@ def load_point_cloud(path, fmt: str = None) -> WeightedPointMeasure:
     if fmt == "json":
         with open(path) as fh:
             records = json.load(fh)
-        if not isinstance(records, list) or not records:
+        if (not isinstance(records, list) or not records
+                or not all(isinstance(rec, dict) for rec in records)):
             raise ValueError(f"{path}: expected a nonempty JSON array of records")
-        keys = list(records[0].keys())
+        keys = list(records[0])
         header = [k for k in keys if k != "weight"] + (["weight"] if "weight" in keys else [])
-        rows = []
-        for rec in records:
-            rows.append([rec[c] for c in header if c in rec])
+        for i, rec in enumerate(records, 1):
+            if set(rec) != set(header):
+                raise ValueError(f"{path}: record {i} has keys {list(rec)}, "
+                                 f"expected {header}")
+        rows = [[rec[c] for c in header] for rec in records]
         return _from_table(header, rows, str(path))
     raise ValueError(f"unknown point cloud format {fmt!r}")
 
@@ -350,9 +334,21 @@ def _from_table(header, rows, source: str) -> WeightedPointMeasure:
             f"{source}: coordinate columns must be {expected}, got {coord_cols}")
     if not rows:
         raise ValueError(f"{source}: no data rows")
-    data = np.asarray(rows, dtype=float)
-    if data.shape[1] != len(header):
-        raise ValueError(f"{source}: ragged rows")
+    for i, row in enumerate(rows, 1):
+        if len(row) != len(header):
+            raise ValueError(f"{source}: row {i} has {len(row)} entries, "
+                             f"expected {len(header)}")
+    try:
+        data = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        for i, row in enumerate(rows, 1):
+            for v in row:
+                try:
+                    float(v)
+                except (TypeError, ValueError):
+                    raise ValueError(f"{source}: row {i} has a non-numeric "
+                                     f"entry {v!r}") from exc
+        raise
     pts = data[:, :dim]
     if has_weight:
         w = data[:, dim]

@@ -28,9 +28,10 @@ def worker_count() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def block_ranges(total: int, block: int = BLOCK):
-    """Fixed [start, stop) partition of range(total), independent of workers."""
-    return [(start, min(start + block, total)) for start in range(0, total, block)]
+def block_ranges(total: int):
+    """Fixed [start, stop) partition of range(total) into BLOCK-sized ranges,
+    independent of workers."""
+    return [(start, min(start + BLOCK, total)) for start in range(0, total, BLOCK)]
 
 
 def map_blocks(fn, ranges):

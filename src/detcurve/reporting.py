@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import platform
-import sys
 from dataclasses import dataclass, field
 from importlib import metadata
 
@@ -170,14 +169,14 @@ class ScenarioReport:
     def from_json(cls, text: str) -> "ScenarioReport":
         return cls.from_dict(json.loads(text))
 
-    def print_summary(self, stream=None) -> None:
-        stream = stream or sys.stdout
-        print(f"scenario: {self.scenario}", file=stream)
+    def print_summary(self) -> None:
+        """The check table on standard output."""
+        print(f"scenario: {self.scenario}")
         for c in self.checks:
-            print("  " + c.summary_line(), file=stream)
+            print("  " + c.summary_line())
         verdict = "all checks satisfied" if self.all_satisfied else \
             f"{self.n_failed} check(s) NOT satisfied"
-        print(f"  => {verdict}", file=stream)
+        print(f"  => {verdict}")
 
 
 def emit_report(report: ScenarioReport, path, fmt: str = None) -> None:

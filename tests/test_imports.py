@@ -1,9 +1,11 @@
 """Name hygiene: every module-level import in the package and the tests is
 used, every module-level name the package defines is read somewhere in it
-or exported, and every parameter with a default is read by its function."""
+or exported, and every parameter with a default is read by its function
+and passed by some caller."""
 
 import ast
 import importlib
+import math
 from pathlib import Path
 
 import pytest
@@ -87,6 +89,49 @@ def unread_defaults(source: str) -> list:
     return sorted(unread)
 
 
+def never_passed_defaults(package: dict, callers: dict) -> list:
+    """(module, line, function, parameter) of the parameters with a default
+    value in the package's functions and methods that no call in the
+    callers passes, by keyword or by position: every caller takes the
+    default, so it is a constant.  A call matches every definition of its
+    name; a *args or **kwargs call passes every parameter of that kind,
+    and a method's receiver takes no positional slot of the call."""
+    keywords, positions = {}, {}
+    for src in callers.values():
+        for node in ast.walk(ast.parse(src)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keywords.setdefault(name, set()).update(kw.arg for kw in node.keywords)
+            n = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                 else len(node.args))
+            positions[name] = max(positions.get(name, 0), n)
+    flagged = []
+    for mod, src in package.items():
+        tree = ast.parse(src)
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)
+                   and "staticmethod" not in [getattr(d, "id", None)
+                                              for d in f.decorator_list]}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            passed = keywords.get(node.name, set())
+            if None in passed:  # a **kwargs call
+                continue
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            reach = positions.get(node.name, 0) + (id(node) in methods)
+            first = min(max(len(positional) - len(args.defaults), reach),
+                        len(positional))
+            defaulted = positional[first:] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            flagged += [(mod, node.lineno, node.name, a.arg) for a in defaulted
+                        if a.arg not in passed]
+    return sorted(flagged)
+
+
 def test_scan_flags_unused_and_keeps_reexports():
     src = "import os\nimport json as j\nfrom a import b, c\n__all__ = ['c']\nj.dumps(1)\n"
     assert unused_imports(src) == [(1, "os"), (3, "b")]
@@ -124,6 +169,28 @@ def test_unread_default_scan_flags_ignored_parameters():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unread_default_parameters(path):
     assert unread_defaults(path.read_text(encoding="utf-8")) == []
+
+
+def test_never_passed_default_scan_flags_constant_parameters():
+    package = {"m": "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+                    "class K:\n    def g(self, x=0, y=1):\n        pass\n"
+                    "    @staticmethod\n    def h(u=0):\n        pass\n"
+                    "def kw(p=0, *, q=1):\n    pass\n"}
+    callers = {"use": "f(0, 1, e=5)\nK().g(0)\nobj.h()\nkw(*args, **opts)\n"}
+    # f's b by position and e by keyword; K().g(0) passes x, not self;
+    # the splats pass both of kw's
+    assert never_passed_defaults(package, callers) == [
+        ("m", 1, "f", "c"), ("m", 1, "f", "d"), ("m", 4, "g", "y"),
+        ("m", 7, "h", "u")]
+
+
+def test_no_never_passed_default_parameters():
+    # a default that no call in the package, the tests or the benchmark
+    # ever overrides is a constant, not an option
+    package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    callers = {str(p): p.read_text(encoding="utf-8")
+               for p in [*PACKAGE, *ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py")]}
+    assert never_passed_defaults(package, callers) == []
 
 
 def test_bench_tracing_targets_resolve(monkeypatch):

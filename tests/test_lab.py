@@ -120,6 +120,25 @@ class TestScenarioConfig:
                            generator=GeneratorSpec("cube_lebesgue", 2, 16, 0),
                            checks=("weak_type",), gamma=1.5, alpha=1.0)
 
+    def test_rejects_extra_co_generators(self):
+        circle = GeneratorSpec("sphere_uniform", 2, 32, 1)
+        with pytest.raises(ValueError, match="at most the k - 1 = 1 slots"):
+            ScenarioConfig(name="x",
+                           generator=GeneratorSpec("cube_lebesgue", 2, 16, 0),
+                           co_generators=(circle, circle), k=2,
+                           checks=("sublevel_multi",))
+
+    def test_refinement_stability_needs_spec_and_two_counts(self):
+        with pytest.raises(ValueError, match="needs a GeneratorSpec"):
+            ScenarioConfig(name="x", generator="cloud.csv",
+                           checks=("refinement_stability",),
+                           refinement_counts=(16, 64))
+        with pytest.raises(ValueError, match="needs two refinement_counts"):
+            ScenarioConfig(name="x",
+                           generator=GeneratorSpec("cube_lebesgue", 2, 16, 0),
+                           checks=("gaussian", "refinement_stability"),
+                           refinement_counts=(64,))
+
     def test_pushforward_drop(self):
         cfg = ScenarioConfig(
             name="drop",

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -44,13 +45,15 @@ class TestWeightedPointMeasure:
 
 
 class TestEvalAndRestrict:
-    def test_eval_with_callable(self, three_atoms):
-        mass = eval_measure(three_atoms, lambda pts: pts[:, 0] > 0.25)
-        assert mass == pytest.approx(0.75)
-
     def test_eval_with_ellipsoid(self, three_atoms):
         ball = Ellipsoid.ball(0.75, 2)
         assert eval_measure(three_atoms, ball) == pytest.approx(0.25)
+
+    def test_eval_rejects_other_regions(self, three_atoms):
+        # a predicate is no region: it raises instead of being called
+        for region in (lambda pts: pts[:, 0] > 0.25, np.ones(3, dtype=bool)):
+            with pytest.raises(TypeError, match="must be an Ellipsoid"):
+                eval_measure(three_atoms, region)
 
 
 class TestTransforms:
@@ -141,6 +144,21 @@ class TestPointCloudIO:
         assert isinstance(data, list) and len(data) == 3
         assert set(data[0]) == {"x1", "x2", "weight"}
 
+    @pytest.mark.parametrize("name,text,message", [
+        ("ragged.csv", "x1,x2,weight\n0,1,0.5\n1,0.5\n", "row 2 has 2 entries, expected 3"),
+        ("ragged.json", '[{"x1": 0, "x2": 1}, {"x1": 1}]', "record 2 has keys ['x1']"),
+        ("word.csv", "x1,x2\n0,1\n1,abc\n", "row 2 has a non-numeric entry 'abc'"),
+        ("word.json", '[{"x1": 0, "x2": 1}, {"x1": [1], "x2": 0}]',
+         "row 2 has a non-numeric entry [1]"),
+        ("extra.json", '[{"x1": 0, "x2": 1}, {"x1": 1, "x2": 0, "x3": 2}]',
+         "record 2 has keys ['x1', 'x2', 'x3'], expected ['x1', 'x2']"),
+    ])
+    def test_bad_rows_name_file_and_row(self, tmp_path, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+            load_point_cloud(path)
+
     def test_format_override(self, tmp_path, three_atoms):
         path = tmp_path / "cloud.dat"
         save_point_cloud(three_atoms, path, fmt="csv")
@@ -202,19 +220,3 @@ class TestMedianNN:
         finally:
             tracemalloc.stop()
         assert peak < 50 * 2 ** 20
-
-
-class TestRegionMask:
-    def test_vectorized_error_propagates(self, three_atoms):
-        def buggy(x):
-            if np.ndim(x) == 2:
-                raise ZeroDivisionError("bug in the vectorized branch")
-            return x[0] > 0.25
-
-        with pytest.raises(ZeroDivisionError):
-            eval_measure(three_atoms, buggy)
-
-    def test_scalar_only_predicate_falls_back(self, three_atoms):
-        # float() of a row raises TypeError on the whole (N, d) array
-        assert eval_measure(three_atoms, lambda p: float(p[0]) > 0.25) == 0.75
-        assert eval_measure(three_atoms, lambda p: math.hypot(*p) > 0.9) == 0.75

@@ -78,6 +78,11 @@ class TestScenarioReport:
         assert [r.name for r in back.checks] == [r.name for r in rep.checks]
         assert back.constants == rep.constants
 
+    def test_json_timings_on_request(self):
+        rep = sample_report()
+        assert "timings" not in json.loads(rep.to_json())
+        assert json.loads(rep.to_json(include_timings=True))["timings"] == {"good": 0.123}
+
     def test_json_is_sorted_and_stable(self):
         rep = sample_report()
         a = rep.to_json()
