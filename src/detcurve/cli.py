@@ -4,7 +4,8 @@ Subcommands: analyze (curvature constant of a point cloud), functional
 (determinant-kernel form values), verify (run a scenario and print its
 check table), report (run scenarios and write their serialized reports).
 Exit code 0 means every check that was not an expected failure passed.
-DETCURVE_THREADS caps worker threads for the tuple enumerations.
+DETCURVE_THREADS caps worker threads for the tuple enumerations and the
+curvature sweeps.  --timings adds per-check wall times to JSON reports.
 """
 
 from __future__ import annotations
@@ -119,11 +120,18 @@ def _exit_code(report) -> int:
     return 0 if all(c.passed for c in hard) else 1
 
 
+def _write_report(report, path, args) -> None:
+    if not args.timings:
+        return emit_report(report, path, fmt=args.format)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(report.to_json(include_timings=True))
+
+
 def _cmd_verify(args) -> int:
     report = run_scenario(_load_scenario(args.scenario))
     report.print_summary()
     if args.report:
-        emit_report(report, args.report, fmt=args.format)
+        _write_report(report, args.report, args)
         print(f"report written to {args.report}")
     return _exit_code(report)
 
@@ -140,7 +148,7 @@ def _cmd_report(args) -> int:
             path = os.path.join(args.out, f"{report.scenario}.{suffix}")
         else:
             path = args.out
-        emit_report(report, path, fmt=args.format)
+        _write_report(report, path, args)
         report.print_summary()
         print(f"report written to {path}")
         code = max(code, _exit_code(report))
@@ -187,6 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ve.add_argument("--report", default=None,
                       help="also write the report to this path")
     p_ve.add_argument("--format", choices=("json", "csv"), default=None)
+    p_ve.add_argument("--timings", action="store_true",
+                      help="add per-check wall times to the JSON report")
     p_ve.set_defaults(func=_cmd_verify)
 
     p_re = sub.add_parser("report",
@@ -197,12 +207,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_re.add_argument("--format", choices=("json", "csv"), default="json")
     p_re.add_argument("--out", required=True,
                       help="output file (single scenario) or directory")
+    p_re.add_argument("--timings", action="store_true",
+                      help="add per-check wall times to the JSON reports")
     p_re.set_defaults(func=_cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "timings", False):
+        if args.command == "verify" and not args.report:
+            parser.error("--timings needs --report")
+        if args.format == "csv" or (args.format is None and args.report.endswith(".csv")):
+            parser.error("--timings writes JSON reports and cannot be combined "
+                         "with --format csv (or a .csv --report path)")
     return args.func(args)
 
 

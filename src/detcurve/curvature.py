@@ -19,6 +19,7 @@ from itertools import product
 
 import numpy as np
 
+from . import parallel
 from .geometry import (AffineSubspace, Ellipsoid, k_content, matrix_content,
                        _axis_sum, _check_frame)
 from .measure import (WeightedPointMeasure, _check_k_alpha, eval_measure,
@@ -232,6 +233,7 @@ def _level_masses(values: np.ndarray, weights: np.ndarray) -> tuple:
 
 
 SWEEP_BLOCK = 1 << 14  # atom x prefix entries per block of centres
+FRAME_WORK = 1 << 22  # member x atom x centre tests per block of frames
 
 
 def _sweep(z: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -257,7 +259,7 @@ def _sweep(z: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray
     for a in range(d - 1):
         term = invsq[:, None] * q[..., a, :, :]
         prefix = (prefix[..., :, None, :] + term[..., None, :, :]).reshape(*batch, -1, n)
-    count = np.zeros(prefix.shape, dtype=np.intp)
+    count = np.zeros(prefix.shape, dtype=np.min_scalar_type(n_len))
     for v in invsq:
         count += prefix + q[..., d - 1, :, :] * v <= 1.0
 
@@ -270,22 +272,30 @@ def _sweep(z: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray
 
 
 def _frame_masses(mu: WeightedPointMeasure, family: EllipsoidFamily,
-                  tuples: np.ndarray, centers: np.ndarray):
-    """Per frame, (frame, masses) with masses (P, T): row i holds the
-    members centred at centers[i]."""
+                  tuples: np.ndarray, centers: np.ndarray, reduce) -> list:
+    """reduce(frame, masses) per frame, in frame order, with masses (P, T):
+    row i holds the members centred at centers[i].  Runs of frames holding
+    at least FRAME_WORK tests, set by P, N and T alone, go to map_blocks."""
     if family.dim != mu.dim:
         raise ValueError(f"family dimension {family.dim} does not match the "
                          f"measure's {mu.dim}")
     values = np.unique(tuples)
     step = max(1, SWEEP_BLOCK // (mu.n_atoms * len(values) ** (mu.dim - 1)))
-    for frame in family.frames:
+    frames = family.frames
+    run = -(-FRAME_WORK // max(1, tuples.shape[0] * mu.n_atoms * centers.shape[0]))
+
+    def swept(frame):
         z = mu.points @ frame
         zc = centers @ frame
         masses = np.empty((zc.shape[0], tuples.shape[0]))
         for i in range(0, zc.shape[0], step):
             masses[i:i + step] = _sweep(z - zc[i:i + step, None, :], values,
                                         mu.weights)
-        yield frame, masses
+        return reduce(frame, masses)
+
+    ranges = [(s, min(s + run, len(frames))) for s in range(0, len(frames), run)]
+    blocks = parallel.map_blocks(lambda a, b: [swept(f) for f in frames[a:b]], ranges)
+    return [r for block in blocks for r in block]
 
 
 def _givens(d: int, i: int, j: int, theta: float) -> np.ndarray:
@@ -357,11 +367,10 @@ def _grid_then_refine(mu: WeightedPointMeasure, family: EllipsoidFamily,
     has one.  The best three starts get refine // n_starts evaluations each,
     and only a strictly better refined score replaces the best.
     """
-    starts = []
-    for frame, masses in _frame_masses(mu, family, tuples, np.zeros((1, mu.dim))):
-        start = pick(masses[0])
-        if start is not None:
-            starts.append((start[0], frame, tuples[start[1]]))
+    picks = _frame_masses(mu, family, tuples, np.zeros((1, mu.dim)),
+                          lambda frame, masses: pick(masses[0]))
+    starts = [(start[0], frame, tuples[start[1]])
+              for frame, start in zip(family.frames, picks) if start is not None]
     starts = starts or [fallback()]
     starts.sort(key=lambda s: s[0], reverse=not minimize)
 
@@ -597,8 +606,8 @@ def slab_implication_check(mu: WeightedPointMeasure, k: int, alpha: float,
     if max_members < 1:
         raise ValueError(f"max_members must be at least 1, got {max_members}")
     tuples = family.length_tuples()
-    swept = np.concatenate([m[0] for _, m in _frame_masses(
-        mu, family, tuples, np.zeros((1, mu.dim)))])
+    swept = np.concatenate(_frame_masses(mu, family, tuples, np.zeros((1, mu.dim)),
+                                         lambda frame, masses: masses[0]))
     members = np.arange(0, swept.shape[0], -(-swept.shape[0] // max_members))
     frame_of, tuple_of = np.divmod(members, len(tuples))
     # semi-lengths as an Ellipsoid stores them: 1 / (1 / l) may differ from l
@@ -639,11 +648,9 @@ def _maximal(mu: WeightedPointMeasure, k: int, family: EllipsoidFamily,
     contents = _top_k_products(tuples, k)
     cols = [inner_cols if inner else slice(None) for _, inner in reducers]
     contents_a = [contents[c] ** alpha for c, (alpha, _) in zip(cols, reducers)]
-    outs = [np.zeros(centers.shape[0]) for _ in reducers]
-    for _, masses in _frame_masses(mu, family, tuples, centers):
-        for out, c, content_a in zip(outs, cols, contents_a):
-            np.maximum(out, np.max(masses[:, c] / content_a, axis=1), out=out)
-    return outs
+    per_frame = _frame_masses(mu, family, tuples, centers, lambda frame, masses: [
+        np.max(masses[:, c] / content_a, axis=1) for c, content_a in zip(cols, contents_a)])
+    return [np.max(sups, axis=0) for sups in zip(*per_frame)]
 
 
 def maximal_function(mu: WeightedPointMeasure, k: int, alpha: float,

@@ -291,8 +291,9 @@ def load_point_cloud(path, fmt: str = None) -> WeightedPointMeasure:
 
     Missing weight entries default to 1/N.  A row (data line or record,
     numbered from 1) with the wrong number of entries, other keys than the
-    first record or a non-numeric entry raises a ValueError naming the file
-    and the row.
+    first record, a non-numeric entry, a non-finite coordinate (JSON null
+    included) or a negative or non-finite weight raises a ValueError naming
+    the file and the row.
     """
     path = Path(path)
     fmt = fmt or path.suffix.lstrip(".").lower()
@@ -349,6 +350,14 @@ def _from_table(header, rows, source: str) -> WeightedPointMeasure:
                     raise ValueError(f"{source}: row {i} has a non-numeric "
                                      f"entry {v!r}") from exc
         raise
+    ok = np.isfinite(data)
+    if has_weight:
+        ok[:, dim] &= data[:, dim] >= 0.0
+    if not ok.all():
+        i, j = np.argwhere(~ok)[0]
+        what, rule = ("weight", "finite and nonnegative") if j == dim else ("coordinate", "finite")
+        raise ValueError(f"{source}: row {i + 1} has {what} {rows[i][j]!r}; "
+                         f"{what}s must be {rule}")
     pts = data[:, :dim]
     if has_weight:
         w = data[:, dim]

@@ -1,9 +1,10 @@
 """Deterministic parallel block evaluation.
 
-Work is split into fixed-size blocks whose boundaries never depend on the
-worker count, results are collected in block order, and floating sums are
-reduced with math.fsum.  Running with DETCURVE_THREADS=1 or =8 therefore
-produces bit-identical output.
+Work is split into blocks whose boundaries never depend on the worker
+count, and results are collected in block order.  The functionals reduce
+their floating sums with math.fsum; the curvature sweeps combine per-frame
+results by max and concatenation in frame order.  Running with
+DETCURVE_THREADS=1 or =8 therefore produces bit-identical output.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import json
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from detcurve.geometry import simplex_det_many
 from detcurve.lab import get_scenario
 from detcurve.measure import (GeneratorSpec, generate, load_point_cloud,
                               save_point_cloud)
+from detcurve.reporting import runtime_versions
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +180,54 @@ class TestReport:
                          "sphere-pushforward-d3.csv"]
         for p in out_dir.iterdir():
             assert p.read_text().startswith("name,")
+
+
+class TestTimings:
+    def test_report_key_present(self, tmp_path, capsys):
+        out_path = tmp_path / "timed.json"
+        code = main(["report", "--scenario", "flat-subspace-negative",
+                     "--out", str(out_path), "--timings"])
+        assert code == 0
+        data = json.loads(out_path.read_text())
+        timings = data["timings"]
+        assert set(timings) == set(get_scenario("flat-subspace-negative").checks)
+        assert all(isinstance(t, float) and t >= 0.0 for t in timings.values())
+
+    def test_verify_key_present(self, tmp_path, capsys):
+        out_path = tmp_path / "timed.json"
+        code = main(["verify", "flat-subspace-negative", "--report", str(out_path),
+                     "--timings"])
+        assert code == 0
+        assert json.loads(out_path.read_text())["timings"]
+
+    def test_key_absent_and_bytes_golden(self, tmp_path, capsys):
+        name = "flat-subspace-negative"
+        want = (GOLDEN / f"{name}.json").read_bytes()
+        out_path = tmp_path / "plain.json"
+        assert main(["report", "--scenario", name, "--out", str(out_path)]) == 0
+        got = out_path.read_bytes()
+        assert "timings" not in json.loads(got)
+        if json.loads(want)["versions"] == runtime_versions():
+            assert got == want
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--scenario", "flat-subspace-negative", "--format", "csv",
+         "--out", "x.csv", "--timings"],
+        ["verify", "flat-subspace-negative", "--format", "csv", "--report",
+         "x.json", "--timings"],
+        ["verify", "flat-subspace-negative", "--report", "x.csv", "--timings"],
+    ])
+    def test_csv_is_an_argument_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--timings" in err and "--format csv" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_verify_needs_report(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "flat-subspace-negative", "--timings"])
+        assert exc.value.code == 2
+        assert "--timings needs --report" in capsys.readouterr().err

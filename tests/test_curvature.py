@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detcurve import curvature
+from detcurve import curvature, parallel
 from detcurve.curvature import (
     CurvatureEstimate,
     EllipsoidFamily,
@@ -346,7 +346,8 @@ def weak_bound_reference(mu, k, alpha, p, family):
     def sup(tuples, a):
         contents_a = np.prod(np.sort(tuples, axis=1)[:, ::-1][:, :k], axis=1) ** a
         out = np.zeros(mu.n_atoms)
-        for _, masses in curvature._frame_masses(mu, family, tuples, mu.points):
+        for _, masses in curvature._frame_masses(mu, family, tuples, mu.points,
+                                                 lambda f, m: (f, m)):
             out = np.maximum(out, np.max(masses / contents_a, axis=1))
         return out
 
@@ -372,14 +373,15 @@ class TestMaximalOneSweep:
         calls = []
         original = curvature._frame_masses
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(mu, family, tuples, centers, reduce):
+            calls.append(centers)
+            return original(mu, family, tuples, centers, reduce)
 
         monkeypatch.setattr(curvature, "_frame_masses", counting)
         fam = EllipsoidFamily.dyadic(2, -3, 1, mode="doubling_dyadic")
         maximal_weak_bound_check(cube64, 2, 1.0, 1.0, fam)
         assert len(calls) == 1
+        assert np.array_equal(calls[0], cube64.points)
 
     def test_grid_without_inner_members(self, cube64):
         fam = EllipsoidFamily.dyadic(2, 0, 0, mode="doubling_dyadic")
@@ -414,6 +416,19 @@ class TestSweep:
         batched = _sweep(np.stack([z, z[::-1] * 0.5]), values, weights)
         assert np.array_equal(batched[0], masses)
         assert np.array_equal(batched[1], brute_sweep(z[::-1] * 0.5, values, weights))
+
+    @pytest.mark.parametrize("n_len", [255, 256, 300])
+    def test_count_type_boundary(self, n_len):
+        # an atom at the centre is admitted by every length, so its count is
+        # n_len: one past the uint8 range from 256 lengths on
+        rng = np.random.default_rng(n_len)
+        values = np.cumsum(rng.uniform(0.01, 0.02, n_len))
+        z = np.concatenate([[[0.0]], values[::7, None], -values[::11, None],
+                            rng.uniform(-1.1 * values[-1], 1.1 * values[-1], (40, 1))])
+        weights = rng.integers(0, 4, z.shape[0]).astype(float)
+        masses = _sweep(z, values, weights)
+        assert masses[0] >= weights[0] > 0.0
+        assert np.array_equal(masses, brute_sweep(z, values, weights))
 
     @pytest.mark.parametrize("block", [None, 1])
     @pytest.mark.parametrize("inner", [False, True])
@@ -459,7 +474,8 @@ class TestSweep:
         fam = EllipsoidFamily(frames=frames, length_grid=values)
         tuples = fam.length_tuples()
         einsum_differs = 0
-        for frame, masses in curvature._frame_masses(mu, fam, tuples, np.zeros((1, 3))):
+        for frame, masses in curvature._frame_masses(mu, fam, tuples, np.zeros((1, 3)),
+                                                     lambda f, m: (f, m)):
             z = mu.points @ frame
             for lengths, mass in zip(tuples, masses[0]):
                 assert mass == eval_measure(mu, Ellipsoid.from_semi_lengths(lengths, frame=frame))
@@ -469,6 +485,61 @@ class TestSweep:
         assert einsum_differs > 0  # the data does reach the order-sensitive atoms
         est = estimate_curvature_constant(mu, 2, 1.0, fam, refine=0)
         assert est.constant == max(curvature_ratio(mu, b, 2, 1.0) for b in fam.members())
+
+
+class TestFrameBlocks:
+    @pytest.mark.parametrize("fixture", ["cube64", "sphere80_d3"])
+    def test_identical_across_threads_and_blocks(self, request, monkeypatch, fixture):
+        mu = request.getfixturevalue(fixture)
+        floored = default_family(mu, n_frames=4, n_pca=2)
+        doubling = EllipsoidFamily.dyadic(mu.dim, -3, 1, mode="doubling_dyadic",
+                                          frames=default_frames(mu.dim, n_random=5, seed=3))
+        tuples = floored.length_tuples()
+
+        def run():
+            swept = curvature._frame_masses(mu, floored, tuples, mu.points[:5],
+                                            lambda f, m: (f, m))
+            est = estimate_curvature_constant(mu, 2, 1.0, floored, refine=12)
+            return ([f for f, _ in swept], [m for _, m in swept],
+                    maximal_weak_bound_check(mu, 2, 0.75, 1.0, doubling),
+                    (est.constant, est.witness.frame, est.witness.semi_lengths))
+
+        monkeypatch.setenv("DETCURVE_THREADS", "1")
+        want = run()
+        for threads, work in product(["1", "2", "3"], [curvature.FRAME_WORK, 1, 2 ** 40]):
+            monkeypatch.setenv("DETCURVE_THREADS", threads)
+            monkeypatch.setattr(curvature, "FRAME_WORK", work)
+            frames, masses, check, (constant, frame, lengths) = run()
+            assert all(np.array_equal(a, b) for a, b in zip(frames, want[0]))
+            assert all(np.array_equal(a, b) for a, b in zip(masses, want[1]))
+            assert len(masses) == len(want[1]) == len(floored.frames)
+            assert check == want[2]
+            assert constant == want[3][0]
+            assert np.array_equal(frame, want[3][1])
+            assert np.array_equal(lengths, want[3][2])
+
+    def test_blocks_hold_frame_work(self, cube64, monkeypatch):
+        seen = []
+        original = parallel.map_blocks
+
+        def spy(fn, ranges):
+            seen.append(ranges)
+            return original(fn, ranges)
+
+        monkeypatch.setattr(parallel, "map_blocks", spy)
+        fam = default_family(cube64, n_frames=5)  # 16 frames
+        tuples = fam.length_tuples()
+        per_frame = len(tuples) * cube64.n_atoms
+        for work in (3 * per_frame, 3 * per_frame - 1):
+            monkeypatch.setattr(curvature, "FRAME_WORK", work)
+            got = curvature._frame_masses(cube64, fam, tuples, np.zeros((1, 2)),
+                                          lambda f, m: m.shape)
+            assert got == [(1, len(tuples))] * 16
+            assert seen[-1] == [(s, min(s + 3, 16)) for s in range(0, 16, 3)]
+        # no centres, no work: one inline block, no division by zero
+        assert curvature._frame_masses(cube64, fam, tuples, np.zeros((0, 2)),
+                                       lambda f, m: m.shape) == [(0, len(tuples))] * 16
+        assert seen[-1] == [(0, 16)]
 
 
 def slab_reference(mu, k, alpha, family, max_members, rel_tol=1e-9):

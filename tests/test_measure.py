@@ -152,6 +152,15 @@ class TestPointCloudIO:
          "row 2 has a non-numeric entry [1]"),
         ("extra.json", '[{"x1": 0, "x2": 1}, {"x1": 1, "x2": 0, "x3": 2}]',
          "record 2 has keys ['x1', 'x2', 'x3'], expected ['x1', 'x2']"),
+        ("null.json", '[{"x1": 0, "x2": 1}, {"x1": 1, "x2": null}]',
+         "row 2 has coordinate None; coordinates must be finite"),
+        ("nan.csv", "x1,x2\n0,1\nnan,2\n", "row 2 has coordinate 'nan'; coordinates must be finite"),
+        ("inf.csv", "x1,x2,weight\n0,1,0.5\n1,-inf,0.5\n",
+         "row 2 has coordinate '-inf'; coordinates must be finite"),
+        ("negative.csv", "x1,x2,weight\n0,1,1.5\n1,2,-0.5\n",
+         "row 2 has weight '-0.5'; weights must be finite and nonnegative"),
+        ("negative.json", '[{"x1": 0, "x2": 1, "weight": -1}, {"x1": 1, "x2": 2, "weight": 2}]',
+         "row 1 has weight -1; weights must be finite and nonnegative"),
     ])
     def test_bad_rows_name_file_and_row(self, tmp_path, name, text, message):
         path = tmp_path / name
