@@ -236,46 +236,98 @@ SWEEP_BLOCK = 1 << 14  # atom x prefix entries per block of centres
 FRAME_WORK = 1 << 22  # member x atom x centre tests per block of frames
 
 
-def _sweep(z: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Masses (..., L**d), in itertools.product order, of the ellipsoids with
-    semi-lengths from the increasing grid values, for atom coordinates z
-    (..., N, d) in their frame relative to their centre.
+def _counts(z: np.ndarray, invsq: np.ndarray) -> np.ndarray:
+    """(..., L**(d-1), N) counts, per length prefix of the first d - 1 axes
+    and atom, of the last-axis lengths admitting the atom, for atom
+    coordinates z (..., N, d) relative to the centre and inverse squared
+    lengths invsq (L,); one byte wide below 256 lengths.
 
     An atom is inside when s <= 1.0, s summing (z_a * z_a) * (1.0 / l_a) ** 2
     left to right over the axes as in geometry._axis_sum, which
     _single_mass and Ellipsoid.contains_many use too (for d >= 3 the order
     decides atoms on s == 1, and squaring the rounded inverse length, as
     Ellipsoid does with its stored inv_lengths, can differ from 1.0 / l ** 2
-    in the last bit).  s falls as the last length grows, so per
-    atom and prefix of the other lengths the count of admitting last-axis
-    lengths gives the first one; weights are histogrammed there and summed
-    cumulatively.
+    in the last bit).  s falls as the last length grows, so the count of
+    admitting lengths locates the first one.
     """
     *batch, n, d = z.shape
-    n_len = values.shape[0]
-    invsq = (1.0 / values) ** 2
     q = np.moveaxis(z * z, -1, -2)[..., None, :]  # (..., d, 1, N): atoms innermost
     prefix = np.zeros((*batch, 1, n))
     for a in range(d - 1):
         term = invsq[:, None] * q[..., a, :, :]
         prefix = (prefix[..., :, None, :] + term[..., None, :, :]).reshape(*batch, -1, n)
-    count = np.zeros(prefix.shape, dtype=np.min_scalar_type(n_len))
+    count = np.zeros(prefix.shape, dtype=np.min_scalar_type(len(invsq)))
     for v in invsq:
         count += prefix + q[..., d - 1, :, :] * v <= 1.0
+    return count
 
+
+def _cumulate(hist: np.ndarray, n_len: int) -> np.ndarray:
+    """Masses (cells, L) from per-cell weight histograms over the first
+    admitting length (cells, L + 1), the last bin meaning none admits."""
+    return np.cumsum(hist.reshape(-1, n_len + 1)[:, ::-1], axis=-1)[:, :n_len]
+
+
+def _sweep(z: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Masses (..., L**d), in itertools.product order, of the ellipsoids with
+    semi-lengths from the increasing grid values, for atom coordinates z
+    (..., N, d) in their frame relative to their centre: the weights are
+    histogrammed at each atom's _counts and summed cumulatively.
+    """
+    *batch, n, _ = z.shape
+    n_len = values.shape[0]
+    count = _counts(z, (1.0 / values) ** 2)
     n_cells = count.size // n
     bins = count.reshape(n_cells, n) + (n_len + 1) * np.arange(n_cells)[:, None]
     w = np.broadcast_to(weights, (n_cells, n))
     hist = np.bincount(bins.ravel(), weights=w.ravel(), minlength=n_cells * (n_len + 1))
-    masses = np.cumsum(hist.reshape(n_cells, n_len + 1)[:, ::-1], axis=-1)[:, :n_len]
-    return masses.reshape(*batch, -1)
+    return _cumulate(hist, n_len).reshape(*batch, -1)
+
+
+def _symmetric_sweep(z: np.ndarray, values: np.ndarray, weights: np.ndarray,
+                     tile: int) -> np.ndarray:
+    """_sweep of every atom around every atom, (N, L**d), bit for bit, with
+    about half the membership tests (see _frame_masses).  Each tile counts
+    the centres [a, b) against the atoms [a, N) once and adds the counts to
+    the rows of the centres a..b directly and, transposed, to the rows of
+    the centres b..N.  Memory stays bounded by the tile and the histogram;
+    no N x N table is built.
+    """
+    n, d = z.shape
+    n_len = values.shape[0]
+    invsq = (1.0 / values) ** 2
+    n_pre = n_len ** (d - 1)
+    row = n_pre * (n_len + 1)
+    cells = (n_len + 1) * np.arange(n_pre)[:, None]
+    hist = np.zeros(n * row)
+    for a in range(0, n, tile):
+        b = min(a + tile, n)
+        count = _counts(z[a:] - z[a:b, None, :], invsq)  # (b - a, n_pre, n - a)
+        direct = count + (cells + row * np.arange(a, b)[:, None, None])
+        np.add.at(hist, direct.ravel(),
+                  np.broadcast_to(weights[a:], direct.shape).ravel())
+        mirrored = count[:, :, b - a:] + (cells + row * np.arange(b, n))
+        np.add.at(hist, mirrored.ravel(),
+                  np.broadcast_to(weights[a:b, None, None], mirrored.shape).ravel())
+    return _cumulate(hist, n_len).reshape(n, -1)
 
 
 def _frame_masses(mu: WeightedPointMeasure, family: EllipsoidFamily,
                   tuples: np.ndarray, centers: np.ndarray, reduce) -> list:
     """reduce(frame, masses) per frame, in frame order, with masses (P, T):
     row i holds the members centred at centers[i].  Runs of frames holding
-    at least FRAME_WORK tests, set by P, N and T alone, go to map_blocks."""
+    at least FRAME_WORK tests, set by P, N and T alone, go to map_blocks.
+
+    When the centres are the atoms, _symmetric_sweep counts each pair of
+    atoms once, in tiles of 4 blocks of centres.  For a centred B, a in
+    c + B if and only if c in a + B, and z_j - z_i = -(z_i - z_j) exactly in
+    IEEE arithmetic, so the squares and the count agree for either atom as
+    the centre.  np.add.at adds in sequence, and every centre receives its
+    atoms in ascending index order (the transposed tiles of earlier blocks,
+    then its own direct tile), so each histogram bin is the same
+    left-to-right sum that _sweep's np.bincount makes: the masses are equal
+    bit for bit.
+    """
     if family.dim != mu.dim:
         raise ValueError(f"family dimension {family.dim} does not match the "
                          f"measure's {mu.dim}")
@@ -283,9 +335,12 @@ def _frame_masses(mu: WeightedPointMeasure, family: EllipsoidFamily,
     step = max(1, SWEEP_BLOCK // (mu.n_atoms * len(values) ** (mu.dim - 1)))
     frames = family.frames
     run = -(-FRAME_WORK // max(1, tuples.shape[0] * mu.n_atoms * centers.shape[0]))
+    symmetric = np.array_equal(centers, mu.points)
 
     def swept(frame):
         z = mu.points @ frame
+        if symmetric:
+            return reduce(frame, _symmetric_sweep(z, values, mu.weights, 4 * step))
         zc = centers @ frame
         masses = np.empty((zc.shape[0], tuples.shape[0]))
         for i in range(0, zc.shape[0], step):
@@ -635,7 +690,10 @@ def _maximal(mu: WeightedPointMeasure, k: int, family: EllipsoidFamily,
     The inner members are the columns of the full length table whose
     lengths all lie below the top grid value.  Their masses equal a sweep
     of the inner table bit for bit: the same atoms fall in the same
-    histogram bins in the same order.
+    histogram bins in the same order.  For a centred B, a in c + B if and
+    only if c in a + B, so with the atoms as centres (the maximal check)
+    _frame_masses counts each pair of atoms once; its docstring gives why
+    the masses still equal the per-centre sweep bit for bit.
     """
     if family.mode != "doubling_dyadic":
         raise ValueError("maximal_function needs a doubling_dyadic family")
@@ -672,14 +730,19 @@ def maximal_function(mu: WeightedPointMeasure, k: int, alpha: float,
     return _maximal(mu, k, family, pts, [(alpha, inner)])[0]
 
 
+def _check_p(p: float) -> None:
+    # at p = inf, (t ** p * mass) ** (1 / p) reads 1.0 whatever the data
+    if not (p > 0 and math.isfinite(p)):
+        raise ValueError(f"p must be positive and finite, got {p}")
+
+
 def weak_lp_norm(values, weights, p: float) -> float:
     """Weak L^p norm (sup_t t^p mu(|f| > t))^(1/p), exact for finite data.
 
     The sup is attained as t increases to a distinct value of |f|, where the
     super-level mass is mu(|f| >= value), the level mass of -|f|.
     """
-    if not p > 0:
-        raise ValueError("p must be positive")
+    _check_p(p)
     v = np.abs(np.asarray(values, dtype=float))
     w = np.asarray(weights, dtype=float)
     if v.shape != w.shape:
@@ -708,14 +771,14 @@ def maximal_weak_bound_check(mu: WeightedPointMeasure, k: int, alpha: float,
     where F_inner takes the sup over members whose double stays in the
     family (that is exactly what the covering argument consumes).  Both
     come from one sweep of the family around every atom, F_inner reading
-    its inner columns.  Returns (lhs, rhs, ok), ok within a relative 1e-9.
+    its inner columns.  Returns (lhs, rhs, ok), ok within a relative 1e-9;
+    lhs is 0.0 when no atom carries mass.
     """
-    if not p > 0:
-        raise ValueError("p must be positive")
+    _check_p(p)
     f_full, f_inner = _maximal(mu, k, family, mu.points,
                                [(alpha, False), (alpha * p / (p + 1.0), True)])
     wk = weak_lp_norm(f_full, mu.weights, p)
     positive = mu.weights > 0.0
-    lhs = float(np.max(f_inner[positive]))
+    lhs = float(np.max(f_inner[positive], initial=0.0))
     rhs = 2.0 ** (alpha * k) * wk ** (p / (p + 1.0))
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-9)

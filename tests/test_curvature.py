@@ -301,6 +301,25 @@ class TestMaximal:
         with pytest.raises(ValueError, match=message):
             weak_lp_norm(np.array(values), np.array(weights), 1.0)
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan, 0.0, -1.0])
+    def test_weak_lp_norm_rejects_bad_p(self, p):
+        # at p = inf the norm read 1.0 for [0.5] and [2.0] alike
+        with pytest.raises(ValueError, match="p must be positive and finite"):
+            weak_lp_norm(np.array([2.0]), np.array([1.0]), p)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan, 0.0])
+    def test_weak_bound_rejects_bad_p(self, cube64, p):
+        # p = inf used to surface as "alpha must be positive, got nan"
+        fam = EllipsoidFamily.dyadic(2, -2, 1, mode="doubling_dyadic")
+        with pytest.raises(ValueError, match="p must be positive and finite"):
+            maximal_weak_bound_check(cube64, 2, 1.0, p, fam)
+
+    def test_weak_bound_without_mass(self, cube64):
+        # no atom carries mass: the max over positive-weight atoms is empty
+        mu = WeightedPointMeasure(cube64.points, np.zeros(cube64.n_atoms))
+        fam = EllipsoidFamily.dyadic(2, -2, 1, mode="doubling_dyadic")
+        assert maximal_weak_bound_check(mu, 2, 1.0, 1.0, fam) == (0.0, 0.0, True)
+
     @pytest.mark.parametrize("points", [
         np.array([[0.0, np.nan]]), np.array([[np.inf, 0.0]]), np.zeros(2), np.zeros((3, 3))])
     def test_rejects_bad_eval_points(self, cube64, points):
@@ -487,6 +506,109 @@ class TestSweep:
         assert est.constant == max(curvature_ratio(mu, b, 2, 1.0) for b in fam.members())
 
 
+def per_centre_rows(mu, frame, values):
+    """_sweep around each atom on its own: the rows the symmetric sweep must
+    reproduce."""
+    z = mu.points @ frame
+    return np.stack([_sweep(z - c, values, mu.weights) for c in z])
+
+
+@pytest.fixture(scope="module")
+def symmetric_measures(circle240, sphere80_d3):
+    rng = np.random.default_rng(7)
+    zero_weight = circle240.weights.copy()
+    zero_weight[::5] = 0.0
+    return {
+        "circle240": circle240,  # non-dyadic weights
+        "sphere80_d3": sphere80_d3,
+        "zero-weight": WeightedPointMeasure(circle240.points, zero_weight),
+        "one-atom": WeightedPointMeasure(np.array([[0.3, -0.2]]), np.array([0.7])),
+        "line-d1": WeightedPointMeasure(rng.uniform(-1.0, 1.0, (37, 1)),
+                                        rng.uniform(0.5, 1.5, 37) / 37.0),
+    }
+
+
+class TestSymmetricSweep:
+    @pytest.mark.parametrize("name", ["circle240", "sphere80_d3", "zero-weight",
+                                      "one-atom", "line-d1"])
+    @pytest.mark.parametrize("inner", [False, True])
+    def test_tiles_match_per_centre_rows(self, symmetric_measures, name, inner):
+        mu = symmetric_measures[name]
+        fam = EllipsoidFamily.dyadic(mu.dim, -4, 1, mode="doubling_dyadic",
+                                     frames=default_frames(mu.dim, n_random=1, seed=5))
+        values = np.unique(fam.length_tuples(inner=inner))
+        for frame in fam.frames:
+            want = per_centre_rows(mu, frame, values)
+            # tile heights that divide N or not, one atom and all atoms at once
+            for tile in (1, 3, 7, 16, mu.n_atoms + 5):
+                got = curvature._symmetric_sweep(mu.points @ frame, values, mu.weights, tile)
+                assert np.array_equal(got, want), (frame, tile)
+
+    @pytest.mark.parametrize("block", [None, 1])
+    def test_frame_masses_take_symmetric_path(self, circle240, monkeypatch, block):
+        if block is not None:  # tiles of 4 centres
+            monkeypatch.setattr(curvature, "SWEEP_BLOCK", block)
+        calls = []
+        original = curvature._symmetric_sweep
+
+        def spy(*args):
+            calls.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(curvature, "_symmetric_sweep", spy)
+        fam = EllipsoidFamily.dyadic(2, -4, 1, mode="doubling_dyadic",
+                                     frames=default_frames(2, n_random=2, seed=5))
+        tuples = fam.length_tuples()
+        got = curvature._frame_masses(circle240, fam, tuples, circle240.points.copy(),
+                                      lambda f, m: (f, m))
+        assert len(calls) == len(fam.frames)
+        for frame, masses in got:
+            assert np.array_equal(masses, per_centre_rows(circle240, frame, np.unique(tuples)))
+        curvature._frame_masses(circle240, fam, tuples, circle240.points[:-1],
+                                lambda f, m: m)
+        assert len(calls) == len(fam.frames)  # other centres: per-centre sweep
+
+    def test_memory_bounded_by_tile(self, cube256, monkeypatch):
+        fam = EllipsoidFamily.dyadic(2, -5, 1, mode="doubling_dyadic",
+                                     frames=default_frames(2, n_random=2, seed=5))
+        n, n_pre = cube256.n_atoms, len(fam.length_grid)  # L ** (d - 1), d = 2
+        want = maximal_weak_bound_check(cube256, 2, 1.0, 1.0, fam)
+        monkeypatch.setattr(curvature, "SWEEP_BLOCK", 2 * n * n_pre)  # step 2
+        tile = 4 * 2
+        sizes = []
+        original = curvature._counts
+
+        def spy(z, invsq):
+            count = original(z, invsq)
+            sizes.append(count.size)
+            return count
+
+        monkeypatch.setattr(curvature, "_counts", spy)
+        assert maximal_weak_bound_check(cube256, 2, 1.0, 1.0, fam) == want
+        assert tile < n
+        assert len(sizes) == len(fam.frames) * n // tile
+        assert max(sizes) == tile * n_pre * n  # no N x N table
+
+
+class TestNumpySumOrder:
+    def test_chained_add_at_equals_one_bincount(self):
+        # the symmetric sweep's bit-identity rests on np.add.at adding in
+        # index order, as np.bincount does, across split runs of indices
+        rng = np.random.default_rng(11)
+        bins = rng.integers(0, 8, 6000)  # ~750 repeats per bin
+        weights = rng.uniform(0.1, 1.0, 6000) / 3.0  # non-dyadic
+        want = np.bincount(bins, weights=weights, minlength=8)
+        cuts = [0, 1, 700, 2500, 2501, 6000]
+        hist = np.zeros(8)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            np.add.at(hist, bins[a:b], weights[a:b])
+        assert np.array_equal(hist, want)
+        # the data is order-sensitive: summing the runs apart moves bits
+        split = sum(np.bincount(bins[a:b], weights=weights[a:b], minlength=8)
+                    for a, b in zip(cuts[:-1], cuts[1:]))
+        assert not np.array_equal(split, want)
+
+
 class TestFrameBlocks:
     @pytest.mark.parametrize("fixture", ["cube64", "sphere80_d3"])
     def test_identical_across_threads_and_blocks(self, request, monkeypatch, fixture):
@@ -499,6 +621,9 @@ class TestFrameBlocks:
         def run():
             swept = curvature._frame_masses(mu, floored, tuples, mu.points[:5],
                                             lambda f, m: (f, m))
+            # the atoms as centres: the symmetric sweep
+            swept += curvature._frame_masses(mu, floored, tuples, mu.points,
+                                             lambda f, m: (f, m))
             est = estimate_curvature_constant(mu, 2, 1.0, floored, refine=12)
             return ([f for f, _ in swept], [m for _, m in swept],
                     maximal_weak_bound_check(mu, 2, 0.75, 1.0, doubling),
@@ -512,7 +637,7 @@ class TestFrameBlocks:
             frames, masses, check, (constant, frame, lengths) = run()
             assert all(np.array_equal(a, b) for a, b in zip(frames, want[0]))
             assert all(np.array_equal(a, b) for a, b in zip(masses, want[1]))
-            assert len(masses) == len(want[1]) == len(floored.frames)
+            assert len(masses) == len(want[1]) == 2 * len(floored.frames)
             assert check == want[2]
             assert constant == want[3][0]
             assert np.array_equal(frame, want[3][1])
