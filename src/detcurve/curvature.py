@@ -232,7 +232,7 @@ def _level_masses(values: np.ndarray, weights: np.ndarray) -> tuple:
     return ordered[last], cum[last]
 
 
-SWEEP_BLOCK = 1 << 14  # atom x prefix entries per block of centres
+SWEEP_BLOCK = 1 << 16  # atom x prefix entries per tile of centres
 FRAME_WORK = 1 << 22  # member x atom x centre tests per block of frames
 
 
@@ -262,91 +262,73 @@ def _counts(z: np.ndarray, invsq: np.ndarray) -> np.ndarray:
     return count
 
 
-def _cumulate(hist: np.ndarray, n_len: int) -> np.ndarray:
-    """Masses (cells, L) from per-cell weight histograms over the first
-    admitting length (cells, L + 1), the last bin meaning none admits."""
-    return np.cumsum(hist.reshape(-1, n_len + 1)[:, ::-1], axis=-1)[:, :n_len]
+def _sweep(z: np.ndarray, zc: np.ndarray, values: np.ndarray, weights: np.ndarray,
+           tile: int, mirror: bool) -> np.ndarray:
+    """Masses (P, L**d), in itertools.product order, of the members with
+    semi-lengths from the increasing grid values centred at zc (P, d), for
+    atoms z (N, d) in one frame: per centre and length prefix, the weights
+    are histogrammed at the atoms' _counts (the last bin: no length admits)
+    and summed from the top.
 
-
-def _sweep(z: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Masses (..., L**d), in itertools.product order, of the ellipsoids with
-    semi-lengths from the increasing grid values, for atom coordinates z
-    (..., N, d) in their frame relative to their centre: the weights are
-    histogrammed at each atom's _counts and summed cumulatively.
-    """
-    *batch, n, _ = z.shape
-    n_len = values.shape[0]
-    count = _counts(z, (1.0 / values) ** 2)
-    n_cells = count.size // n
-    bins = count.reshape(n_cells, n) + (n_len + 1) * np.arange(n_cells)[:, None]
-    w = np.broadcast_to(weights, (n_cells, n))
-    hist = np.bincount(bins.ravel(), weights=w.ravel(), minlength=n_cells * (n_len + 1))
-    return _cumulate(hist, n_len).reshape(*batch, -1)
-
-
-def _symmetric_sweep(z: np.ndarray, values: np.ndarray, weights: np.ndarray,
-                     tile: int) -> np.ndarray:
-    """_sweep of every atom around every atom, (N, L**d), bit for bit, with
-    about half the membership tests (see _frame_masses).  Each tile counts
-    the centres [a, b) against the atoms [a, N) once and adds the counts to
-    the rows of the centres a..b directly and, transposed, to the rows of
-    the centres b..N.  Memory stays bounded by the tile and the histogram;
-    no N x N table is built.
+    A tile of centres [a, b) counts the atoms [a, N) under mirror (the
+    centres are the atoms) and all atoms otherwise, so memory is bounded by
+    the tile and the histogram.  Whatever the tile, every bin is the
+    left-to-right sum of its atoms' weights in ascending atom order, as one
+    np.bincount per centre makes it, so the masses agree bit for bit.
+    Without mirror, a tile's rows get adds from that tile only.  With
+    mirror, a in c + B if and only if c in a + B for a centred B, and
+    z_j - z_i = -(z_i - z_j) exactly, so the count is the same with either
+    atom as the centre.  A tile's counts go directly to the rows a..b and,
+    transposed, to the rows b..N; np.add.at adds in sequence, so each
+    centre gets the atoms of earlier tiles, ascending, before its own row.
     """
     n, d = z.shape
-    n_len = values.shape[0]
+    p, n_len = zc.shape[0], values.shape[0]
     invsq = (1.0 / values) ** 2
     n_pre = n_len ** (d - 1)
     row = n_pre * (n_len + 1)
     cells = (n_len + 1) * np.arange(n_pre)[:, None]
-    hist = np.zeros(n * row)
-    for a in range(0, n, tile):
-        b = min(a + tile, n)
-        count = _counts(z[a:] - z[a:b, None, :], invsq)  # (b - a, n_pre, n - a)
-        direct = count + (cells + row * np.arange(a, b)[:, None, None])
-        np.add.at(hist, direct.ravel(),
-                  np.broadcast_to(weights[a:], direct.shape).ravel())
-        mirrored = count[:, :, b - a:] + (cells + row * np.arange(b, n))
-        np.add.at(hist, mirrored.ravel(),
-                  np.broadcast_to(weights[a:b, None, None], mirrored.shape).ravel())
-    return _cumulate(hist, n_len).reshape(n, -1)
+    hist = np.zeros(p * row)
+    for a in range(0, p, tile):
+        b = min(a + tile, p)
+        lo = a if mirror else 0
+        count = _counts(z[lo:] - zc[a:b, None, :], invsq)  # (b - a, n_pre, n - lo)
+        bins = count + (cells + row * np.arange(b - a)[:, None, None])
+        w = np.broadcast_to(weights[lo:], bins.shape).ravel()
+        if not mirror:
+            hist[a * row:b * row] = np.bincount(bins.ravel(), weights=w,
+                                                minlength=(b - a) * row)
+            continue
+        out = hist[a * row:]  # a view, indexed from the tile's first row
+        np.add.at(out, bins.ravel(), w)
+        bins = count[:, :, b - a:] + (cells + row * np.arange(b - a, n - a))
+        w = np.broadcast_to(weights[a:b, None, None], bins.shape).ravel()
+        np.add.at(out, bins.ravel(), w)
+    masses = np.cumsum(hist.reshape(-1, n_len + 1)[:, ::-1], axis=-1)[:, :n_len]
+    return masses.reshape(p, n_len ** d)
 
 
 def _frame_masses(mu: WeightedPointMeasure, family: EllipsoidFamily,
                   tuples: np.ndarray, centers: np.ndarray, reduce) -> list:
     """reduce(frame, masses) per frame, in frame order, with masses (P, T):
-    row i holds the members centred at centers[i].  Runs of frames holding
-    at least FRAME_WORK tests, set by P, N and T alone, go to map_blocks.
-
-    When the centres are the atoms, _symmetric_sweep counts each pair of
-    atoms once, in tiles of 4 blocks of centres.  For a centred B, a in
-    c + B if and only if c in a + B, and z_j - z_i = -(z_i - z_j) exactly in
-    IEEE arithmetic, so the squares and the count agree for either atom as
-    the centre.  np.add.at adds in sequence, and every centre receives its
-    atoms in ascending index order (the transposed tiles of earlier blocks,
-    then its own direct tile), so each histogram bin is the same
-    left-to-right sum that _sweep's np.bincount makes: the masses are equal
-    bit for bit.
+    row i holds the members centred at centers[i], swept by _sweep in tiles
+    of SWEEP_BLOCK atom x prefix entries, mirrored when the centres are the
+    atoms.  Runs of frames holding at least FRAME_WORK tests, set by P, N
+    and T alone, go to map_blocks.
     """
     if family.dim != mu.dim:
         raise ValueError(f"family dimension {family.dim} does not match the "
                          f"measure's {mu.dim}")
     values = np.unique(tuples)
-    step = max(1, SWEEP_BLOCK // (mu.n_atoms * len(values) ** (mu.dim - 1)))
+    tile = max(1, SWEEP_BLOCK // (mu.n_atoms * len(values) ** (mu.dim - 1)))
     frames = family.frames
     run = -(-FRAME_WORK // max(1, tuples.shape[0] * mu.n_atoms * centers.shape[0]))
-    symmetric = np.array_equal(centers, mu.points)
+    mirror = np.array_equal(centers, mu.points)
 
     def swept(frame):
         z = mu.points @ frame
-        if symmetric:
-            return reduce(frame, _symmetric_sweep(z, values, mu.weights, 4 * step))
-        zc = centers @ frame
-        masses = np.empty((zc.shape[0], tuples.shape[0]))
-        for i in range(0, zc.shape[0], step):
-            masses[i:i + step] = _sweep(z - zc[i:i + step, None, :], values,
-                                        mu.weights)
-        return reduce(frame, masses)
+        zc = z if mirror else centers @ frame
+        return reduce(frame, _sweep(z, zc, values, mu.weights, tile, mirror))
 
     ranges = [(s, min(s + run, len(frames))) for s in range(0, len(frames), run)]
     blocks = parallel.map_blocks(lambda a, b: [swept(f) for f in frames[a:b]], ranges)
@@ -690,10 +672,8 @@ def _maximal(mu: WeightedPointMeasure, k: int, family: EllipsoidFamily,
     The inner members are the columns of the full length table whose
     lengths all lie below the top grid value.  Their masses equal a sweep
     of the inner table bit for bit: the same atoms fall in the same
-    histogram bins in the same order.  For a centred B, a in c + B if and
-    only if c in a + B, so with the atoms as centres (the maximal check)
-    _frame_masses counts each pair of atoms once; its docstring gives why
-    the masses still equal the per-centre sweep bit for bit.
+    histogram bins in the same order.  With the atoms as centres (the
+    maximal check) _sweep counts each pair of atoms once.
     """
     if family.mode != "doubling_dyadic":
         raise ValueError("maximal_function needs a doubling_dyadic family")

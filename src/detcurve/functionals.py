@@ -491,9 +491,11 @@ def weak_type_probe(mu: WeightedPointMeasure, k: int, gamma: float, alpha: float
     is recorded with the whole measure's tau.  Requires 0 < gamma < k alpha
     for the exponent to make sense; the sup and its witness are returned.
     """
-    _check_k_alpha(mu, k)
+    _check_k_alpha(mu, k, alpha)
     if not (0 < gamma < k * alpha):
         raise ValueError("need 0 < gamma < k * alpha")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if abs(mu.total_mass - 1.0) > 1e-9:
         raise ValueError("weak_type_probe expects a probability measure")
     tau = default_det_threshold(mu, k)

@@ -66,8 +66,8 @@ def multi_measure_factor(k: int) -> float:
 
 
 def _check_rwt_exponents(alpha: float, gamma: float) -> None:
-    if not 0 < gamma < alpha:
-        raise ValueError("need 0 < gamma < alpha")
+    if not 0 < gamma < alpha < math.inf:  # alpha = inf reads nan
+        raise ValueError(f"need 0 < gamma < alpha < inf, got gamma {gamma}, alpha {alpha}")
 
 
 def rwt_series_bound(k: int, alpha: float, gamma: float, l0: int) -> float:
@@ -182,8 +182,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
         eps = tuple(float(e) for e in self.eps_grid)
         if any(not 0 < e <= 1 for e in eps):
             raise ValueError("eps_grid values must lie in (0, 1]")
@@ -378,6 +380,8 @@ def verify_cauchy_schwarz(mu: WeightedPointMeasure, k: int, gamma: float, *,
                           trials: int = 50, seed: int = 0,
                           budget: int = DEFAULT_BUDGET):
     """Included-mass squared against the two opposite-power forms."""
+    if trials < 1:  # no trial would read as a pass with lhs -inf
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     worst = -math.inf
     failures = 0
@@ -594,11 +598,12 @@ def verify_refinement_stability(config: "ScenarioConfig",
 # scenario runner
 
 
-def _multi_check(config, mu):
+def _multi_check(config, mu, get_family):
     measures = [mu] + [_realize(g) for g in config.co_generators]
     if len(measures) != config.k:
         measures = (measures * config.k)[:config.k]
-    families = [config.family.build(m_) for m_ in measures]
+    families = [get_family() if m_ is mu else config.family.build(m_)
+                for m_ in measures]
     return verify_sublevel_bound_multi(measures, config.eps_grid, families,
                                        budget=config.budget, refine=config.refine)
 
@@ -616,7 +621,7 @@ def _necessity_check(config, mu):
 _CHECKS = {
     "sublevel": lambda c, mu, fam: verify_sublevel_bound(
         mu, c.k, c.eps_grid, fam(), budget=c.budget, refine=c.refine),
-    "sublevel_multi": lambda c, mu, fam: _multi_check(c, mu),
+    "sublevel_multi": _multi_check,
     "weak_type": lambda c, mu, fam: verify_weak_type_bound(
         mu, c.k, c.gamma, c.alpha, fam(), trials=c.trials, seed=c.seed,
         budget=c.budget, refine=c.refine, slack=c.slack),

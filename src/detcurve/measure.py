@@ -67,11 +67,12 @@ class WeightedPointMeasure:
 
 
 def _check_k_alpha(mu: WeightedPointMeasure, k: int, alpha: float = None) -> None:
-    """Named errors for k outside [1, d] and, when given, alpha <= 0."""
+    """Named errors for k outside [1, d] and, when given, alpha not positive
+    and finite (at alpha = inf the content powers read 0 or inf)."""
     if not 1 <= k <= mu.dim:
         raise ValueError(f"k must be in [1, {mu.dim}], got {k}")
-    if alpha is not None and not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if alpha is not None and not (alpha > 0 and np.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
 def eval_measure(mu: WeightedPointMeasure, region: Ellipsoid) -> float:

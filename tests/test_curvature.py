@@ -342,6 +342,18 @@ def brute_sweep(z, values, weights):
                      for lengths in product(values, repeat=z.shape[-1])])
 
 
+def bincount_sweep(z, values, weights):
+    """The per-centre sweep that _sweep's tiles replaced: one np.bincount of
+    the weights over (length prefix, first admitting last-axis length),
+    summed from the top, for atoms z relative to one centre."""
+    n_len = len(values)
+    count = curvature._counts(z, (1.0 / values) ** 2)
+    bins = count + (n_len + 1) * np.arange(count.shape[0])[:, None]
+    hist = np.bincount(bins.ravel(), weights=np.broadcast_to(weights, bins.shape).ravel(),
+                       minlength=count.shape[0] * (n_len + 1))
+    return np.cumsum(hist.reshape(-1, n_len + 1)[:, ::-1], axis=-1)[:, :n_len].ravel()
+
+
 def maximal_reference(mu, k, alpha, family, pts, inner=False):
     """The per-point loop that maximal_function replaced."""
     tuples = family.length_tuples(inner=inner)
@@ -429,12 +441,12 @@ class TestSweep:
         z_edge[::3] = np.nextafter(z_edge[::3], np.inf)
         z = np.concatenate([z_random, z_edge])
         weights = rng.integers(0, 4, z.shape[0]).astype(float)  # exact sums
-        masses = _sweep(z, values, weights)
-        assert masses.shape == (len(values) ** d,)
-        assert np.array_equal(masses, brute_sweep(z, values, weights))
-        batched = _sweep(np.stack([z, z[::-1] * 0.5]), values, weights)
-        assert np.array_equal(batched[0], masses)
-        assert np.array_equal(batched[1], brute_sweep(z[::-1] * 0.5, values, weights))
+        centres = np.stack([np.zeros(d), z[0] * 0.5])
+        masses = _sweep(z, centres, values, weights, 1, False)
+        assert masses.shape == (2, len(values) ** d)
+        assert np.array_equal(masses[0], brute_sweep(z, values, weights))
+        assert np.array_equal(masses[1], brute_sweep(z - centres[1], values, weights))
+        assert np.array_equal(_sweep(z, centres, values, weights, 2, False), masses)
 
     @pytest.mark.parametrize("n_len", [255, 256, 300])
     def test_count_type_boundary(self, n_len):
@@ -445,7 +457,7 @@ class TestSweep:
         z = np.concatenate([[[0.0]], values[::7, None], -values[::11, None],
                             rng.uniform(-1.1 * values[-1], 1.1 * values[-1], (40, 1))])
         weights = rng.integers(0, 4, z.shape[0]).astype(float)
-        masses = _sweep(z, values, weights)
+        masses = _sweep(z, np.zeros((1, 1)), values, weights, 1, False)[0]
         assert masses[0] >= weights[0] > 0.0
         assert np.array_equal(masses, brute_sweep(z, values, weights))
 
@@ -507,10 +519,10 @@ class TestSweep:
 
 
 def per_centre_rows(mu, frame, values):
-    """_sweep around each atom on its own: the rows the symmetric sweep must
-    reproduce."""
+    """The reference sweep around each atom on its own: the rows the tiled
+    sweep must reproduce, mirrored or not."""
     z = mu.points @ frame
-    return np.stack([_sweep(z - c, values, mu.weights) for c in z])
+    return np.stack([bincount_sweep(z - c, values, mu.weights) for c in z])
 
 
 @pytest.fixture(scope="module")
@@ -538,43 +550,60 @@ class TestSymmetricSweep:
                                      frames=default_frames(mu.dim, n_random=1, seed=5))
         values = np.unique(fam.length_tuples(inner=inner))
         for frame in fam.frames:
+            z = mu.points @ frame
             want = per_centre_rows(mu, frame, values)
             # tile heights that divide N or not, one atom and all atoms at once
-            for tile in (1, 3, 7, 16, mu.n_atoms + 5):
-                got = curvature._symmetric_sweep(mu.points @ frame, values, mu.weights, tile)
-                assert np.array_equal(got, want), (frame, tile)
+            for tile, mirror in product((1, 3, 7, 16, mu.n_atoms + 5), (True, False)):
+                got = _sweep(z, z, values, mu.weights, tile, mirror)
+                assert np.array_equal(got, want), (frame, tile, mirror)
+
+    @given(st.integers(1, 3), st.integers(1, 24), st.integers(0, 2 ** 32 - 1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mirror_and_tiles_match_reference(self, d, n, seed, data):
+        tile = data.draw(st.integers(1, n + 5), label="tile")
+        rng = np.random.default_rng(seed)
+        values = np.unique(np.concatenate([
+            rng.choice(2.0 ** np.arange(-2, 2), int(rng.integers(0, 3))),
+            rng.uniform(0.2, 2.0, int(rng.integers(1, 4)))]))
+        z = rng.uniform(-1.5, 1.5, (n, d))
+        z[::3] = np.round(z[::3] * 4.0) / 4.0  # ties, repeats and s == 1 at dyadic lengths
+        weights = rng.uniform(0.5, 1.5, n) / 3.0  # non-dyadic: the sum order shows
+        weights[rng.random(n) < 0.3] = 0.0
+        want = np.stack([bincount_sweep(z - c, values, weights) for c in z])
+        assert np.array_equal(_sweep(z, z, values, weights, tile, True), want)
+        assert np.array_equal(_sweep(z, z, values, weights, tile, False), want)
 
     @pytest.mark.parametrize("block", [None, 1])
     def test_frame_masses_take_symmetric_path(self, circle240, monkeypatch, block):
-        if block is not None:  # tiles of 4 centres
+        if block is not None:  # one centre per tile
             monkeypatch.setattr(curvature, "SWEEP_BLOCK", block)
         calls = []
-        original = curvature._symmetric_sweep
+        original = curvature._sweep
 
         def spy(*args):
-            calls.append(args[-1])
+            calls.append(args[-1])  # mirror
             return original(*args)
 
-        monkeypatch.setattr(curvature, "_symmetric_sweep", spy)
+        monkeypatch.setattr(curvature, "_sweep", spy)
         fam = EllipsoidFamily.dyadic(2, -4, 1, mode="doubling_dyadic",
                                      frames=default_frames(2, n_random=2, seed=5))
         tuples = fam.length_tuples()
         got = curvature._frame_masses(circle240, fam, tuples, circle240.points.copy(),
                                       lambda f, m: (f, m))
-        assert len(calls) == len(fam.frames)
+        assert calls == [True] * len(fam.frames)
         for frame, masses in got:
             assert np.array_equal(masses, per_centre_rows(circle240, frame, np.unique(tuples)))
         curvature._frame_masses(circle240, fam, tuples, circle240.points[:-1],
                                 lambda f, m: m)
-        assert len(calls) == len(fam.frames)  # other centres: per-centre sweep
+        assert calls[len(fam.frames):] == [False] * len(fam.frames)  # other centres
 
     def test_memory_bounded_by_tile(self, cube256, monkeypatch):
         fam = EllipsoidFamily.dyadic(2, -5, 1, mode="doubling_dyadic",
                                      frames=default_frames(2, n_random=2, seed=5))
         n, n_pre = cube256.n_atoms, len(fam.length_grid)  # L ** (d - 1), d = 2
         want = maximal_weak_bound_check(cube256, 2, 1.0, 1.0, fam)
-        monkeypatch.setattr(curvature, "SWEEP_BLOCK", 2 * n * n_pre)  # step 2
-        tile = 4 * 2
+        tile = 8
+        monkeypatch.setattr(curvature, "SWEEP_BLOCK", tile * n * n_pre)
         sizes = []
         original = curvature._counts
 
@@ -592,7 +621,7 @@ class TestSymmetricSweep:
 
 class TestNumpySumOrder:
     def test_chained_add_at_equals_one_bincount(self):
-        # the symmetric sweep's bit-identity rests on np.add.at adding in
+        # the mirrored sweep's bit-identity rests on np.add.at adding in
         # index order, as np.bincount does, across split runs of indices
         rng = np.random.default_rng(11)
         bins = rng.integers(0, 8, 6000)  # ~750 repeats per bin
@@ -747,6 +776,7 @@ BAD_ARGUMENTS = [
     ("k", 3, r"k must be in \[1, 2\], got 3"),
     ("alpha", 0.0, "alpha must be positive"),
     ("alpha", -1.0, "alpha must be positive"),
+    ("alpha", math.inf, "alpha must be positive and finite, got inf"),
     ("family", 3, "family dimension 3 does not match the measure's 2"),
     ("max_members", 0, "max_members must be at least 1"),
     ("max_members", -1, "max_members must be at least 1"),

@@ -414,6 +414,14 @@ class TestWeakTypeProbe:
     def test_rejects_bad_exponents(self, cube64):
         with pytest.raises(ValueError):
             weak_type_probe(cube64, 2, 3.0, 1.0, trials=2)
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            weak_type_probe(cube64, 2, 0.5, math.inf, trials=2)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rejects_no_trials(self, cube64, trials):
+        # not "no probe trial produced nonempty sets": no trial was run
+        with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+            weak_type_probe(cube64, 2, 0.5, 1.0, trials=trials)
 
 
 class TestRestrictedSlots:

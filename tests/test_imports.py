@@ -5,7 +5,9 @@ and passed by some caller."""
 
 import ast
 import importlib
+import inspect
 import math
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -209,3 +211,33 @@ def test_bench_tracing_targets_resolve(monkeypatch):
             missing.append(f"{module.__name__}.{attr}")
     assert missing == []
     assert tuple(tracing.CHECK_FUNCTIONS) == lab.KNOWN_CHECKS
+
+
+def counter_keys(counter) -> set:
+    """The keys a tracing counter reads as a["..."] from the bound
+    arguments of the function it counts."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(counter)))
+    return {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "a" and isinstance(node.slice, ast.Constant)}
+
+
+def test_bench_tracing_counters_read_parameters(monkeypatch):
+    # the counters read arguments by parameter name: a rename would fail
+    # only in a traced benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    unknown, read = [], 0
+    for module, attr, _, counter in tracing.TARGETS:
+        if counter is None:
+            continue
+        target = module
+        for part in attr.split("."):
+            target = getattr(target, part)
+        params = inspect.signature(target).parameters
+        keys = counter_keys(counter)
+        read += len(keys)
+        unknown += [f"{module.__name__}.{attr}: {key}" for key in sorted(keys)
+                    if key not in params]
+    assert unknown == []
+    assert read >= 10  # the parse does find the reads

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from detcurve import lab
 from detcurve.functionals import det_form_pinned
 from detcurve.lab import (
     BUNDLED_SCENARIOS,
@@ -88,6 +89,10 @@ class TestSeriesConstant:
             rwt_series_constant(2, 1.0, 0.0)
         with pytest.raises(ValueError):
             rwt_series_bound(2, 0.5, 0.6, 0)
+        for fn in (rwt_series_constant, lambda *a: rwt_series_bound(*a, 0),
+                   lambda *a: rwt_bound(*a, 1.0, [1.0, 1.0])):
+            with pytest.raises(ValueError, match="alpha < inf, got gamma 0.5, alpha inf"):
+                fn(2, float("inf"), 0.5)
 
 
 class TestScenarioConfig:
@@ -119,6 +124,18 @@ class TestScenarioConfig:
             ScenarioConfig(name="x",
                            generator=GeneratorSpec("cube_lebesgue", 2, 16, 0),
                            checks=("weak_type",), gamma=1.5, alpha=1.0)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("alpha", float("inf"), "alpha must be positive and finite, got inf"),
+        ("alpha", float("nan"), "alpha must be positive and finite, got nan"),
+        ("trials", 0, "trials must be at least 1, got 0"),
+        ("trials", -3, "trials must be at least 1, got -3")])
+    def test_rejects_by_name(self, field, value, message):
+        # trials 0 used to pass cauchy-schwarz-duality with lhs -inf
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(name="x",
+                           generator=GeneratorSpec("cube_lebesgue", 2, 16, 0),
+                           checks=("cauchy_schwarz",), **{field: value})
 
     def test_rejects_extra_co_generators(self):
         circle = GeneratorSpec("sphere_uniform", 2, 32, 1)
@@ -166,6 +183,10 @@ class TestDrivers:
         assert records[0].passed
         assert records[0].lhs <= 0.0
 
+    def test_cauchy_schwarz_needs_a_trial(self, cube64):
+        with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+            verify_cauchy_schwarz(cube64, 2, 0.5, trials=0)
+
     def test_necessity_growth_is_exact_on_line(self, line64):
         records, constants = verify_necessity_growth(
             line64, 2, 1.0, base_floor=2.0 ** -7, deltas=(1, 2),
@@ -206,6 +227,29 @@ class TestScenarios:
         assert report.scenario == "tiny"
         assert set(report.timings) == {"sublevel", "cauchy_schwarz"}
         assert report.config["generator"]["family"] == "cube_lebesgue"
+
+    @pytest.mark.parametrize("co_generators,builds", [
+        ((), 1), ((GeneratorSpec("sphere_uniform", 2, 32, 1),), 2)])
+    def test_one_family_per_measure(self, monkeypatch, co_generators, builds):
+        # sublevel_multi reuses the scenario measure's family for its slots
+        calls = []
+        original = lab.default_family
+
+        def spy(mu, **kwargs):
+            calls.append(mu)
+            return original(mu, **kwargs)
+
+        monkeypatch.setattr(lab, "default_family", spy)
+        cfg = ScenarioConfig(
+            name="families",
+            generator=GeneratorSpec("cube_lebesgue", 2, 64, 0),
+            co_generators=co_generators,
+            checks=("sublevel", "sublevel_multi"),
+            eps_grid=(0.2,),
+            family=FamilyParams(n_frames=4, n_pca=2),
+            refine=8)
+        assert run_scenario(cfg).all_satisfied
+        assert len(calls) == builds
 
     def test_expected_fail_flip(self):
         # a passing check listed in expected_fail must count as unsatisfied
