@@ -6,9 +6,11 @@ semi-lengths.  Everything here works with finite search families: frames
 (orthonormal axis systems) crossed with per-axis dyadic semi-lengths, with a
 scale floor so that atomic measures do not trivially blow the ratio up.
 Estimates are therefore certified lower bounds for the true constant, with a
-deterministic local refinement to tighten them.  The slab, Gaussian,
-weak-type and radius-quantile checks read the level masses mu({f <= t}) of a
-per-atom value f from one primitive, _level_masses.
+deterministic local refinement to tighten them.  A search sweeps its family
+once: the constant search, the min-content search at every mass level and the
+slab check read one (frames x length tuples) table, _centred_masses.  The
+slab, Gaussian, weak-type and radius-quantile checks read the level masses
+mu({f <= t}) of a per-atom value f from one primitive, _level_masses.
 """
 
 from __future__ import annotations
@@ -169,6 +171,8 @@ def default_family(mu: WeightedPointMeasure, *, n_frames: int = 64, n_pca: int =
     radius with one doubling of headroom.
     """
     if mode == "doubling_dyadic":
+        if floor is not None:
+            raise ValueError(f"doubling_dyadic mode does not take a floor, got {floor}")
         floor_val = 0.0
     else:
         floor_val = median_nn_distance(mu) if floor is None else float(floor)
@@ -394,20 +398,30 @@ def _single_mass(mu: WeightedPointMeasure, frame: np.ndarray,
     return float(np.sum(mu.weights[s <= 1.0]))
 
 
-def _grid_then_refine(mu: WeightedPointMeasure, family: EllipsoidFamily,
-                      tuples: np.ndarray, pick, score, refine: int,
-                      minimize: bool, fallback=None) -> Ellipsoid:
+def _centred_masses(mu: WeightedPointMeasure, family: EllipsoidFamily,
+                    tuples: np.ndarray) -> np.ndarray:
+    """(frames, T) masses of the members centred at the origin."""
+    return np.concatenate(_frame_masses(mu, family, tuples, np.zeros((1, mu.dim)),
+                                        lambda frame, masses: masses))
+
+
+def _grid_then_refine(family: EllipsoidFamily, tuples: np.ndarray,
+                      table: np.ndarray, score, refine: int, minimize: bool,
+                      fallback=None) -> Ellipsoid:
     """Witness of a grid search over the centred members, refined locally.
 
-    pick turns a frame's swept masses into a start (value, tuple index) or
-    None; fallback() gives the start (value, frame, lengths) if no frame
-    has one.  The best three starts get refine // n_starts evaluations each,
-    and only a strictly better refined score replaces the best.
+    table (frames, T) scores every member; each frame's best column is its
+    start, except that a frame whose least score is +inf has none when
+    minimising.  fallback() gives the start (value, frame, lengths) if no
+    frame has one.  The best three starts get refine // n_starts
+    evaluations of score each, and only a strictly better refined score
+    replaces the best.
     """
-    picks = _frame_masses(mu, family, tuples, np.zeros((1, mu.dim)),
-                          lambda frame, masses: pick(masses[0]))
-    starts = [(start[0], frame, tuples[start[1]])
-              for frame, start in zip(family.frames, picks) if start is not None]
+    cols = np.argmin(table, axis=1) if minimize else np.argmax(table, axis=1)
+    best = table[np.arange(len(cols)), cols]
+    starts = [(float(v), frame, tuples[t])
+              for v, frame, t in zip(best, family.frames, cols)
+              if not (minimize and v == math.inf)]
     starts = starts or [fallback()]
     starts.sort(key=lambda s: s[0], reverse=not minimize)
 
@@ -433,12 +447,7 @@ def estimate_curvature_constant(mu: WeightedPointMeasure, k: int, alpha: float,
     """
     _check_k_alpha(mu, k, alpha)
     tuples = family.length_tuples()
-    contents_a = _top_k_products(tuples, k) ** alpha
-
-    def pick(masses):
-        ratios = masses / contents_a
-        t = int(np.argmax(ratios))
-        return float(ratios[t]), t
+    ratios = _centred_masses(mu, family, tuples) / _top_k_products(tuples, k) ** alpha
 
     def score(frame, lengths):
         content = float(_top_k_products(lengths[None, :], k)[0])
@@ -446,11 +455,51 @@ def estimate_curvature_constant(mu: WeightedPointMeasure, k: int, alpha: float,
             return -math.inf
         return _single_mass(mu, frame, lengths) / content ** alpha
 
-    witness = _grid_then_refine(mu, family, tuples, pick, score, refine,
-                                minimize=False)
+    witness = _grid_then_refine(family, tuples, ratios, score, refine, minimize=False)
     constant = curvature_ratio(mu, witness, k, alpha)
     return CurvatureEstimate(alpha=alpha, constant=constant, witness=witness,
                              family_size=family.size)
+
+
+def _min_contents(mu: WeightedPointMeasure, k: int, eps_grid,
+                  family: EllipsoidFamily, refine: int) -> list:
+    """min_content_at_mass's (delta_hat, witness) for each eps of eps_grid,
+    every search reading one table of centred masses."""
+    _check_k_alpha(mu, k)
+    for eps in eps_grid:
+        if not 0 < eps <= mu.total_mass + 1e-9:
+            raise ValueError(f"eps must lie in (0, total mass], got {eps}")
+    eps_effs = [eps - 1e-9 * max(1.0, eps) for eps in eps_grid]
+
+    if k == 1:
+        radii, mass = _level_masses(mu.radii, mu.weights)
+        at = np.minimum(np.searchsorted(mass, eps_effs), radii.size - 1)
+        return [(float(r), Ellipsoid.ball(float(r), mu.dim)) for r in radii[at]]
+
+    tuples = family.length_tuples()
+    contents = _top_k_products(tuples, k)
+    masses = _centred_masses(mu, family, tuples)
+    found = []
+    for eps_eff in eps_effs:
+        def grow_ball():
+            # grid top end too small for this mass level: grow balls until feasible
+            radius = float(family.effective_lengths[-1])
+            for _ in range(128):
+                radius *= 2.0
+                if eval_measure(mu, Ellipsoid.ball(radius, mu.dim)) >= eps_eff:
+                    return radius ** k, np.eye(mu.dim), np.full(mu.dim, radius)
+            raise RuntimeError("could not reach the requested mass level")
+
+        def score(frame, lengths):
+            if _single_mass(mu, frame, lengths) < eps_eff:
+                return math.inf
+            return float(_top_k_products(lengths[None, :], k)[0])
+
+        table = np.where(masses >= eps_eff, contents, math.inf)
+        witness = _grid_then_refine(family, tuples, table, score, refine,
+                                    minimize=True, fallback=grow_ball)
+        found.append((k_content(witness, k), witness))
+    return found
 
 
 def min_content_at_mass(mu: WeightedPointMeasure, k: int, eps: float,
@@ -462,46 +511,7 @@ def min_content_at_mass(mu: WeightedPointMeasure, k: int, eps: float,
     the ball of its largest semi-length, so centered balls are optimal and
     the answer is the radius quantile at mass eps.
     """
-    _check_k_alpha(mu, k)
-    total = mu.total_mass
-    eps_eff = eps - 1e-9 * max(1.0, eps)
-    if not 0 < eps <= total + 1e-9:
-        raise ValueError(f"eps must lie in (0, total mass], got {eps}")
-
-    if k == 1:
-        radii, mass = _level_masses(mu.radii, mu.weights)
-        pos = min(int(np.searchsorted(mass, eps_eff)), radii.size - 1)
-        r = float(radii[pos])
-        return r, Ellipsoid.ball(r, mu.dim)
-
-    tuples = family.length_tuples()
-    contents = _top_k_products(tuples, k)
-
-    def pick(masses):
-        feasible = masses >= eps_eff
-        if not np.any(feasible):
-            return None
-        cand = np.where(feasible, contents, math.inf)
-        t = int(np.argmin(cand))
-        return float(cand[t]), t
-
-    def grow_ball():
-        # grid top end too small for this mass level: grow balls until feasible
-        radius = float(family.effective_lengths[-1])
-        for _ in range(128):
-            radius *= 2.0
-            if eval_measure(mu, Ellipsoid.ball(radius, mu.dim)) >= eps_eff:
-                return radius ** k, np.eye(mu.dim), np.full(mu.dim, radius)
-        raise RuntimeError("could not reach the requested mass level")
-
-    def score(frame, lengths):
-        if _single_mass(mu, frame, lengths) < eps_eff:
-            return math.inf
-        return float(_top_k_products(lengths[None, :], k)[0])
-
-    witness = _grid_then_refine(mu, family, tuples, pick, score, refine,
-                                minimize=True, fallback=grow_ball)
-    return k_content(witness, k), witness
+    return _min_contents(mu, k, [eps], family, refine)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +653,7 @@ def slab_implication_check(mu: WeightedPointMeasure, k: int, alpha: float,
     if max_members < 1:
         raise ValueError(f"max_members must be at least 1, got {max_members}")
     tuples = family.length_tuples()
-    swept = np.concatenate(_frame_masses(mu, family, tuples, np.zeros((1, mu.dim)),
-                                         lambda frame, masses: masses[0]))
+    swept = _centred_masses(mu, family, tuples).ravel()
     members = np.arange(0, swept.shape[0], -(-swept.shape[0] // max_members))
     frame_of, tuple_of = np.divmod(members, len(tuples))
     # semi-lengths as an Ellipsoid stores them: 1 / (1 / l) may differ from l

@@ -26,11 +26,10 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .curvature import (EllipsoidFamily, default_family,
+from .curvature import (EllipsoidFamily, _min_contents, default_family,
                         estimate_curvature_constant, gaussian_content_check,
                         gaussian_lower_check, layer_cake_check,
-                        maximal_weak_bound_check, min_content_at_mass,
-                        slab_implication_check)
+                        maximal_weak_bound_check, slab_implication_check)
 from .functionals import (DEFAULT_BUDGET, cauchy_schwarz_check,
                           sublevel_mass, weak_type_probe)
 from .measure import (GeneratorSpec, WeightedPointMeasure, generate,
@@ -277,9 +276,8 @@ def verify_sublevel_bound(mu: WeightedPointMeasure, k: int, eps_grid, family,
         rhs=0.0, direction="lhs == rhs",
         details={"relation": "factor(k) = 2^-k * factor(k-1), k = 2..6"}))
 
-    for eps in eps_grid:
-        delta_hat, witness = min_content_at_mass(mu, k, eps, family,
-                                                 refine=refine)
+    for eps, (delta_hat, witness) in zip(
+            eps_grid, _min_contents(mu, k, eps_grid, family, refine)):
         value = sublevel_mass([mu] * k, c_k * delta_hat, budget=budget)
         bound = big_c * eps
         records.append(CheckRecord(
@@ -311,13 +309,11 @@ def verify_sublevel_bound_multi(measures, eps_grid, families, *,
     bound_factor = multi_measure_factor(k) * sublevel_mass_factor(k)
     records = []
     constants = {"mixed_bound_factor": bound_factor, "delta_hat_multi": {}}
-    for eps in eps_grid:
-        level = 1.0
-        deltas = []
-        for m_, fam in zip(measures, families):
-            delta_hat, _ = min_content_at_mass(m_, k, eps, fam, refine=refine)
-            deltas.append(delta_hat)
-            level *= delta_hat ** (1.0 / k)
+    found = [_min_contents(m_, k, eps_grid, fam, refine)
+             for m_, fam in zip(measures, families, strict=True)]
+    for eps, *at_eps in zip(eps_grid, *found):
+        deltas = [delta_hat for delta_hat, _ in at_eps]
+        level = math.prod(delta_hat ** (1.0 / k) for delta_hat in deltas)
         value = sublevel_mass(measures, c_k * level, budget=budget)
         bound = bound_factor * eps
         records.append(CheckRecord(
@@ -572,13 +568,13 @@ def verify_refinement_stability(config: "ScenarioConfig",
                                 mu: WeightedPointMeasure):
     """Curvature estimate stability across sample-size refinement: the
     constants at the first and last refinement_counts agree within a
-    factor 2."""
+    factor 2.  mu, the scenario's own measure, serves the count its
+    generator already has."""
     counts = config.refinement_counts
     factor = 2.0
-    records = []
     values = []
     for count in counts:
-        m_ = scenario_measure(replace(
+        m_ = mu if count == config.generator.count else scenario_measure(replace(
             config, generator=replace(config.generator, count=int(count))))
         fam = config.family.build(m_)
         est = estimate_curvature_constant(m_, config.k, config.alpha, fam,
@@ -586,11 +582,11 @@ def verify_refinement_stability(config: "ScenarioConfig",
         values.append(est.constant)
     ratio = values[-1] / values[0] if values[0] > 0 else math.inf
     spread = max(ratio, 1.0 / ratio) if ratio > 0 else math.inf
-    records.append(CheckRecord(
+    records = [CheckRecord(
         name=f"refinement-stability-{counts[0]}-{counts[-1]}",
         passed=spread <= factor, lhs=spread, rhs=factor,
         margin=factor - spread,
-        details={"constants": values, "counts": list(counts)}))
+        details={"constants": values, "counts": list(counts)})]
     return records, {"refinement_constants": values}
 
 

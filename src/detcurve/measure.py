@@ -160,9 +160,8 @@ def _grid_points(dim: int, count: int, cell_centered: bool) -> np.ndarray:
 def generate(spec: GeneratorSpec) -> WeightedPointMeasure:
     """Build the point cloud described by a GeneratorSpec.
 
-    cube_lebesgue: regular cell-centered grid in [0,1]^d (each atom stands
-    for one cell of Lebesgue measure), or scrambled Halton points with
-    params={"low_discrepancy": True}.  sphere_uniform: seeded uniform sample
+    cube_lebesgue: cell-centered grid in [0,1]^d, no params (each atom stands
+    for one cell of Lebesgue measure).  sphere_uniform: seeded uniform sample
     of the unit sphere.  subspace_lebesgue: endpoint grid on the first m
     coordinates (params "subspace_dim", default 1), zero elsewhere; the grid
     includes the origin.  moment_curve: t -> (t, t^2, ..., t^d) over an
@@ -175,13 +174,9 @@ def generate(spec: GeneratorSpec) -> WeightedPointMeasure:
         raise ValueError("count must be at least 1")
 
     if spec.family == "cube_lebesgue":
-        if spec.params.get("low_discrepancy", False):
-            from scipy.stats import qmc
-
-            sampler = qmc.Halton(d=spec.dim, scramble=True, seed=spec.seed)
-            pts = sampler.random(spec.count)
-        else:
-            pts = _grid_points(spec.dim, spec.count, cell_centered=True)
+        if spec.params:
+            raise ValueError(f"cube_lebesgue takes no params, got {sorted(spec.params)}")
+        pts = _grid_points(spec.dim, spec.count, cell_centered=True)
         n = pts.shape[0]
         return WeightedPointMeasure(points=pts, weights=np.full(n, 1.0 / n))
 

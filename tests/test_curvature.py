@@ -87,6 +87,10 @@ class TestEllipsoidFamily:
         fam = default_family(cube64, n_frames=4)
         assert fam.floor == pytest.approx(median_nn_distance(cube64))
 
+    def test_default_family_doubling_rejects_floor(self, cube64):
+        with pytest.raises(ValueError, match="does not take a floor, got 0.1"):
+            default_family(cube64, n_frames=4, floor=0.1, mode="doubling_dyadic")
+
 
 class TestCurvatureRatio:
     def test_dirac_ball(self):
@@ -154,6 +158,48 @@ class TestMinContent:
         c_small, _ = min_content_at_mass(cube64, 2, 0.2, fam, refine=40)
         c_large, _ = min_content_at_mass(cube64, 2, 0.8, fam, refine=40)
         assert c_small <= c_large * (1 + 1e-9)
+
+
+def same_ellipsoid(a, b):
+    return (np.array_equal(a.center, b.center) and np.array_equal(a.frame, b.frame)
+            and np.array_equal(a.inv_lengths, b.inv_lengths))
+
+
+class TestMinContents:
+    """One table of centred masses answers every eps of a grid."""
+
+    # lengths up to 1 reach about pi / 4 of the cube's mass from the origin
+    EPS = (0.1, 0.4, 0.95)
+
+    @pytest.fixture(scope="class")
+    def family(self, cube64):
+        frames = default_frames(2, n_random=3, seed=1, points=cube64.points)
+        return EllipsoidFamily.dyadic(2, -4, 0, frames=frames)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_min_content_per_eps(self, cube64, family, k):
+        found = curvature._min_contents(cube64, k, self.EPS, family, 24)
+        assert len(found) == len(self.EPS)
+        for eps, (delta, witness) in zip(self.EPS, found):
+            want_delta, want_witness = min_content_at_mass(cube64, k, eps, family,
+                                                           refine=24)
+            assert delta == want_delta
+            assert same_ellipsoid(witness, want_witness)
+
+    def test_unreached_eps_grows_a_ball(self, cube64, family):
+        tuples = family.length_tuples()
+        masses = curvature._centred_masses(cube64, family, tuples)
+        assert masses.shape == (len(family.frames), len(tuples))
+        assert masses.max() < 0.95  # no member reaches it: grow_ball starts
+        (delta, witness), = curvature._min_contents(cube64, 2, [0.95], family, 0)
+        assert np.array_equal(witness.semi_lengths, [2.0, 2.0])  # 1 doubled once
+        assert np.array_equal(witness.frame, np.eye(2))
+        assert delta == 2.0 ** 2
+        assert eval_measure(cube64, witness) >= 0.95
+
+    def test_rejects_eps_outside_total_mass(self, cube64, family):
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, total mass\], got 1.5"):
+            curvature._min_contents(cube64, 2, [0.1, 1.5], family, 0)
 
 
 class TestGaussian:

@@ -1,7 +1,8 @@
 """Name hygiene: every module-level import in the package and the tests is
 used, every module-level name the package defines is read somewhere in it
-or exported, and every parameter with a default is read by its function
-and passed by some caller."""
+or exported, every parameter of the package's functions and methods is
+read, and every parameter with a default is read by its function and
+passed by some caller."""
 
 import ast
 import importlib
@@ -91,6 +92,27 @@ def unread_defaults(source: str) -> list:
     return sorted(unread)
 
 
+def unread_parameters(source: str) -> list:
+    """(line, function, parameter) of the parameters, defaulted or not, that
+    a module-level function or a method of a module-level class never
+    reads; self and cls are exempt."""
+    tree = ast.parse(source)
+    defs = [*tree.body, *(f for c in tree.body if isinstance(c, ast.ClassDef)
+                          for f in c.body)]
+    unread = []
+    for node in defs:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *filter(None, (args.vararg, args.kwarg))]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [(node.lineno, node.name, a.arg) for a in params
+                   if a.arg not in read and a.arg not in ("self", "cls")]
+    return sorted(unread)
+
+
 def never_passed_defaults(package: dict, callers: dict) -> list:
     """(module, line, function, parameter) of the parameters with a default
     value in the package's functions and methods that no call in the
@@ -171,6 +193,22 @@ def test_unread_default_scan_flags_ignored_parameters():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unread_default_parameters(path):
     assert unread_defaults(path.read_text(encoding="utf-8")) == []
+
+
+def test_unread_parameter_scan_flags_ignored_parameters():
+    src = ("def f(a, b, *rest, c, **opts):\n    return a + c\n"
+           "class K:\n    def m(self, x, y):\n"
+           "        def inner(z):\n            return y\n"
+           "        return inner\n"
+           "    @classmethod\n    def make(cls, u):\n        return u\n")
+    # nested functions are not scanned; self and cls are exempt
+    assert unread_parameters(src) == [(1, "f", "b"), (1, "f", "opts"),
+                                      (1, "f", "rest"), (4, "m", "x")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unread_package_parameters(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
 
 
 def test_never_passed_default_scan_flags_constant_parameters():

@@ -1,9 +1,11 @@
 """Scenario configs, verification drivers, and the explicit constants."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from detcurve import lab
+from detcurve import curvature, lab
 from detcurve.functionals import det_form_pinned
 from detcurve.lab import (
     BUNDLED_SCENARIOS,
@@ -22,6 +24,7 @@ from detcurve.lab import (
     verify_cauchy_schwarz,
     verify_necessity_growth,
     verify_sublevel_bound,
+    verify_sublevel_bound_multi,
 )
 from detcurve.measure import GeneratorSpec
 
@@ -166,6 +169,14 @@ class TestScenarioConfig:
         assert mu.n_atoms == 40
 
 
+    def test_family_block_doubling_rejects_floor(self, cube64):
+        cfg = ScenarioConfig.from_dict({
+            "name": "x", "generator": GeneratorSpec("cube_lebesgue", 2, 64, 0).to_dict(),
+            "family": {"n_frames": 4, "floor": 0.1, "mode": "doubling_dyadic"}})
+        with pytest.raises(ValueError, match="does not take a floor, got 0.1"):
+            cfg.family.build(cube64)
+
+
 class TestDrivers:
     def test_sublevel_records(self, cube64):
         fam = FamilyParams(n_frames=4, n_pca=2).build(cube64)
@@ -176,6 +187,27 @@ class TestDrivers:
         assert "sublevel-bound-eps-0.2" in names
         assert all(r.passed for r in records)
         assert set(constants["delta_hat"]) == {"0.2", "0.4"}
+
+    def test_sublevel_sweeps_once_for_every_eps(self, cube64, monkeypatch):
+        calls = []
+        original = curvature._frame_masses
+
+        def counting(mu, family, tuples, centers, reduce):
+            calls.append(centers)
+            return original(mu, family, tuples, centers, reduce)
+
+        fam = FamilyParams(n_frames=4, n_pca=2).build(cube64)
+        monkeypatch.setattr(curvature, "_frame_masses", counting)
+        verify_sublevel_bound(cube64, 2, (0.1, 0.2, 0.4), fam, refine=0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n_families", [1, 3])
+    def test_sublevel_multi_needs_one_family_per_measure(self, cube64, circle240,
+                                                         n_families):
+        fam = FamilyParams(n_frames=4, n_pca=2).build(cube64)
+        with pytest.raises(ValueError, match="argument 2 is (shorter|longer)"):
+            verify_sublevel_bound_multi([cube64, circle240], (0.2,),
+                                        [fam] * n_families)
 
     def test_cauchy_schwarz_driver(self, cube64):
         records, _ = verify_cauchy_schwarz(cube64, 2, 0.5, trials=10, seed=0)
@@ -208,6 +240,25 @@ class TestDrivers:
 class TestScenarios:
     def test_bundled_names_sorted(self):
         assert list(BUNDLED_SCENARIOS) == sorted(BUNDLED_SCENARIOS)
+
+    def test_cube_report_sweeps(self, monkeypatch):
+        # one origin table per (measure, family) search, however many eps
+        # and checks read it, and one sweep about the atoms for the maximal
+        calls = []
+        original = curvature._frame_masses
+
+        def counting(mu, family, tuples, centers, reduce):
+            origin = centers.shape[0] == 1 and not centers.any()
+            assert origin or np.array_equal(centers, mu.points)
+            calls.append((mu.n_atoms, id(family), origin))
+            return original(mu, family, tuples, centers, reduce)
+
+        monkeypatch.setattr(curvature, "_frame_masses", counting)
+        run_scenario(get_scenario("lebesgue-cube-d2-k2"))
+        # the cube has 256 atoms, the circle 240
+        assert Counter(n for n, _, origin in calls if origin) == {256: 4, 240: 1}
+        assert len({fam for n, fam, origin in calls if origin and n == 256}) == 1
+        assert [n for n, _, origin in calls if not origin] == [256]
         assert len(BUNDLED_SCENARIOS) == 3
 
     def test_get_scenario_unknown(self):

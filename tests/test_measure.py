@@ -106,11 +106,10 @@ class TestGenerators:
         t = np.linspace(0.0, 1.0, 5)
         assert np.allclose(mu.points, np.stack([t, t ** 2, t ** 3], axis=1))
 
-    def test_low_discrepancy_cube(self):
-        mu = generate(GeneratorSpec("cube_lebesgue", 2, 100, 3,
-                                    params={"low_discrepancy": True}))
-        assert mu.n_atoms == 100
-        assert np.all((mu.points >= 0.0) & (mu.points <= 1.0))
+    def test_cube_rejects_params(self):
+        with pytest.raises(ValueError, match="no params, got \\['low_discrepancy'\\]"):
+            generate(GeneratorSpec("cube_lebesgue", 2, 100, 3,
+                                   params={"low_discrepancy": True}))
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
