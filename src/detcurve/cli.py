@@ -120,18 +120,12 @@ def _exit_code(report) -> int:
     return 0 if all(c.passed for c in hard) else 1
 
 
-def _write_report(report, path, args) -> None:
-    if not args.timings:
-        return emit_report(report, path, fmt=args.format)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json(include_timings=True))
-
-
 def _cmd_verify(args) -> int:
     report = run_scenario(_load_scenario(args.scenario))
     report.print_summary()
     if args.report:
-        _write_report(report, args.report, args)
+        emit_report(report, args.report, fmt=args.format,
+                    include_timings=args.timings)
         print(f"report written to {args.report}")
     return _exit_code(report)
 
@@ -148,7 +142,7 @@ def _cmd_report(args) -> int:
             path = os.path.join(args.out, f"{report.scenario}.{suffix}")
         else:
             path = args.out
-        _write_report(report, path, args)
+        emit_report(report, path, fmt=args.format, include_timings=args.timings)
         report.print_summary()
         print(f"report written to {path}")
         code = max(code, _exit_code(report))

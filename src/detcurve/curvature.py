@@ -6,11 +6,12 @@ semi-lengths.  Everything here works with finite search families: frames
 (orthonormal axis systems) crossed with per-axis dyadic semi-lengths, with a
 scale floor so that atomic measures do not trivially blow the ratio up.
 Estimates are therefore certified lower bounds for the true constant, with a
-deterministic local refinement to tighten them.  A search sweeps its family
-once: the constant search, the min-content search at every mass level and the
-slab check read one (frames x length tuples) table, _centred_masses.  The
-slab, Gaussian, weak-type and radius-quantile checks read the level masses
-mu({f <= t}) of a per-atom value f from one primitive, _level_masses.
+deterministic local refinement to tighten them.  The constant search, the
+min-content search at every mass level and the slab check read one (frames x
+length tuples) table, _centred_masses, kept on the family with the last
+measure it swept: a family keeps that measure alive.  The slab, Gaussian,
+weak-type and radius-quantile checks read the level masses mu({f <= t}) of a
+per-atom value f from one primitive, _level_masses.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class EllipsoidFamily:
     mode: str = "scale_floored_search"
 
     def __post_init__(self):
-        frames = tuple(np.asarray(f, dtype=float) for f in self.frames)
+        frames = tuple(np.array(f, dtype=float) for f in self.frames)
         if not frames:
             raise ValueError("family needs at least one frame")
         d = frames[0].shape[0]
@@ -56,6 +57,7 @@ class EllipsoidFamily:
             _check_frame(f)
             if f.shape[0] != d:
                 raise ValueError("all frames must share one dimension")
+            f.setflags(write=False)
         grid = np.asarray(self.length_grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise ValueError("length_grid must be a nonempty vector")
@@ -76,6 +78,7 @@ class EllipsoidFamily:
         grid.setflags(write=False)
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "length_grid", grid)
+        object.__setattr__(self, "_swept", (None, None))  # see _centred_masses
 
     @property
     def dim(self) -> int:
@@ -313,20 +316,20 @@ def _sweep(z: np.ndarray, zc: np.ndarray, values: np.ndarray, weights: np.ndarra
 
 
 def _frame_masses(mu: WeightedPointMeasure, family: EllipsoidFamily,
-                  tuples: np.ndarray, centers: np.ndarray, reduce) -> list:
+                  centers: np.ndarray, reduce) -> list:
     """reduce(frame, masses) per frame, in frame order, with masses (P, T):
-    row i holds the members centred at centers[i], swept by _sweep in tiles
-    of SWEEP_BLOCK atom x prefix entries, mirrored when the centres are the
-    atoms.  Runs of frames holding at least FRAME_WORK tests, set by P, N
-    and T alone, go to map_blocks.
+    row i holds the members centred at centers[i] in length_tuples order,
+    swept by _sweep in tiles of SWEEP_BLOCK atom x prefix entries, mirrored
+    when the centres are the atoms.  Runs of frames holding at least
+    FRAME_WORK tests, set by P, N and T alone, go to map_blocks.
     """
     if family.dim != mu.dim:
         raise ValueError(f"family dimension {family.dim} does not match the "
                          f"measure's {mu.dim}")
-    values = np.unique(tuples)
+    values = family.effective_lengths
     tile = max(1, SWEEP_BLOCK // (mu.n_atoms * len(values) ** (mu.dim - 1)))
     frames = family.frames
-    run = -(-FRAME_WORK // max(1, tuples.shape[0] * mu.n_atoms * centers.shape[0]))
+    run = -(-FRAME_WORK // max(1, len(values) ** mu.dim * mu.n_atoms * centers.shape[0]))
     mirror = np.array_equal(centers, mu.points)
 
     def swept(frame):
@@ -398,11 +401,17 @@ def _single_mass(mu: WeightedPointMeasure, frame: np.ndarray,
     return float(np.sum(mu.weights[s <= 1.0]))
 
 
-def _centred_masses(mu: WeightedPointMeasure, family: EllipsoidFamily,
-                    tuples: np.ndarray) -> np.ndarray:
-    """(frames, T) masses of the members centred at the origin."""
-    return np.concatenate(_frame_masses(mu, family, tuples, np.zeros((1, mu.dim)),
-                                        lambda frame, masses: masses))
+def _centred_masses(mu: WeightedPointMeasure, family: EllipsoidFamily) -> np.ndarray:
+    """Read-only (frames, T) masses of the members centred at the origin,
+    kept on the family with the last measure swept: its identity is the key,
+    and holding it keeps the key from being reused."""
+    swept_mu, masses = family._swept
+    if swept_mu is not mu:
+        masses = np.concatenate(_frame_masses(mu, family, np.zeros((1, mu.dim)),
+                                              lambda frame, masses: masses))
+        masses.setflags(write=False)
+        object.__setattr__(family, "_swept", (mu, masses))
+    return masses
 
 
 def _grid_then_refine(family: EllipsoidFamily, tuples: np.ndarray,
@@ -447,7 +456,7 @@ def estimate_curvature_constant(mu: WeightedPointMeasure, k: int, alpha: float,
     """
     _check_k_alpha(mu, k, alpha)
     tuples = family.length_tuples()
-    ratios = _centred_masses(mu, family, tuples) / _top_k_products(tuples, k) ** alpha
+    ratios = _centred_masses(mu, family) / _top_k_products(tuples, k) ** alpha
 
     def score(frame, lengths):
         content = float(_top_k_products(lengths[None, :], k)[0])
@@ -461,47 +470,6 @@ def estimate_curvature_constant(mu: WeightedPointMeasure, k: int, alpha: float,
                              family_size=family.size)
 
 
-def _min_contents(mu: WeightedPointMeasure, k: int, eps_grid,
-                  family: EllipsoidFamily, refine: int) -> list:
-    """min_content_at_mass's (delta_hat, witness) for each eps of eps_grid,
-    every search reading one table of centred masses."""
-    _check_k_alpha(mu, k)
-    for eps in eps_grid:
-        if not 0 < eps <= mu.total_mass + 1e-9:
-            raise ValueError(f"eps must lie in (0, total mass], got {eps}")
-    eps_effs = [eps - 1e-9 * max(1.0, eps) for eps in eps_grid]
-
-    if k == 1:
-        radii, mass = _level_masses(mu.radii, mu.weights)
-        at = np.minimum(np.searchsorted(mass, eps_effs), radii.size - 1)
-        return [(float(r), Ellipsoid.ball(float(r), mu.dim)) for r in radii[at]]
-
-    tuples = family.length_tuples()
-    contents = _top_k_products(tuples, k)
-    masses = _centred_masses(mu, family, tuples)
-    found = []
-    for eps_eff in eps_effs:
-        def grow_ball():
-            # grid top end too small for this mass level: grow balls until feasible
-            radius = float(family.effective_lengths[-1])
-            for _ in range(128):
-                radius *= 2.0
-                if eval_measure(mu, Ellipsoid.ball(radius, mu.dim)) >= eps_eff:
-                    return radius ** k, np.eye(mu.dim), np.full(mu.dim, radius)
-            raise RuntimeError("could not reach the requested mass level")
-
-        def score(frame, lengths):
-            if _single_mass(mu, frame, lengths) < eps_eff:
-                return math.inf
-            return float(_top_k_products(lengths[None, :], k)[0])
-
-        table = np.where(masses >= eps_eff, contents, math.inf)
-        witness = _grid_then_refine(family, tuples, table, score, refine,
-                                    minimize=True, fallback=grow_ball)
-        found.append((k_content(witness, k), witness))
-    return found
-
-
 def min_content_at_mass(mu: WeightedPointMeasure, k: int, eps: float,
                         family: EllipsoidFamily, refine: int = 160):
     """Smallest k-content found among centered ellipsoids of mass >= eps.
@@ -511,7 +479,35 @@ def min_content_at_mass(mu: WeightedPointMeasure, k: int, eps: float,
     the ball of its largest semi-length, so centered balls are optimal and
     the answer is the radius quantile at mass eps.
     """
-    return _min_contents(mu, k, [eps], family, refine)[0]
+    _check_k_alpha(mu, k)
+    if not 0 < eps <= mu.total_mass + 1e-9:
+        raise ValueError(f"eps must lie in (0, total mass], got {eps}")
+    eps_eff = eps - 1e-9 * max(1.0, eps)
+    if k == 1:
+        radii, mass = _level_masses(mu.radii, mu.weights)
+        radius = float(radii[min(np.searchsorted(mass, eps_eff), radii.size - 1)])
+        return radius, Ellipsoid.ball(radius, mu.dim)
+
+    def grow_ball():
+        # grid top end too small for this mass level: grow balls until feasible
+        radius = float(family.effective_lengths[-1])
+        for _ in range(128):
+            radius *= 2.0
+            if eval_measure(mu, Ellipsoid.ball(radius, mu.dim)) >= eps_eff:
+                return radius ** k, np.eye(mu.dim), np.full(mu.dim, radius)
+        raise RuntimeError("could not reach the requested mass level")
+
+    def score(frame, lengths):
+        if _single_mass(mu, frame, lengths) < eps_eff:
+            return math.inf
+        return float(_top_k_products(lengths[None, :], k)[0])
+
+    tuples = family.length_tuples()
+    table = np.where(_centred_masses(mu, family) >= eps_eff,
+                     _top_k_products(tuples, k), math.inf)
+    witness = _grid_then_refine(family, tuples, table, score, refine,
+                                minimize=True, fallback=grow_ball)
+    return k_content(witness, k), witness
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +649,7 @@ def slab_implication_check(mu: WeightedPointMeasure, k: int, alpha: float,
     if max_members < 1:
         raise ValueError(f"max_members must be at least 1, got {max_members}")
     tuples = family.length_tuples()
-    swept = _centred_masses(mu, family, tuples).ravel()
+    swept = _centred_masses(mu, family).ravel()
     members = np.arange(0, swept.shape[0], -(-swept.shape[0] // max_members))
     frame_of, tuple_of = np.divmod(members, len(tuples))
     # semi-lengths as an Ellipsoid stores them: 1 / (1 / l) may differ from l
@@ -695,7 +691,7 @@ def _maximal(mu: WeightedPointMeasure, k: int, family: EllipsoidFamily,
     contents = _top_k_products(tuples, k)
     cols = [inner_cols if inner else slice(None) for _, inner in reducers]
     contents_a = [contents[c] ** alpha for c, (alpha, _) in zip(cols, reducers)]
-    per_frame = _frame_masses(mu, family, tuples, centers, lambda frame, masses: [
+    per_frame = _frame_masses(mu, family, centers, lambda frame, masses: [
         np.max(masses[:, c] / content_a, axis=1) for c, content_a in zip(cols, contents_a)])
     return [np.max(sups, axis=0) for sups in zip(*per_frame)]
 

@@ -26,10 +26,11 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .curvature import (EllipsoidFamily, _min_contents, default_family,
+from .curvature import (EllipsoidFamily, default_family,
                         estimate_curvature_constant, gaussian_content_check,
                         gaussian_lower_check, layer_cake_check,
-                        maximal_weak_bound_check, slab_implication_check)
+                        maximal_weak_bound_check, min_content_at_mass,
+                        slab_implication_check)
 from .functionals import (DEFAULT_BUDGET, cauchy_schwarz_check,
                           sublevel_mass, weak_type_probe)
 from .measure import (GeneratorSpec, WeightedPointMeasure, generate,
@@ -276,8 +277,8 @@ def verify_sublevel_bound(mu: WeightedPointMeasure, k: int, eps_grid, family,
         rhs=0.0, direction="lhs == rhs",
         details={"relation": "factor(k) = 2^-k * factor(k-1), k = 2..6"}))
 
-    for eps, (delta_hat, witness) in zip(
-            eps_grid, _min_contents(mu, k, eps_grid, family, refine)):
+    for eps in eps_grid:
+        delta_hat, witness = min_content_at_mass(mu, k, eps, family, refine)
         value = sublevel_mass([mu] * k, c_k * delta_hat, budget=budget)
         bound = big_c * eps
         records.append(CheckRecord(
@@ -309,10 +310,10 @@ def verify_sublevel_bound_multi(measures, eps_grid, families, *,
     bound_factor = multi_measure_factor(k) * sublevel_mass_factor(k)
     records = []
     constants = {"mixed_bound_factor": bound_factor, "delta_hat_multi": {}}
-    found = [_min_contents(m_, k, eps_grid, fam, refine)
-             for m_, fam in zip(measures, families, strict=True)]
-    for eps, *at_eps in zip(eps_grid, *found):
-        deltas = [delta_hat for delta_hat, _ in at_eps]
+    pairs = list(zip(measures, families, strict=True))
+    for eps in eps_grid:
+        deltas = [min_content_at_mass(m_, k, eps, fam, refine)[0]
+                  for m_, fam in pairs]
         level = math.prod(delta_hat ** (1.0 / k) for delta_hat in deltas)
         value = sublevel_mass(measures, c_k * level, budget=budget)
         bound = bound_factor * eps

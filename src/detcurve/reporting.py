@@ -4,7 +4,7 @@ A report collects named inequality checks (each with both sides, the margin,
 and an expected_fail flag for deliberate counterexamples) plus enough context
 to rerun the scenario.  Serialized output is sorted and excludes wall-clock
 timings, so byte-identical reruns produce byte-identical reports; timings
-stay available in memory.
+stay available in memory and in JSON on request (include_timings).
 """
 
 from __future__ import annotations
@@ -179,12 +179,17 @@ class ScenarioReport:
         print(f"  => {verdict}")
 
 
-def emit_report(report: ScenarioReport, path, fmt: str = None) -> None:
+def emit_report(report: ScenarioReport, path, fmt: str = None,
+                include_timings: bool = False) -> None:
+    """Write the report as JSON or CSV (fmt None: by the path's suffix);
+    include_timings adds the wall times to a JSON report."""
     path = str(path)
     if fmt is None:
         fmt = "csv" if path.endswith(".csv") else "json"
+    if include_timings and fmt != "json":
+        raise ValueError(f"include_timings needs the json format, got {fmt!r}")
     if fmt == "json":
-        text = report.to_json()
+        text = report.to_json(include_timings)
     elif fmt == "csv":
         text = report.to_csv()
     else:

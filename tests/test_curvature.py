@@ -72,6 +72,21 @@ class TestEllipsoidFamily:
         with pytest.raises(ValueError):
             fam.length_tuples(inner=True)
 
+    def test_frames_are_copied_and_frozen(self, cube64):
+        frame = np.eye(2)
+        grid = 2.0 ** np.arange(-4, 1)
+        fam = EllipsoidFamily(frames=(frame,), length_grid=grid)
+        want = curvature._centred_masses(cube64, fam).copy()
+        frame[:] = [[0.6, -0.8], [0.8, 0.6]]
+        assert np.array_equal(fam.frames[0], np.eye(2))
+        assert not fam.frames[0].flags.writeable
+        rotated = EllipsoidFamily(frames=(frame,), length_grid=grid)
+        assert not np.array_equal(curvature._centred_masses(cube64, rotated), want)
+        # an equal measure object makes the family sweep its frames again
+        twin = WeightedPointMeasure(cube64.points, cube64.weights)
+        assert np.array_equal(curvature._centred_masses(twin, fam), want)
+        assert np.array_equal(curvature._centred_masses(cube64, fam), want)
+
     def test_rejects_decreasing_grid(self):
         with pytest.raises(ValueError):
             EllipsoidFamily(frames=(np.eye(2),),
@@ -166,40 +181,79 @@ def same_ellipsoid(a, b):
 
 
 class TestMinContents:
-    """One table of centred masses answers every eps of a grid."""
+    """Every min_content_at_mass call on a (measure, family) reads the one
+    table of centred masses the family keeps."""
 
     # lengths up to 1 reach about pi / 4 of the cube's mass from the origin
     EPS = (0.1, 0.4, 0.95)
 
-    @pytest.fixture(scope="class")
-    def family(self, cube64):
-        frames = default_frames(2, n_random=3, seed=1, points=cube64.points)
-        return EllipsoidFamily.dyadic(2, -4, 0, frames=frames)
+    @staticmethod
+    def fresh():
+        return EllipsoidFamily.dyadic(2, -4, 0, frames=default_frames(2, n_random=3, seed=1))
+
+    def assert_fresh_bits(self, mu, k, eps, family):
+        delta, witness = min_content_at_mass(mu, k, eps, family, refine=24)
+        want_delta, want_witness = min_content_at_mass(mu, k, eps, self.fresh(),
+                                                       refine=24)
+        assert delta == want_delta
+        assert same_ellipsoid(witness, want_witness)
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_matches_min_content_per_eps(self, cube64, family, k):
-        found = curvature._min_contents(cube64, k, self.EPS, family, 24)
-        assert len(found) == len(self.EPS)
-        for eps, (delta, witness) in zip(self.EPS, found):
-            want_delta, want_witness = min_content_at_mass(cube64, k, eps, family,
-                                                           refine=24)
-            assert delta == want_delta
-            assert same_ellipsoid(witness, want_witness)
+    def test_repeated_and_interleaved_calls_match_fresh_families(self, cube64, k):
+        family = self.fresh()
+        for eps in (*self.EPS, 0.4, 0.1, 0.95, 0.4):
+            self.assert_fresh_bits(cube64, k, eps, family)
+            # the other readers of the table in between
+            estimate_curvature_constant(cube64, 2, 1.0, family, refine=0)
+            slab_implication_check(cube64, 2, 1.0, family, max_members=16)
 
-    def test_unreached_eps_grows_a_ball(self, cube64, family):
-        tuples = family.length_tuples()
-        masses = curvature._centred_masses(cube64, family, tuples)
-        assert masses.shape == (len(family.frames), len(tuples))
+    def test_alternating_measures_get_their_own_tables(self, cube64, circle240):
+        family = self.fresh()
+        for mu in (cube64, circle240, cube64, circle240):
+            for eps in self.EPS:
+                self.assert_fresh_bits(mu, 2, eps, family)
+            assert np.array_equal(curvature._centred_masses(mu, family),
+                                  curvature._centred_masses(mu, self.fresh()))
+
+    def test_table_is_read_only(self, cube64):
+        masses = curvature._centred_masses(cube64, self.fresh())
+        assert not masses.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            masses[0, 0] = 1.0
+
+    def test_unreached_eps_grows_a_ball(self, cube64):
+        family = self.fresh()
+        masses = curvature._centred_masses(cube64, family)
+        assert masses.shape == (len(family.frames), len(family.length_tuples()))
         assert masses.max() < 0.95  # no member reaches it: grow_ball starts
-        (delta, witness), = curvature._min_contents(cube64, 2, [0.95], family, 0)
+        delta, witness = min_content_at_mass(cube64, 2, 0.95, family, refine=0)
         assert np.array_equal(witness.semi_lengths, [2.0, 2.0])  # 1 doubled once
         assert np.array_equal(witness.frame, np.eye(2))
         assert delta == 2.0 ** 2
         assert eval_measure(cube64, witness) >= 0.95
 
-    def test_rejects_eps_outside_total_mass(self, cube64, family):
-        with pytest.raises(ValueError, match=r"eps must lie in \(0, total mass\], got 1.5"):
-            curvature._min_contents(cube64, 2, [0.1, 1.5], family, 0)
+    def test_rejects_eps_outside_total_mass(self, cube64):
+        for eps in (0.0, 1.5):
+            with pytest.raises(ValueError, match=rf"eps must lie in \(0, total mass\], got {eps}"):
+                min_content_at_mass(cube64, 2, eps, self.fresh(), refine=0)
+
+    def test_one_sweep_for_three_calls(self, cube64, monkeypatch):
+        calls = []
+        original = curvature._frame_masses
+
+        def counting(mu, family, centers, reduce):
+            calls.append(mu)
+            return original(mu, family, centers, reduce)
+
+        monkeypatch.setattr(curvature, "_frame_masses", counting)
+        family = self.fresh()
+        for eps in self.EPS:
+            min_content_at_mass(cube64, 2, eps, family, refine=0)
+        assert len(calls) == 1 and calls[0] is cube64
+        # the key is the measure object: an equal copy is swept again
+        twin = WeightedPointMeasure(cube64.points, cube64.weights)
+        min_content_at_mass(twin, 2, 0.1, family, refine=0)
+        assert len(calls) == 2 and calls[1] is twin
 
 
 class TestGaussian:
@@ -420,16 +474,19 @@ def maximal_reference(mu, k, alpha, family, pts, inner=False):
 def weak_bound_reference(mu, k, alpha, p, family):
     """The check as two separate sweeps: the full table at alpha and the
     inner table at alpha p / (p + 1)."""
-    def sup(tuples, a):
+    def sup(fam, a):
+        tuples = fam.length_tuples()
         contents_a = np.prod(np.sort(tuples, axis=1)[:, ::-1][:, :k], axis=1) ** a
         out = np.zeros(mu.n_atoms)
-        for _, masses in curvature._frame_masses(mu, family, tuples, mu.points,
+        for _, masses in curvature._frame_masses(mu, fam, mu.points,
                                                  lambda f, m: (f, m)):
             out = np.maximum(out, np.max(masses / contents_a, axis=1))
         return out
 
-    wk = weak_lp_norm(sup(family.length_tuples(), alpha), mu.weights, p)
-    f_inner = sup(family.length_tuples(inner=True), alpha * p / (p + 1.0))
+    inner = EllipsoidFamily(frames=family.frames, length_grid=family.length_grid[:-1],
+                            mode=family.mode)
+    wk = weak_lp_norm(sup(family, alpha), mu.weights, p)
+    f_inner = sup(inner, alpha * p / (p + 1.0))
     lhs = float(np.max(f_inner[mu.weights > 0.0]))
     rhs = 2.0 ** (alpha * k) * wk ** (p / (p + 1.0))
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-9)
@@ -450,9 +507,9 @@ class TestMaximalOneSweep:
         calls = []
         original = curvature._frame_masses
 
-        def counting(mu, family, tuples, centers, reduce):
+        def counting(mu, family, centers, reduce):
             calls.append(centers)
-            return original(mu, family, tuples, centers, reduce)
+            return original(mu, family, centers, reduce)
 
         monkeypatch.setattr(curvature, "_frame_masses", counting)
         fam = EllipsoidFamily.dyadic(2, -3, 1, mode="doubling_dyadic")
@@ -551,7 +608,7 @@ class TestSweep:
         fam = EllipsoidFamily(frames=frames, length_grid=values)
         tuples = fam.length_tuples()
         einsum_differs = 0
-        for frame, masses in curvature._frame_masses(mu, fam, tuples, np.zeros((1, 3)),
+        for frame, masses in curvature._frame_masses(mu, fam, np.zeros((1, 3)),
                                                      lambda f, m: (f, m)):
             z = mu.points @ frame
             for lengths, mass in zip(tuples, masses[0]):
@@ -633,14 +690,12 @@ class TestSymmetricSweep:
         monkeypatch.setattr(curvature, "_sweep", spy)
         fam = EllipsoidFamily.dyadic(2, -4, 1, mode="doubling_dyadic",
                                      frames=default_frames(2, n_random=2, seed=5))
-        tuples = fam.length_tuples()
-        got = curvature._frame_masses(circle240, fam, tuples, circle240.points.copy(),
+        got = curvature._frame_masses(circle240, fam, circle240.points.copy(),
                                       lambda f, m: (f, m))
         assert calls == [True] * len(fam.frames)
         for frame, masses in got:
-            assert np.array_equal(masses, per_centre_rows(circle240, frame, np.unique(tuples)))
-        curvature._frame_masses(circle240, fam, tuples, circle240.points[:-1],
-                                lambda f, m: m)
+            assert np.array_equal(masses, per_centre_rows(circle240, frame, fam.effective_lengths))
+        curvature._frame_masses(circle240, fam, circle240.points[:-1], lambda f, m: m)
         assert calls[len(fam.frames):] == [False] * len(fam.frames)  # other centres
 
     def test_memory_bounded_by_tile(self, cube256, monkeypatch):
@@ -691,15 +746,17 @@ class TestFrameBlocks:
         floored = default_family(mu, n_frames=4, n_pca=2)
         doubling = EllipsoidFamily.dyadic(mu.dim, -3, 1, mode="doubling_dyadic",
                                           frames=default_frames(mu.dim, n_random=5, seed=3))
-        tuples = floored.length_tuples()
 
         def run():
-            swept = curvature._frame_masses(mu, floored, tuples, mu.points[:5],
+            swept = curvature._frame_masses(mu, floored, mu.points[:5],
                                             lambda f, m: (f, m))
             # the atoms as centres: the symmetric sweep
-            swept += curvature._frame_masses(mu, floored, tuples, mu.points,
+            swept += curvature._frame_masses(mu, floored, mu.points,
                                              lambda f, m: (f, m))
-            est = estimate_curvature_constant(mu, 2, 1.0, floored, refine=12)
+            # a new family each run, or it would serve its kept table
+            est = estimate_curvature_constant(mu, 2, 1.0,
+                                              default_family(mu, n_frames=4, n_pca=2),
+                                              refine=12)
             return ([f for f, _ in swept], [m for _, m in swept],
                     maximal_weak_bound_check(mu, 2, 0.75, 1.0, doubling),
                     (est.constant, est.witness.frame, est.witness.semi_lengths))
@@ -732,12 +789,12 @@ class TestFrameBlocks:
         per_frame = len(tuples) * cube64.n_atoms
         for work in (3 * per_frame, 3 * per_frame - 1):
             monkeypatch.setattr(curvature, "FRAME_WORK", work)
-            got = curvature._frame_masses(cube64, fam, tuples, np.zeros((1, 2)),
+            got = curvature._frame_masses(cube64, fam, np.zeros((1, 2)),
                                           lambda f, m: m.shape)
             assert got == [(1, len(tuples))] * 16
             assert seen[-1] == [(s, min(s + 3, 16)) for s in range(0, 16, 3)]
         # no centres, no work: one inline block, no division by zero
-        assert curvature._frame_masses(cube64, fam, tuples, np.zeros((0, 2)),
+        assert curvature._frame_masses(cube64, fam, np.zeros((0, 2)),
                                        lambda f, m: m.shape) == [(0, len(tuples))] * 16
         assert seen[-1] == [(0, 16)]
 

@@ -1,8 +1,8 @@
 """Name hygiene: every module-level import in the package and the tests is
 used, every module-level name the package defines is read somewhere in it
 or exported, every parameter of the package's functions and methods is
-read, and every parameter with a default is read by its function and
-passed by some caller."""
+read, every parameter with a default is read by its function and passed
+by some caller, and lab imports no private name of another module."""
 
 import ast
 import importlib
@@ -231,6 +231,32 @@ def test_no_never_passed_default_parameters():
     callers = {str(p): p.read_text(encoding="utf-8")
                for p in [*PACKAGE, *ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py")]}
     assert never_passed_defaults(package, callers) == []
+
+
+def private_imports(source: str) -> list:
+    """(line, module, name) of the underscore-prefixed names a module
+    imports from a detcurve module, relatively or by package name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "detcurve"):
+            found += [(node.lineno, node.module, alias.name) for alias in node.names
+                      if alias.name.startswith("_")]
+    return found
+
+
+def test_private_import_scan_flags_underscore_names():
+    src = ("from __future__ import annotations\nfrom . import parallel\n"
+           "from .curvature import _sweep, default_family\n"
+           "from detcurve.measure import _check_k_alpha\nfrom numpy import _core\n")
+    assert private_imports(src) == [(3, "curvature", "_sweep"),
+                                    (4, "detcurve.measure", "_check_k_alpha")]
+
+
+def test_lab_imports_public_names_only():
+    # bench/tracing.py wraps public names only: a check that reached a
+    # search through a private name would run untraced
+    assert private_imports((ROOT / "src/detcurve/lab.py").read_text(encoding="utf-8")) == []
 
 
 def test_bench_tracing_targets_resolve(monkeypatch):

@@ -192,9 +192,9 @@ class TestDrivers:
         calls = []
         original = curvature._frame_masses
 
-        def counting(mu, family, tuples, centers, reduce):
+        def counting(mu, family, centers, reduce):
             calls.append(centers)
-            return original(mu, family, tuples, centers, reduce)
+            return original(mu, family, centers, reduce)
 
         fam = FamilyParams(n_frames=4, n_pca=2).build(cube64)
         monkeypatch.setattr(curvature, "_frame_masses", counting)
@@ -242,23 +242,22 @@ class TestScenarios:
         assert list(BUNDLED_SCENARIOS) == sorted(BUNDLED_SCENARIOS)
 
     def test_cube_report_sweeps(self, monkeypatch):
-        # one origin table per (measure, family) search, however many eps
-        # and checks read it, and one sweep about the atoms for the maximal
+        # one origin table per (measure, family), however many eps and
+        # checks read it, and one sweep about the atoms for the maximal
         calls = []
         original = curvature._frame_masses
 
-        def counting(mu, family, tuples, centers, reduce):
+        def counting(mu, family, centers, reduce):
             origin = centers.shape[0] == 1 and not centers.any()
             assert origin or np.array_equal(centers, mu.points)
-            calls.append((mu.n_atoms, id(family), origin))
-            return original(mu, family, tuples, centers, reduce)
+            calls.append((mu.n_atoms, origin))
+            return original(mu, family, centers, reduce)
 
         monkeypatch.setattr(curvature, "_frame_masses", counting)
         run_scenario(get_scenario("lebesgue-cube-d2-k2"))
         # the cube has 256 atoms, the circle 240
-        assert Counter(n for n, _, origin in calls if origin) == {256: 4, 240: 1}
-        assert len({fam for n, fam, origin in calls if origin and n == 256}) == 1
-        assert [n for n, _, origin in calls if not origin] == [256]
+        assert Counter(n for n, origin in calls if origin) == {256: 1, 240: 1}
+        assert [n for n, origin in calls if not origin] == [256]
         assert len(BUNDLED_SCENARIOS) == 3
 
     def test_get_scenario_unknown(self):

@@ -112,6 +112,18 @@ class TestScenarioReport:
         with pytest.raises(ValueError):
             emit_report(sample_report(), tmp_path / "rep.txt", fmt="xml")
 
+    def test_emit_timings_in_json_only(self, tmp_path):
+        rep = sample_report()
+        rep.timings["sublevel"] = 0.25
+        path = tmp_path / "rep.json"
+        emit_report(rep, path, include_timings=True)
+        assert path.read_text(encoding="utf-8") == rep.to_json(include_timings=True)
+        emit_report(rep, path)
+        assert "timings" not in json.loads(path.read_text(encoding="utf-8"))
+        with pytest.raises(ValueError, match="include_timings needs the json format, got 'csv'"):
+            emit_report(rep, tmp_path / "rep.csv", include_timings=True)
+        assert not (tmp_path / "rep.csv").exists()
+
     def test_emit_suffix_defaults_to_json(self, tmp_path):
         path = tmp_path / "rep.txt"
         emit_report(sample_report(), path)
