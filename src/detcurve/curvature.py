@@ -25,8 +25,7 @@ import numpy as np
 from . import parallel
 from .geometry import (AffineSubspace, Ellipsoid, k_content, matrix_content,
                        _axis_sum, _check_frame)
-from .measure import (WeightedPointMeasure, _check_k_alpha, eval_measure,
-                      median_nn_distance)
+from .measure import WeightedPointMeasure, _check_k_alpha, eval_measure
 
 MODES = ("scale_floored_search", "doubling_dyadic")
 
@@ -178,7 +177,7 @@ def default_family(mu: WeightedPointMeasure, *, n_frames: int = 64, n_pca: int =
             raise ValueError(f"doubling_dyadic mode does not take a floor, got {floor}")
         floor_val = 0.0
     else:
-        floor_val = median_nn_distance(mu) if floor is None else float(floor)
+        floor_val = mu.median_nn if floor is None else float(floor)
     rmax = mu.max_radius
     if rmax <= 0.0:
         rmax = 1.0

@@ -13,10 +13,12 @@ Every exact quantity (the forms, sublevel_mass, dyadic_profile) comes from
 one enumerator, _enumerate: it walks the tuples in fixed blocks, forms
 their determinants and slot-value products, and hands each block to a
 reducer; blocks are combined in block order with math.fsum, so values do
-not depend on the worker count.  When all slots are alike the blocks
-partition the ranks of the nondecreasing tuples, which are unranked
-directly and weighted by their multiplicities.  One pass can reduce to
-several exponents, which is how cauchy_schwarz_check gets its three forms.
+not depend on the worker count.  A product block broadcasts the leading
+slots' entries over slices of the last slot and decodes no tuple; when all
+slots are alike the blocks instead partition the ranks of the nondecreasing
+tuples, which are unranked directly and weighted by their multiplicities.
+One pass can reduce to several exponents, which is how cauchy_schwarz_check
+gets its three forms.
 
 An index set E_j enters only by restricting slot j to its atoms, so set
 forms enumerate and count E_1 x ... x E_k, with the whole measure's tau.
@@ -122,15 +124,6 @@ def _values_for_slots(measures, fs):
     return vals
 
 
-def _decode(flat: np.ndarray, sizes) -> list:
-    """Mixed-radix decode of flat tuple indices into per-slot index arrays."""
-    idx = [None] * len(sizes)
-    rem = flat
-    for j in range(len(sizes) - 1, -1, -1):
-        rem, idx[j] = np.divmod(rem, sizes[j])
-    return idx
-
-
 def _rank_tables(n: int, m: int) -> list:
     """tables[L - 1][v]: the number of nondecreasing length-L tuples over
     [0, n) that start below v, the sum over u < v of C(n-u+L-2, L-1)."""
@@ -169,6 +162,38 @@ def _tuple_terms(points_list, values_list, idx, pinned: bool):
     return dets, wprod
 
 
+def _product_terms(cols_list, values_list, start, stop, pinned: bool):
+    """_tuple_terms of the product tuples [start, stop), last slot fastest,
+    from the contiguous coordinate columns cols_list[j] of each slot j.
+
+    The range is cut into part of a row of the last slot, whole rows and part
+    of a row; in each piece the leading slots' (R, 1) entries broadcast over
+    a (1, C) slice of the last slot, so only R rows are decoded and gathered,
+    and each entry is the expression _tuple_terms forms, bit for bit.
+    """
+    n = values_list[-1].shape[0]
+    (r0, c0), (r1, c1) = divmod(start, n), divmod(stop, n)
+    pieces = ([(r0, r0 + 1, c0, c1)] if r1 == r0 else
+              [(r0, r0 + 1, c0, n), (r0 + 1, r1, 0, n), (r1, r1 + 1, 0, c1)])
+    # a trailing unit axis gives a single row when there is one slot
+    lead_sizes = [v.shape[0] for v in values_list[:-1]] + [1]
+    terms = []
+    for a, b, lo, hi in pieces:
+        if a == b or lo == hi:
+            continue
+        lead = np.unravel_index(np.arange(a, b), lead_sizes)[:-1]
+        rows = [[col[ix, None] for col in cols]
+                for cols, ix in zip(cols_list, lead)]
+        rows.append([col[None, lo:hi] for col in cols_list[-1]])
+        dets = geometry._vertex_dets(rows, pinned)
+        # math.prod multiplies the slot values left to right, from 1
+        w = math.prod([v[ix, None] for v, ix in zip(values_list, lead)]
+                      + [values_list[-1][None, lo:hi]])
+        terms.append([np.broadcast_to(x, (b - a, hi - lo)).ravel()
+                      for x in (dets, w)])
+    return tuple(np.concatenate(t) for t in zip(*terms))
+
+
 def _multiplicities(idx) -> np.ndarray:
     """Number of distinct permutations of each nondecreasing index tuple."""
     m = len(idx)
@@ -188,10 +213,10 @@ def _enumerate(points_list, values_list, pinned: bool, symmetric: bool,
     product of the slots, in block order.
 
     The fixed block partition of the flat tuple index keeps the results
-    independent of the worker count.  symmetric=True partitions the ranks
-    of the nondecreasing tuples instead and passes their multiplicities as
-    mult (None otherwise); every slot must then hold the same points and
-    values.  The budget caps the tuples visited.
+    independent of the worker count (see _product_terms).  symmetric=True
+    partitions the ranks of the nondecreasing tuples instead and passes
+    their multiplicities as mult (None otherwise); every slot must then
+    hold the same points and values.  The budget caps the tuples visited.
     """
     sizes = [p.shape[0] for p in points_list]
     total = math.prod(sizes)
@@ -202,17 +227,15 @@ def _enumerate(points_list, values_list, pinned: bool, symmetric: bool,
             f"{visited} tuples to enumerate ({total} ordered) exceed the "
             f"exact budget {budget}")
     tables = _rank_tables(sizes[0], m) if symmetric else None
+    cols_list = [np.ascontiguousarray(p.T) for p in points_list]
 
     def block(start, stop):
-        pos = np.arange(start, stop, dtype=np.int64)
-        mult = None
-        if symmetric:
-            idx = _unrank(pos, tables)
-            mult = _multiplicities(idx)
-        else:
-            idx = _decode(pos, sizes)
+        if not symmetric:
+            return reduce(*_product_terms(cols_list, values_list, start, stop,
+                                          pinned), None)
+        idx = _unrank(np.arange(start, stop, dtype=np.int64), tables)
         dets, wprod = _tuple_terms(points_list, values_list, idx, pinned)
-        return reduce(dets, wprod, mult)
+        return reduce(dets, wprod, _multiplicities(idx))
 
     return total, parallel.map_blocks(block, parallel.block_ranges(visited))
 
@@ -379,8 +402,9 @@ def dyadic_profile(mu: WeightedPointMeasure, k: int, sets, gamma: float) -> Dyad
 
     sets is a list of k atom-index collections.  Tuples at or below the
     whole measure's tau are excluded; each included tuple lands in the
-    layer l = floor(log2 det), and layer masses sum to the included product
-    mass exactly.  Enumeration is capped at DEFAULT_BUDGET tuples.
+    layer l = floor(log2 det), the exact binary exponent from np.frexp less
+    one; layer masses sum to the included product mass exactly.  Enumeration
+    is capped at DEFAULT_BUDGET tuples.
     """
     _check_k_alpha(mu, k)
     sets = _index_sets(mu.n_atoms, sets, k)
@@ -391,7 +415,7 @@ def dyadic_profile(mu: WeightedPointMeasure, k: int, sets, gamma: float) -> Dyad
         exc_mass = float(np.sum(wprod[~included]))
         # one stable (radix) sort groups the layers and keeps each layer's
         # tuples in block order, so each layer sum sees the masked order
-        levels = np.floor(np.log2(dets[included])).astype(np.int16)
+        levels = (np.frexp(dets[included])[1] - 1).astype(np.int16)
         order = np.argsort(levels, kind="stable")
         levels, wprod = levels[order], wprod[included][order]
         cuts = [0, *(np.flatnonzero(np.diff(levels)) + 1).tolist(), levels.size]

@@ -47,8 +47,8 @@ def _check_frame(frame: np.ndarray) -> np.ndarray:
 
 
 def _square_det(rows) -> np.ndarray:
-    """Batched d x d determinants; rows[i][j] is the (M,) array of entry
-    (i, j), so callers can gather entries from contiguous coordinate columns.
+    """Batched d x d determinants; rows[i][j] is entry (i, j), in arrays
+    that broadcast together (gathered or broadcast coordinate columns).
 
     d <= 3 uses cofactor expansion: every operation is a fixed circuit of
     products and sums, so the result commutes exactly with power-of-two
@@ -64,12 +64,13 @@ def _square_det(rows) -> np.ndarray:
     if d == 3:
         (a, b, c), (p, q, r), (u, v, w) = rows
         return a * (q * w - r * v) - b * (p * w - r * u) + c * (p * v - q * u)
-    return np.linalg.det(np.moveaxis(np.asarray(rows), -1, 0))
+    e = np.broadcast_arrays(*[x for row in rows for x in row])
+    return np.linalg.det(np.stack(e, axis=-1).reshape(*e[0].shape, d, d))
 
 
 def _vertex_dets(rows, pinned: bool) -> np.ndarray:
-    """Batched simplex determinants; rows[i][j] is the (M,) array of
-    coordinate j of vertex i.
+    """Batched simplex determinants, of the shape the arrays rows[i][j]
+    (coordinate j of vertex i) broadcast to.
 
     With pinned=True the origin is an implicit extra vertex; otherwise the
     last vertex is the base and is subtracted from the others.  Square edge

@@ -34,7 +34,7 @@ from .curvature import (EllipsoidFamily, default_family,
 from .functionals import (DEFAULT_BUDGET, cauchy_schwarz_check,
                           sublevel_mass, weak_type_probe)
 from .measure import (GeneratorSpec, WeightedPointMeasure, generate,
-                      load_point_cloud, median_nn_distance, pushforward)
+                      load_point_cloud, pushforward)
 from .reporting import CheckRecord, ScenarioReport
 
 EPS_GRID_DEFAULT = (0.1, 0.2, 0.4)
@@ -463,7 +463,7 @@ def verify_maximal_bound(mu: WeightedPointMeasure, k: int, alpha: float, *,
     """Family-restricted maximal inequality at p = 1 on a doubling-closed
     family with 6 random frames."""
     p = 1.0
-    j_min = math.floor(math.log2(median_nn_distance(mu))) - 2
+    j_min = math.floor(math.log2(mu.median_nn)) - 2
     family = default_family(mu, n_frames=6, n_pca=2, j_min=j_min,
                             mode="doubling_dyadic", seed=seed)
     lhs, rhs, ok = maximal_weak_bound_check(mu, k, alpha, p, family)
@@ -544,7 +544,7 @@ def verify_flat_blowup(mu: WeightedPointMeasure, k: int, gamma: float,
     _check_rwt_exponents(alpha, gamma)
     offset = 2.0 ** -28
     near = thickened_copy(mu, mu.dim - 1, offset)
-    coarse_floor = median_nn_distance(mu)
+    coarse_floor = mu.median_nn
     fam = default_family(near, n_frames=8, n_pca=2, floor=coarse_floor,
                          seed=seed)
     estimate = estimate_curvature_constant(near, k, alpha, fam, refine=64)
@@ -606,7 +606,7 @@ def _multi_check(config, mu, get_family):
 
 
 def _necessity_check(config, mu):
-    base_floor = 2.0 ** (math.floor(math.log2(median_nn_distance(mu))) - 1)
+    base_floor = 2.0 ** (math.floor(math.log2(mu.median_nn)) - 1)
     return verify_necessity_growth(mu, config.k, config.alpha,
                                    base_floor=base_floor,
                                    deltas=config.floor_shrink,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,11 @@ class WeightedPointMeasure:
     @property
     def max_radius(self) -> float:
         return float(np.max(self.radii))
+
+    @cached_property
+    def median_nn(self) -> float:
+        """The median_nn_distance floor, computed once (atoms are read-only)."""
+        return median_nn_distance(self)
 
 
 def _check_k_alpha(mu: WeightedPointMeasure, k: int, alpha: float = None) -> None:

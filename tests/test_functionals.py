@@ -338,6 +338,16 @@ class TestDyadicProfile:
             exact = det_form_pinned(cube64, 2, gamma, fs).value
             assert lo * (1 - 1e-12) <= exact <= hi * (1 + 1e-12)
 
+    @pytest.mark.parametrize("j", [-3, 5, 20])
+    def test_layer_just_below_power_of_two(self, j):
+        # det(0, y_1, y_2) = 2^j (1 - 2^-53), which log2 rounds up to j
+        det = math.ldexp(1.0 - 2.0 ** -53, j)
+        assert np.floor(np.log2(det)) == j
+        mu = WeightedPointMeasure(np.array([[det, 0.0], [0.0, 1.0]]),
+                                  np.array([0.5, 0.5]))
+        prof = dyadic_profile(mu, 2, [[0], [1]], 0.5)
+        assert prof.layers == {j - 1: 0.25}
+
     def test_layer_levels_match_dets(self, three_atoms):
         prof = dyadic_profile(three_atoms, 2, [np.arange(3), np.arange(3)], 0.5)
         # dets 1, .5, .5 land in layers 0 and -1
@@ -575,9 +585,34 @@ def old_square_det(mats):
 
 def decode_filter(n, m):
     """Nondecreasing tuples by decoding all n^m flat indices and filtering."""
-    idx = np.stack(functionals._decode(np.arange(n ** m, dtype=np.int64),
-                                       [n] * m), axis=1)
+    idx = np.stack(np.unravel_index(np.arange(n ** m), [n] * m), axis=1)
     return idx[np.all(idx[:, :-1] <= idx[:, 1:], axis=1)]
+
+
+def product_blocks(points_list, values_list, pinned):
+    """(dets, wprod) of each product block through _enumerate."""
+    def keep(dets, wprod, mult):
+        assert mult is None
+        return dets.copy(), wprod.copy()
+    return functionals._enumerate(points_list, values_list, pinned, False,
+                                  10 ** 7, keep)[1]
+
+
+def decode_gather_blocks(points_list, values_list, pinned):
+    """The same blocks the way the product path formed them before it
+    broadcast: decode every flat index, gather, _tuple_terms."""
+    sizes = [p.shape[0] for p in points_list]
+    return [functionals._tuple_terms(
+                points_list, values_list,
+                np.unravel_index(np.arange(start, stop), sizes), pinned)
+            for start, stop in parallel.block_ranges(math.prod(sizes))]
+
+
+def assert_blocks_equal(got, want):
+    assert len(got) == len(want)
+    for (dets, wprod), (want_dets, want_wprod) in zip(got, want):
+        assert np.array_equal(dets, want_dets)
+        assert np.array_equal(wprod, want_wprod)
 
 
 class TestKernelPaths:
@@ -606,6 +641,43 @@ class TestKernelPaths:
         dets, _ = functionals._tuple_terms([pts] * m, [np.ones(50)] * m,
                                                idx, pinned)
         assert np.array_equal(dets, want)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m,pinned", [(1, True), (2, True), (3, True),
+                                          (4, True), (2, False), (3, False),
+                                          (4, False)])
+    def test_product_blocks_equal_decode_gather(self, monkeypatch, threads,
+                                                d, m, pinned):
+        # block sizes 5, 13 and 40 against a last slot of 11 atoms give
+        # blocks inside one row, blocks that start and end mid-row, and
+        # blocks with whole rows between partial ones
+        monkeypatch.setenv("DETCURVE_THREADS", threads)
+        rng = np.random.default_rng(10 * d + m)
+        sizes = [4, 3, 2][:m - 1] + [11]
+        # quarter-rounded points give exact degeneracies; weights are not dyadic
+        points_list = [np.round(rng.standard_normal((n, d)) * 4) / 4
+                       for n in sizes]
+        values_list = [rng.random(n) for n in sizes]
+        for block in (5, 13, 40):
+            monkeypatch.setattr(parallel, "BLOCK", block)
+            assert_blocks_equal(
+                product_blocks(points_list, values_list, pinned),
+                decode_gather_blocks(points_list, values_list, pinned))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("sizes", [(2, parallel.BLOCK + 1000),
+                                       (parallel.BLOCK + 1000, 3)])
+    def test_product_blocks_long_slot(self, monkeypatch, threads, sizes):
+        # a last slot longer than a block, and one of 3 under a long first
+        monkeypatch.setenv("DETCURVE_THREADS", threads)
+        rng = np.random.default_rng(sum(sizes))
+        points_list = [rng.standard_normal((n, 2)) for n in sizes]
+        values_list = [rng.random(n) for n in sizes]
+        for pinned in (True, False):
+            assert_blocks_equal(
+                product_blocks(points_list, values_list, pinned),
+                decode_gather_blocks(points_list, values_list, pinned))
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("k,pinned", [(2, True), (2, False), (3, False)])
@@ -644,7 +716,7 @@ class TestKernelPaths:
         def level_loop(dets, wprod, mult):
             included = dets > tau
             local = {}
-            levels = np.floor(np.log2(dets[included])).astype(int)
+            levels = np.frexp(dets[included])[1] - 1
             for l in np.unique(levels):
                 local[int(l)] = float(np.sum(wprod[included][levels == l]))
             return local, float(np.sum(wprod[~included]))

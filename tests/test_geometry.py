@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detcurve import geometry
 from detcurve.geometry import (
     AffineSubspace,
     Ellipsoid,
@@ -188,6 +189,17 @@ class TestSimplexDetMany:
         assert np.all(simplex_det_many(stack) == 0.0)
         assert np.all(simplex_det_many(stack[:, :k], pinned=True) == 0.0)
         assert all(simplex_det(pts) == 0.0 for pts in stack[:20])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_square_det_accepts_broadcast_rows(self, d):
+        # product blocks pass (R, 1) and (1, C) entries; the determinants
+        # equal those of the entries broadcast to (R, C) and flattened
+        rng = np.random.default_rng(d)
+        rows = [[rng.standard_normal((6, 1) if i < d - 1 else (1, 7))
+                 for _ in range(d)] for i in range(d)]
+        flat = [[np.broadcast_to(x, (6, 7)).ravel() for x in row] for row in rows]
+        got = np.broadcast_to(geometry._square_det(rows), (6, 7))
+        assert np.array_equal(got.ravel(), geometry._square_det(flat))
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):

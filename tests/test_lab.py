@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from detcurve import curvature, lab
+from detcurve import curvature, lab, measure
 from detcurve.functionals import det_form_pinned
 from detcurve.lab import (
     BUNDLED_SCENARIOS,
@@ -300,6 +300,24 @@ class TestScenarios:
             refine=8)
         assert run_scenario(cfg).all_satisfied
         assert len(calls) == builds
+
+    @pytest.mark.parametrize("name,floors", [("flat-subspace-negative", 1),
+                                             ("lebesgue-cube-d2-k2", 2),
+                                             ("sphere-pushforward-d3", 2)])
+    def test_one_floor_per_measure(self, monkeypatch, name, floors):
+        # the nearest-neighbour floor is computed once per measure object,
+        # however many checks and families read it
+        calls = []
+        original = measure.median_nn_distance
+
+        def spy(mu):
+            calls.append(mu)
+            return original(mu)
+
+        monkeypatch.setattr(measure, "median_nn_distance", spy)
+        run_scenario(get_scenario(name))
+        assert len(calls) == floors
+        assert len({id(mu) for mu in calls}) == floors
 
     def test_expected_fail_flip(self):
         # a passing check listed in expected_fail must count as unsatisfied
