@@ -30,6 +30,14 @@ from .measure import WeightedPointMeasure, _check_k_alpha, eval_measure
 MODES = ("scale_floored_search", "doubling_dyadic")
 
 
+def dyadic_exponents(x: float) -> tuple:
+    """(floor, ceil) of log2(x) for a positive finite x, exactly: from the
+    binary exponent of math.frexp, where math.log2 can round across an
+    integer next to a power of two."""
+    mantissa, exp = math.frexp(x)
+    return exp - 1, exp - (mantissa == 0.5)
+
+
 @dataclass(frozen=True)
 class EllipsoidFamily:
     """Finite family of centered ellipsoids: frames x per-axis length grid.
@@ -94,25 +102,9 @@ class EllipsoidFamily:
     def size(self) -> int:
         return len(self.frames) * len(self.effective_lengths) ** self.dim
 
-    def length_tuples(self, inner: bool = False) -> np.ndarray:
-        """(T, d) table of per-axis semi-length assignments.
-
-        inner=True keeps only assignments whose doubling stays inside the
-        grid (doubling_dyadic mode), i.e. drops the largest grid value.
-        """
-        values = self.effective_lengths
-        if inner:
-            if self.mode != "doubling_dyadic":
-                raise ValueError("inner tuples only make sense in doubling_dyadic mode")
-            values = values[:-1]
-            if values.size == 0:
-                raise ValueError("grid too small for inner members")
-        return np.array(list(product(values, repeat=self.dim)))
-
-    def members(self):
-        for frame in self.frames:
-            for lengths in self.length_tuples():
-                yield Ellipsoid.from_semi_lengths(lengths, frame=frame)
+    def length_tuples(self) -> np.ndarray:
+        """(T, d) table of per-axis semi-length assignments."""
+        return np.array(list(product(self.effective_lengths, repeat=self.dim)))
 
     @classmethod
     def dyadic(cls, dim: int, j_min: int, j_max: int, frames=None,
@@ -182,10 +174,10 @@ def default_family(mu: WeightedPointMeasure, *, n_frames: int = 64, n_pca: int =
     if rmax <= 0.0:
         rmax = 1.0
     if j_max is None:
-        j_max = math.ceil(math.log2(2.0 * rmax))
+        j_max = dyadic_exponents(2.0 * rmax)[1]
     if j_min is None:
         if floor_val > 0.0:
-            j_min = math.floor(math.log2(floor_val))
+            j_min = dyadic_exponents(floor_val)[0]
         else:
             j_min = j_max - 12
     frames = default_frames(mu.dim, n_random=n_frames, seed=seed,
@@ -585,8 +577,8 @@ def gaussian_content_check(mu: WeightedPointMeasure, q: np.ndarray, k: int,
     if charged.size == 0 or charged[0] == 0.0:
         # mass sits at ||Qx|| = 0: no dyadic level has zero mass below it
         return lhs, math.inf, math.inf, True
-    j_lo = math.floor(math.log2(float(charged[0]))) - 1
-    j_hi = math.ceil(math.log2(float(levels[-1])))
+    j_lo = dyadic_exponents(float(charged[0]))[0] - 1
+    j_hi = dyadic_exponents(float(levels[-1]))[1]
     c_dyadic = 0.0
     for j in range(j_lo + 1, j_hi + 1):
         t = 2.0 ** j

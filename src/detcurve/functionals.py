@@ -65,21 +65,6 @@ class DyadicProfile:
     included_mass: float
     excluded_mass: float
 
-    def weighted_sum(self) -> float:
-        """sum_l 2^(-gamma l) * mass_l, the layer surrogate for the form."""
-        return math.fsum(2.0 ** (-self.gamma * l) * m for l, m in self.layers.items())
-
-    def reconstruction_bracket(self) -> tuple:
-        """Interval certain to contain the exact pinned form on the same sets.
-
-        Within layer l the kernel det^(-gamma) is between 2^(-gamma(l+1)) and
-        2^(-gamma l) (endpoints swapping with the sign of gamma), so the
-        weighted sum brackets the form within a factor 2^|gamma| either way.
-        """
-        s = self.weighted_sum()
-        f = 2.0 ** abs(self.gamma)
-        return (s / f, s * f)
-
 
 def default_det_threshold(measures, k: int) -> float:
     """Exclusion threshold: TAU_SCALE times the product of per-slot scale maxima.
@@ -266,15 +251,21 @@ def _enumerate_form(points_list, values_list, tau: float, symmetric: bool,
 
 def _form_slots(mu, k: int, fs, tau, pinned: bool):
     """(slot points, slot values, tau, symmetric) of a form of order k on one
-    measure or a list of k (pinned) or k+1 slot measures: tau defaults to
-    the slots' threshold, and symmetric holds when every slot has one
-    measure and one density, so the nondecreasing tuples suffice."""
+    measure or a list of k (pinned) or k+1 slot measures of one dimension,
+    with no density or one per slot: tau defaults to the slots' threshold,
+    and symmetric holds when every slot has one measure and one density, so
+    the nondecreasing tuples suffice."""
     if k < 1:
         raise ValueError("k must be at least 1")
     m = k if pinned else k + 1
     measures = [mu] * m if isinstance(mu, WeightedPointMeasure) else list(mu)
     if len(measures) != m:
         raise ValueError(f"expected {m} measures, got {len(measures)}")
+    if fs is not None and len(fs) != m:
+        raise ValueError(f"fs must hold one density per slot ({m}), got {len(fs)}")
+    dims = sorted({m_.dim for m_ in measures})
+    if len(dims) > 1:
+        raise ValueError(f"slot measures must share one dimension, got {dims}")
     if tau is None:
         tau = (default_det_threshold(measures, k) if pinned
                else difference_threshold(measures))
@@ -358,23 +349,18 @@ def sublevel_mass(measures, delta: float, *, tau: float = None,
     tau already is).
     """
     measures = list(measures)
-    k = len(measures)
-    if k < 1:
-        raise ValueError("need at least one measure")
-    for m_ in measures:
-        if abs(m_.total_mass - 1.0) > 1e-9:
-            raise ValueError("sublevel_mass expects probability measures")
+    points_list, weights_list, tau, _ = _form_slots(measures, len(measures),
+                                                    None, tau, pinned=True)
+    if any(abs(m_.total_mass - 1.0) > 1e-9 for m_ in measures):
+        raise ValueError("sublevel_mass expects probability measures")
     if not delta > 0:
         raise ValueError("delta must be positive")
-    if tau is None:
-        tau = default_det_threshold(measures, k)
 
     def reduce(dets, wprod, mult):
         band = (dets > tau) & (dets < delta)
         return float(np.sum(wprod[band]))
 
-    _, results = _enumerate([m_.points for m_ in measures],
-                            [m_.weights for m_ in measures], pinned=True,
+    _, results = _enumerate(points_list, weights_list, pinned=True,
                             symmetric=False, budget=budget, reduce=reduce)
     return math.fsum(results)
 

@@ -1,8 +1,8 @@
 """Simplex determinants, ellipsoids, and content functionals.
 
 The determinant of a (k+1)-tuple of points is k! times the k-volume of the
-simplex they span.  Single, batched and enumerated determinants share one
-routine, _vertex_dets: square edge matrices (k == d) take their determinant
+simplex they span.  Batched and enumerated determinants share one routine,
+_vertex_dets: square edge matrices (k == d) take their determinant
 directly, other shapes the Cauchy-Binet root of the sum of the squared
 k x k minors, so the value is defined for any ambient dimension d (it
 vanishes when k > d or the tuple is affinely degenerate).  Determinants
@@ -96,20 +96,6 @@ def _vertex_dets(rows, pinned: bool) -> np.ndarray:
     return np.sqrt(total)
 
 
-def simplex_det(points) -> float:
-    """Determinant of a tuple of k+1 points in R^d, k >= 1.
-
-    k! times the k-volume of their simplex: |det| of the differences
-    against the last point when k == d, the root of the sum of their
-    squared k x k minors (Cauchy-Binet) otherwise; the same bits as
-    simplex_det_many on a one-tuple stack.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] < 1:
-        raise ValueError("need at least two points of equal dimension d >= 1")
-    return float(_vertex_dets(pts[:, :, None], pinned=False)[0])
-
-
 def simplex_det_many(stack: np.ndarray, pinned: bool = False) -> np.ndarray:
     """Batched simplex determinants.
 
@@ -185,26 +171,17 @@ class Ellipsoid:
         return cls(center=np.zeros(dim), frame=np.eye(dim), inv_lengths=inv)
 
     @classmethod
-    def from_semi_lengths(cls, lengths, frame=None, center=None) -> "Ellipsoid":
+    def from_semi_lengths(cls, lengths, frame=None) -> "Ellipsoid":
+        """The centred ellipsoid with these semi-lengths along the frame's
+        columns (default: the coordinate axes)."""
         lengths = np.asarray(lengths, dtype=float)
         d = lengths.shape[0]
         if frame is None:
             frame = np.eye(d)
-        if center is None:
-            center = np.zeros(d)
         with np.errstate(divide="ignore"):
             inv = np.where(lengths == 0.0, np.inf,
                            np.where(np.isinf(lengths), 0.0, 1.0 / lengths))
-        return cls(center=np.asarray(center, dtype=float), frame=frame, inv_lengths=inv)
-
-    def scaled(self, a: float) -> "Ellipsoid":
-        """The dilate a*B about its own center, a > 0."""
-        if not a > 0:
-            raise ValueError("scale factor must be positive")
-        return Ellipsoid(center=self.center, frame=self.frame, inv_lengths=self.inv_lengths / a)
-
-    def contains(self, y) -> bool:
-        return bool(self.contains_many(np.asarray(y, dtype=float)[None, :])[0])
+        return cls(center=np.zeros(d), frame=frame, inv_lengths=inv)
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (N, d) array of points.
@@ -222,9 +199,6 @@ class Ellipsoid:
         if np.any(collapsed):
             ok &= np.all(z[:, collapsed] == 0.0, axis=1)
         return ok
-
-    def content(self, k: int) -> float:
-        return k_content(self, k)
 
 
 def k_content(ellipsoid: Ellipsoid, k: int) -> float:
@@ -259,20 +233,6 @@ def matrix_content(q: np.ndarray, k: int) -> float:
     if prod == 0.0:
         return math.inf
     return 1.0 / prod
-
-
-def ellipsoid_of(q: np.ndarray) -> Ellipsoid:
-    """The centered ellipsoid {x : ||Qx||^2 <= 1}.
-
-    From the SVD Q = U diag(s) V^T the set is an ellipsoid with axes the
-    columns of V and inverse semi-lengths s, so k_content(ellipsoid_of(Q), k)
-    agrees with matrix_content(Q, k).
-    """
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValueError(f"Q must be square, got shape {q.shape}")
-    _, s, vt = np.linalg.svd(q)
-    return Ellipsoid(center=np.zeros(q.shape[0]), frame=vt.T, inv_lengths=s)
 
 
 @dataclass(frozen=True)
@@ -311,29 +271,6 @@ class AffineSubspace:
     def ambient_dim(self) -> int:
         return self.basis.shape[1]
 
-    @classmethod
-    def from_points(cls, points) -> "AffineSubspace":
-        """Affine hull of the given points, orthonormalized by SVD.
-
-        Near-dependent directions (singular value at most 1e-12 times the
-        largest) are dropped, so degenerate tuples span a lower flat.
-        """
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError("need an (m, d) array of points")
-        base = pts[-1]
-        diffs = pts[:-1] - base
-        if diffs.shape[0] == 0:
-            return cls(base_point=base, basis=np.zeros((0, pts.shape[1])))
-        _, s, vt = np.linalg.svd(diffs, full_matrices=False)
-        if s.size == 0 or s[0] == 0.0:
-            return cls(base_point=base, basis=np.zeros((0, pts.shape[1])))
-        keep = s > 1e-12 * s[0]
-        return cls(base_point=base, basis=vt[keep])
-
-    def distance(self, y) -> float:
-        return float(self.distance_many(_as_point(y)[None, :])[0])
-
     def distance_many(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         r = points - self.base_point
@@ -341,14 +278,3 @@ class AffineSubspace:
             r = r - (r @ self.basis.T) @ self.basis
         return np.linalg.norm(r, axis=1)
 
-
-def det_content_bound(d: int, k: int) -> float:
-    """Constant c(d, k) with det(0, y_1, .., y_k) <= c(d, k) * |B|_k for y_i in B.
-
-    Cauchy-Binet over k-subsets of the frame axes plus a Hadamard column
-    bound gives k^(k/2) * sqrt(binom(d, k)); k! dominates k^(k/2), so the
-    factorial form below is a valid (slightly loose) bound.
-    """
-    if not 1 <= k <= d:
-        raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
-    return float(math.factorial(k)) * math.sqrt(math.comb(d, k))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .curvature import (EllipsoidFamily, default_family,
+from .curvature import (EllipsoidFamily, default_family, dyadic_exponents,
                         estimate_curvature_constant, gaussian_content_check,
                         gaussian_lower_check, layer_cake_check,
                         maximal_weak_bound_check, min_content_at_mass,
@@ -463,7 +463,7 @@ def verify_maximal_bound(mu: WeightedPointMeasure, k: int, alpha: float, *,
     """Family-restricted maximal inequality at p = 1 on a doubling-closed
     family with 6 random frames."""
     p = 1.0
-    j_min = math.floor(math.log2(mu.median_nn)) - 2
+    j_min = dyadic_exponents(mu.median_nn)[0] - 2
     family = default_family(mu, n_frames=6, n_pca=2, j_min=j_min,
                             mode="doubling_dyadic", seed=seed)
     lhs, rhs, ok = maximal_weak_bound_check(mu, k, alpha, p, family)
@@ -606,7 +606,7 @@ def _multi_check(config, mu, get_family):
 
 
 def _necessity_check(config, mu):
-    base_floor = 2.0 ** (math.floor(math.log2(mu.median_nn)) - 1)
+    base_floor = 2.0 ** (dyadic_exponents(mu.median_nn)[0] - 1)
     return verify_necessity_growth(mu, config.k, config.alpha,
                                    base_floor=base_floor,
                                    deltas=config.floor_shrink,

@@ -88,20 +88,6 @@ def eval_measure(mu: WeightedPointMeasure, region: Ellipsoid) -> float:
     return float(np.sum(mu.weights[region.contains_many(mu.points)]))
 
 
-def dilate(mu: WeightedPointMeasure, a: float) -> WeightedPointMeasure:
-    """Isotropic dilation: atoms scaled by a, weights unchanged."""
-    if not (np.isfinite(a) and a > 0):
-        raise ValueError(f"dilation factor must be positive and finite, got {a}")
-    return WeightedPointMeasure(points=mu.points * a, weights=mu.weights)
-
-
-def translate(mu: WeightedPointMeasure, v) -> WeightedPointMeasure:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (mu.dim,):
-        raise ValueError("translation vector dimension mismatch")
-    return WeightedPointMeasure(points=mu.points + v, weights=mu.weights)
-
-
 def pushforward(mu: WeightedPointMeasure, lin) -> WeightedPointMeasure:
     """Image measure under a linear map given as an (m, d) matrix."""
     lin = np.asarray(lin, dtype=float)

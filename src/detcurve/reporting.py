@@ -73,19 +73,6 @@ class CheckRecord:
             "details": _plain(self.details),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CheckRecord":
-        return cls(
-            name=data["name"],
-            passed=bool(data["passed"]),
-            lhs=float(data["lhs"]),
-            rhs=float(data["rhs"]),
-            direction=data.get("direction", "lhs <= rhs"),
-            margin=float(data.get("margin", 0.0)),
-            expected_fail=bool(data.get("expected_fail", False)),
-            details=data.get("details", {}),
-        )
-
     def summary_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         tag = " (expected failure)" if self.expected_fail else ""
@@ -154,20 +141,6 @@ class ScenarioReport:
                              repr(float(c.lhs)), repr(float(c.rhs)),
                              c.direction, repr(float(c.margin))])
         return buf.getvalue()
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioReport":
-        return cls(
-            scenario=data["scenario"],
-            config=data.get("config", {}),
-            constants=data.get("constants", {}),
-            checks=[CheckRecord.from_dict(c) for c in data.get("checks", [])],
-            versions=data.get("versions", {}),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioReport":
-        return cls.from_dict(json.loads(text))
 
     def print_summary(self) -> None:
         """The check table on standard output."""

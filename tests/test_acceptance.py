@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import det_content_bound
 from detcurve.curvature import (
     EllipsoidFamily,
     default_family,
@@ -22,12 +23,7 @@ from detcurve.curvature import (
     maximal_weak_bound_check,
 )
 from detcurve.functionals import cauchy_schwarz_check, weak_type_probe
-from detcurve.geometry import (
-    Ellipsoid,
-    det_content_bound,
-    simplex_det,
-    simplex_det_many,
-)
+from detcurve.geometry import Ellipsoid, k_content, simplex_det_many
 from detcurve.lab import (
     BUNDLED_SCENARIOS,
     get_scenario,
@@ -72,7 +68,7 @@ def test_criterion_01_determinant_oracle():
         pts = rng.standard_normal((10_000, k + 1, k))
         oracle = np.abs(np.linalg.det(pts[:, :-1, :] - pts[:, -1:, :]))
         for i in range(10_000):
-            val = simplex_det(pts[i])
+            val = simplex_det_many(pts[i][None])[0]
             worst = max(worst, abs(val - oracle[i]) / max(oracle[i], 1e-300))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 5.0
@@ -202,7 +198,7 @@ def test_criterion_08_content_bound():
         inside = (g * radii * lengths) @ frame
         tuples = inside.reshape(batch, k, d)
         dets = simplex_det_many(tuples, pinned=True)
-        bound = det_content_bound(d, k) * ell.content(k)
+        bound = det_content_bound(d, k) * k_content(ell, k)
         violations += int(np.sum(dets > bound * (1.0 + 1e-12)))
         total += batch
     ok = violations == 0

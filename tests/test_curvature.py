@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dilate
 from detcurve import curvature, parallel
 from detcurve.curvature import (
     CurvatureEstimate,
@@ -38,12 +39,20 @@ def dirac(point):
     return WeightedPointMeasure(point[None, :], np.array([1.0]))
 
 
+def members(family):
+    """Every member as an Ellipsoid, frame by frame in length_tuples order:
+    the brute-force reference for the swept tables."""
+    for frame in family.frames:
+        for lengths in family.length_tuples():
+            yield Ellipsoid.from_semi_lengths(lengths, frame=frame)
+
+
 class TestEllipsoidFamily:
     def test_dyadic_grid(self):
         fam = EllipsoidFamily.dyadic(2, -2, 0)
         assert np.allclose(fam.length_grid, [0.25, 0.5, 1.0])
         assert fam.size == 9
-        assert len(list(fam.members())) == 9
+        assert fam.length_tuples().shape == (9, 2)
 
     def test_floor_replaces_small_lengths(self):
         fam = EllipsoidFamily.dyadic(2, -4, 0, floor=0.1)
@@ -60,17 +69,17 @@ class TestEllipsoidFamily:
                             mode="doubling_dyadic")
 
     def test_inner_tuples_drop_top_scale(self):
+        # from (1.5, 0) only the top semi-length 2 along the first axis
+        # reaches the atom, and the inner sup reads no member at the top
         fam = EllipsoidFamily.dyadic(2, -1, 1, mode="doubling_dyadic")
-        full = fam.length_tuples()
-        inner = fam.length_tuples(inner=True)
-        assert full.shape == (9, 2)
-        assert inner.shape == (4, 2)
-        assert inner.max() == 1.0
+        y = np.array([[1.5, 0.0]])
+        assert maximal_function(dirac([0.0, 0.0]), 2, 1.0, fam, y)[0] == 1.0
+        assert maximal_function(dirac([0.0, 0.0]), 2, 1.0, fam, y, inner=True)[0] == 0.0
 
     def test_inner_requires_doubling_mode(self):
         fam = EllipsoidFamily.dyadic(2, -1, 1)
-        with pytest.raises(ValueError):
-            fam.length_tuples(inner=True)
+        with pytest.raises(ValueError, match="doubling_dyadic"):
+            maximal_function(dirac([0.0, 0.0]), 2, 1.0, fam, inner=True)
 
     def test_frames_are_copied_and_frozen(self, cube64):
         frame = np.eye(2)
@@ -141,7 +150,7 @@ class TestEstimateConstant:
     def test_beats_every_family_member(self, cube64):
         fam = default_family(cube64, n_frames=4, n_pca=2)
         est = estimate_curvature_constant(cube64, 2, 1.0, fam, refine=40)
-        best_grid = max(curvature_ratio(cube64, b, 2, 1.0) for b in fam.members())
+        best_grid = max(curvature_ratio(cube64, b, 2, 1.0) for b in members(fam))
         assert est.constant >= best_grid * (1 - 1e-12)
         # the witness reproduces the reported constant
         assert curvature_ratio(cube64, est.witness, 2, 1.0) == pytest.approx(
@@ -341,8 +350,8 @@ class TestSlab:
         e = Ellipsoid.from_semi_lengths([2.0, 1.0])
         flat = top_axes_flat(e, 2)
         assert flat.dim == 1
-        assert flat.distance([5.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
-        assert flat.distance([0.0, 1.0]) == pytest.approx(1.0)
+        dist = flat.distance_many(np.array([[5.0, 0.0], [0.0, 1.0]]))
+        assert dist == pytest.approx([0.0, 1.0], abs=1e-12)
 
     def test_implication_on_cube(self, cube64):
         # axis-aligned flats miss the cell-centered atoms, so the slab
@@ -456,7 +465,8 @@ def bincount_sweep(z, values, weights):
 
 def maximal_reference(mu, k, alpha, family, pts, inner=False):
     """The per-point loop that maximal_function replaced."""
-    tuples = family.length_tuples(inner=inner)
+    values = family.effective_lengths[:-1] if inner else family.effective_lengths
+    tuples = np.array(list(product(values, repeat=family.dim)))
     invsq = 1.0 / tuples ** 2
     contents_a = np.prod(np.sort(tuples, axis=1)[:, ::-1][:, :k], axis=1) ** alpha
     out = np.zeros(pts.shape[0])
@@ -618,7 +628,7 @@ class TestSweep:
                 einsum_differs += float(np.sum(mu.weights[s <= 1.0])) != mass
         assert einsum_differs > 0  # the data does reach the order-sensitive atoms
         est = estimate_curvature_constant(mu, 2, 1.0, fam, refine=0)
-        assert est.constant == max(curvature_ratio(mu, b, 2, 1.0) for b in fam.members())
+        assert est.constant == max(curvature_ratio(mu, b, 2, 1.0) for b in members(fam))
 
 
 def per_centre_rows(mu, frame, values):
@@ -651,7 +661,7 @@ class TestSymmetricSweep:
         mu = symmetric_measures[name]
         fam = EllipsoidFamily.dyadic(mu.dim, -4, 1, mode="doubling_dyadic",
                                      frames=default_frames(mu.dim, n_random=1, seed=5))
-        values = np.unique(fam.length_tuples(inner=inner))
+        values = fam.effective_lengths[:-1] if inner else fam.effective_lengths
         for frame in fam.frames:
             z = mu.points @ frame
             want = per_centre_rows(mu, frame, values)
@@ -802,16 +812,16 @@ class TestFrameBlocks:
 def slab_reference(mu, k, alpha, family, max_members, rel_tol=1e-9):
     """The per-member Ellipsoid and eval_measure loop slab_implication_check
     replaced."""
-    members = list(family.members())
-    members = members[::-(-len(members) // max_members)]
-    c_slab = slab_constant(mu, k, alpha, [top_axes_flat(b, k) for b in members])
+    chosen = list(members(family))
+    chosen = chosen[::-(-len(chosen) // max_members)]
+    c_slab = slab_constant(mu, k, alpha, [top_axes_flat(b, k) for b in chosen])
     all_ok, worst = True, math.inf
-    for b in members:
+    for b in chosen:
         mass = eval_measure(mu, b)
         bound = c_slab * float(np.sort(b.semi_lengths)[::-1][k - 1]) ** (alpha * k)
         worst = min(worst, bound - mass)
         all_ok &= mass <= bound * (1.0 + rel_tol) or math.isinf(bound)
-    return c_slab, all_ok, worst, len(members)
+    return c_slab, all_ok, worst, len(chosen)
 
 
 class TestSlabDedup:
@@ -839,10 +849,10 @@ class TestSlabDedup:
                                           k, max_members):
         mu = request.getfixturevalue(fixture)
         fam = default_family(mu, n_frames=3, n_pca=1)
-        members = list(fam.members())
-        stride = -(-len(members) // max_members) if len(members) > max_members else 1
-        members = members[::stride]
-        want = slab_constant(mu, k, 1.0, [top_axes_flat(b, k) for b in members])
+        chosen = list(members(fam))
+        stride = -(-len(chosen) // max_members) if len(chosen) > max_members else 1
+        chosen = chosen[::stride]
+        want = slab_constant(mu, k, 1.0, [top_axes_flat(b, k) for b in chosen])
         seen = []
         original = curvature.slab_constant
 
@@ -854,7 +864,7 @@ class TestSlabDedup:
         c_slab, _, _, n_checked = slab_implication_check(
             mu, k, 1.0, fam, max_members=max_members)
         assert c_slab == want
-        assert n_checked == len(members)
+        assert n_checked == len(chosen)
         # one flat per frame and ordered choice of k-1 longest axes at most
         assert len(seen) <= len(fam.frames) * math.perm(mu.dim, k - 1)
 
@@ -1031,3 +1041,79 @@ class TestLevelMasses:
                 alpha = 0.5 + rng.random()
                 assert (slab_constant(mu, k, alpha, [flat])
                         == slab_flat_reference(mu, k, alpha, flat))
+
+
+COVARIANCE_MEASURES = ["circle240", "cube64", "sphere80_d3"]
+
+
+@pytest.fixture(scope="module")
+def covariance_measures(circle240, cube64, sphere80_d3):
+    # the spheres have 2 * max_radius just above a power of two, where a
+    # log2-derived exponent differs from the exact one
+    return {"circle240": circle240, "cube64": cube64, "sphere80_d3": sphere80_d3}
+
+
+class TestExactCovariance:
+    """Dilating a measure by 2^j scales every search bit for bit: the
+    default family by 2^j, contents by 2^(jk), the constant and the maximal
+    function by 2^(-jk alpha), here at alpha = 1 so that the power is exact.
+    With dyadic weights, the order of the atoms changes nothing."""
+
+    @given(st.sampled_from(["cube64", "circle240"]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_atom_permutation(self, covariance_measures, name, seed):
+        # weights of 1/256 sum exactly in any order
+        mu = covariance_measures[name]
+        mu = WeightedPointMeasure(mu.points, np.full(mu.n_atoms, 1.0 / 256.0))
+        perm = np.random.default_rng(seed).permutation(mu.n_atoms)
+        nu = WeightedPointMeasure(mu.points[perm], mu.weights[perm])
+        frames = default_frames(2, n_random=8, seed=3)
+        fam, fam_nu = (EllipsoidFamily.dyadic(2, -5, 1, frames=frames,
+                                              floor=mu.median_nn) for _ in range(2))
+        assert np.array_equal(curvature._centred_masses(nu, fam_nu),
+                              curvature._centred_masses(mu, fam))
+        got = estimate_curvature_constant(nu, 2, 1.0, fam_nu, refine=40)
+        want = estimate_curvature_constant(mu, 2, 1.0, fam, refine=40)
+        assert got.constant == want.constant
+
+    @given(st.sampled_from(COVARIANCE_MEASURES), st.integers(-8, 8))
+    @settings(max_examples=25, deadline=None)
+    def test_default_family(self, covariance_measures, name, j):
+        mu = covariance_measures[name]
+        for mode in ("scale_floored_search", "doubling_dyadic"):
+            fam = default_family(mu, mode=mode)
+            got = default_family(dilate(mu, 2.0 ** j), mode=mode)
+            assert np.array_equal(got.length_grid, fam.length_grid * 2.0 ** j)
+            assert got.floor == fam.floor * 2.0 ** j
+            assert got.size == fam.size and len(got.frames) == len(fam.frames)
+            assert all(np.array_equal(f, g) for f, g in zip(got.frames, fam.frames))
+
+    @given(st.sampled_from(COVARIANCE_MEASURES), st.integers(-8, 8),
+           st.integers(1, 2))
+    @settings(max_examples=15, deadline=None)
+    def test_constant_and_min_content(self, covariance_measures, name, j, k):
+        mu = covariance_measures[name]
+        nu = dilate(mu, 2.0 ** j)
+        fam = default_family(mu, n_frames=8, n_pca=2)
+        fam_nu = default_family(nu, n_frames=8, n_pca=2)
+        got = estimate_curvature_constant(nu, k, 1.0, fam_nu, refine=40)
+        want = estimate_curvature_constant(mu, k, 1.0, fam, refine=40)
+        assert got.constant == want.constant * 2.0 ** (-j * k)
+        assert got.family_size == want.family_size
+        for eps in (0.1, 0.4):
+            got_delta, _ = min_content_at_mass(nu, k, eps, fam_nu, refine=40)
+            want_delta, _ = min_content_at_mass(mu, k, eps, fam, refine=40)
+            assert got_delta == want_delta * 2.0 ** (j * k)
+
+    @given(st.sampled_from(COVARIANCE_MEASURES), st.integers(-8, 8),
+           st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_maximal_function(self, covariance_measures, name, j, inner):
+        mu = covariance_measures[name]
+        nu = dilate(mu, 2.0 ** j)
+        k = 2
+        fam = default_family(mu, n_frames=2, n_pca=1, mode="doubling_dyadic")
+        fam_nu = default_family(nu, n_frames=2, n_pca=1, mode="doubling_dyadic")
+        got = maximal_function(nu, k, 1.0, fam_nu, nu.points[::8], inner=inner)
+        want = maximal_function(mu, k, 1.0, fam, mu.points[::8], inner=inner)
+        assert np.array_equal(got, want * 2.0 ** (-j * k))

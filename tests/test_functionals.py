@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dilate, translate
 from detcurve import functionals, parallel
 from detcurve.functionals import (
     BudgetExceededError,
@@ -22,8 +23,7 @@ from detcurve.functionals import (
     weak_type_probe,
 )
 from detcurve.geometry import simplex_det_many
-from detcurve.measure import (GeneratorSpec, WeightedPointMeasure, dilate,
-                              generate, translate)
+from detcurve.measure import GeneratorSpec, WeightedPointMeasure, generate
 
 
 def indicator(n, idx):
@@ -156,6 +156,29 @@ class TestExactForms:
     def test_rejects_negative_density(self, three_atoms):
         with pytest.raises(ValueError):
             det_form_pinned(three_atoms, 2, 0.5, [-np.ones(3), None])
+
+
+class TestSlotShapes:
+    @pytest.mark.parametrize("form,k,count", [
+        (det_form, 2, 1), (det_form, 1, 3), (det_form_pinned, 1, 2),
+        (det_form_pinned, 2, 1)])
+    def test_rejects_density_count(self, three_atoms, form, k, count):
+        # one density per slot: a short list would index past its end, a
+        # long one would drop its extra densities
+        with pytest.raises(ValueError, match=r"one density per slot"):
+            form(three_atoms, k, 0.5, fs=[np.ones(3)] * count)
+
+    @pytest.mark.parametrize("call", [
+        lambda a, b: sublevel_mass([a, b], 0.5),
+        lambda a, b: det_form_pinned([a, b], 2, 0.5),
+        lambda a, b: det_form([a, a, b], 2, 0.5),
+        lambda a, b: det_form_sampled([a, b], 1, 0.5, samples=10),
+        lambda a, b: det_form_sampled([a, b], 2, 0.5, samples=10, pinned=True),
+    ], ids=["sublevel_mass", "det_form_pinned", "det_form", "sampled",
+            "sampled-pinned"])
+    def test_rejects_mixed_dimensions(self, cube64, sphere80_d3, call):
+        with pytest.raises(ValueError, match=r"one dimension, got \[2, 3\]"):
+            call(cube64, sphere80_d3)
 
 
 class TestInvariance:
@@ -334,7 +357,11 @@ class TestDyadicProfile:
         fs = [indicator(64, s) for s in sets]
         for gamma in (0.5, -0.5):
             prof = dyadic_profile(cube64, 2, sets, gamma)
-            lo, hi = prof.reconstruction_bracket()
+            # within layer l the kernel det^(-gamma) lies between
+            # 2^(-gamma (l+1)) and 2^(-gamma l), so the layer sum brackets
+            # the form within a factor 2^|gamma| either way
+            s = math.fsum(2.0 ** (-gamma * l) * m for l, m in prof.layers.items())
+            lo, hi = s / 2.0 ** abs(gamma), s * 2.0 ** abs(gamma)
             exact = det_form_pinned(cube64, 2, gamma, fs).value
             assert lo * (1 - 1e-12) <= exact <= hi * (1 + 1e-12)
 

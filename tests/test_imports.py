@@ -1,13 +1,20 @@
 """Name hygiene: every module-level import in the package and the tests is
 used, every module-level name the package defines is read somewhere in it
-or exported, every parameter of the package's functions and methods is
-read, every parameter with a default is read by its function and passed
-by some caller, and lab imports no private name of another module."""
+or exported, and every method of its classes is read as an attribute;
+every exported name is documented in README.md or used by bench/; every
+parameter of the package's functions and methods is read, every parameter
+with a default is read by its function and passed by some caller; lab
+imports no private name of another module, no exponent comes from log2,
+and importing the package leaves scipy unloaded."""
 
 import ast
 import importlib
 import inspect
 import math
+import os
+import re
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -48,9 +55,12 @@ def exported(tree) -> list:
 def dead_names(sources: dict) -> list:
     """(module, line, name) of the module-level functions, classes and
     assignments that no module reads, as a name or an attribute, and that
-    no __all__ exports; dunder names are exempt."""
+    no __all__ exports, and of the methods and properties of module-level
+    classes (named Class.method) that no module reads as an attribute, so
+    that a local variable of the same name does not hide them; dunder
+    names are exempt."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
-    read = set()
+    read, attributes = set(), set()
     for tree in trees.values():
         read.update(exported(tree))
         for node in ast.walk(tree):
@@ -58,9 +68,15 @@ def dead_names(sources: dict) -> list:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    attributes.add(node.attr)
     dead = []
     for mod, tree in trees.items():
         for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                dead += [(mod, f.lineno, f"{node.name}.{f.name}") for f in node.body
+                         if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and f.name not in attributes and not f.name.startswith("__")]
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -168,16 +184,68 @@ def test_no_unused_module_imports(path):
 
 def test_dead_name_scan_flags_unread_definitions():
     sources = {
-        "a": "LIMIT = 1\nSTALE = 2\n__all__ = ['api']\ndef api(): return LIMIT\n"
-             "def helper(): pass\nclass Old: pass\n",
-        "b": "from . import a\n__version__ = '1'\nx = a.helper\n",
+        "a": "LIMIT = 1\nSTALE = 2\n__all__ = ['api', 'K']\ndef api(): return LIMIT\n"
+             "def helper(): pass\nclass Old: pass\n"
+             "class K:\n    def used(self): pass\n"
+             "    @property\n    def size(self): return 1\n"
+             "    def shadowed(self): pass\n",
+        "b": "from . import a\n__version__ = '1'\nx = a.helper\n__all__ = ['f']\n"
+             "def f(k):\n    k.size = 2\n    shadowed = k.used()\n    return shadowed\n",
     }
-    assert dead_names(sources) == [("a", 2, "STALE"), ("a", 6, "Old"), ("b", 3, "x")]
+    # K.size is only stored to, and K.shadowed only a local variable's name
+    assert dead_names(sources) == [("a", 2, "STALE"), ("a", 6, "Old"),
+                                   ("a", 10, "K.size"), ("a", 11, "K.shadowed"),
+                                   ("b", 3, "x")]
 
 
 def test_no_dead_package_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert dead_names(sources) == []
+
+
+def test_public_names_are_documented_or_benchmarked():
+    # __all__ is the surface README.md documents plus what bench/ uses;
+    # the tests import every other name from its module
+    import detcurve
+
+    text = "\n".join(p.read_text(encoding="utf-8")
+                     for p in [ROOT / "README.md", *ROOT.glob("bench/*.py")])
+    assert [name for name in detcurve.__all__
+            if not re.search(rf"\b{re.escape(name)}\b", text)] == []
+
+
+def log2_uses(source: str) -> list:
+    """Lines that name log2 in code: as an attribute (math.log2, np.log2),
+    as a bare name, or in an import."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if (isinstance(node, ast.Attribute) and node.attr == "log2")
+                  or (isinstance(node, ast.Name) and node.id == "log2")
+                  or (isinstance(node, ast.alias) and node.name == "log2"))
+
+
+def test_log2_scan_flags_every_spelling():
+    src = ('import math\nfrom numpy import log2\n"""log2 in a docstring"""\n'
+           "a = math.floor(math.log2(3.0))\nb = np.log2(x)\nc = log2(4.0)\n")
+    assert log2_uses(src) == [2, 4, 5, 6]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_log2_exponents(path):
+    # floor or ceil of a log2 can be one off next to a power of two;
+    # curvature.dyadic_exponents reads the exponent from math.frexp
+    assert log2_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_import_leaves_scipy_unloaded():
+    # the benchmark's setup time includes the package import: scipy, a
+    # slow import, stays local to median_nn_distance
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, detcurve; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_unread_default_scan_flags_ignored_parameters():
