@@ -338,19 +338,18 @@ def det_form_sampled(mu, k: int, gamma: float, *, samples: int,
                             stderr=err)
 
 
-def sublevel_mass(measures, delta: float, *, tau: float = None,
-                  budget: int = DEFAULT_BUDGET) -> float:
+def sublevel_mass(measures, delta: float, *, budget: int = DEFAULT_BUDGET) -> float:
     """Product-measure mass of {tau < det(0, y_1, ..., y_k) < delta}.
 
     measures is a list of k probability measures (k = len(measures)); the
-    lower cutoff discards degenerate tuples just like the forms do.  Exact
-    for discrete measures, and exactly covariant under per-measure dilations
-    when tau is scaled by the product of the dilation factors (the default
-    tau already is).
+    lower cutoff tau, the slots' default_det_threshold, discards degenerate
+    tuples just like the forms do.  Exact for discrete measures, and exactly
+    covariant under per-measure dilations, which scale tau by the product
+    of the dilation factors.
     """
     measures = list(measures)
     points_list, weights_list, tau, _ = _form_slots(measures, len(measures),
-                                                    None, tau, pinned=True)
+                                                    None, None, pinned=True)
     if any(abs(m_.total_mass - 1.0) > 1e-9 for m_ in measures):
         raise ValueError("sublevel_mass expects probability measures")
     if not delta > 0:
@@ -476,25 +475,22 @@ def _sample_sets(mu: WeightedPointMeasure, k: int, rng, kind: str):
             proj = pts @ u
             c = np.quantile(proj, rng.uniform(0.1, 0.8))
             out.append(np.flatnonzero(proj >= c))
-        elif kind == "shell":
+        else:  # shell
             center = pts[rng.integers(0, n)]
             dist = np.linalg.norm(pts - center, axis=1)
             hi = np.quantile(dist, rng.uniform(0.3, 0.95))
             sel = np.flatnonzero((dist > hi / 2.0) & (dist <= hi))
             out.append(sel if sel.size else np.flatnonzero(dist <= hi))
-        else:
-            raise ValueError(f"unknown set kind {kind!r}")
     return out
 
 
 def weak_type_probe(mu: WeightedPointMeasure, k: int, gamma: float, alpha: float, *,
-                    trials: int = 100, seed: int = 0, set_sampler=None,
+                    trials: int = 100, seed: int = 0,
                     budget: int = DEFAULT_BUDGET) -> WeakTypeProbeResult:
     """Empirical sup over set families of the normalized pinned form.
 
     For each trial a family E_1, ..., E_k is drawn (random subsets, metric
-    balls, half-spaces, and shells in rotation, or a caller-provided
-    sampler) and the ratio
+    balls, half-spaces, and shells in rotation) and the ratio
 
         pinned form over E_1 x ... x E_k / prod_j mu(E_j)^(1 - gamma/(k alpha))
 
@@ -518,11 +514,7 @@ def weak_type_probe(mu: WeightedPointMeasure, k: int, gamma: float, alpha: float
     ratios = []
     for t in range(trials):
         kind = kinds[t % len(kinds)]
-        if set_sampler is not None:
-            sets = _index_sets(mu.n_atoms, set_sampler(mu, k, rng), k)
-            kind = "custom"
-        else:
-            sets = _sample_sets(mu, k, rng, kind)
+        sets = _sample_sets(mu, k, rng, kind)
         masses = [float(np.sum(mu.weights[s])) for s in sets]
         if any(m_ <= 0.0 for m_ in masses):
             continue

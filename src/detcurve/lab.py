@@ -242,10 +242,11 @@ def _realize(spec) -> WeightedPointMeasure:
 
 def scenario_measure(config: ScenarioConfig) -> WeightedPointMeasure:
     mu = _realize(config.generator)
-    if config.pushforward_drop is not None:
-        keep = [i for i in range(mu.dim) if i != config.pushforward_drop]
-        proj = np.eye(mu.dim)[keep]
-        mu = pushforward(mu, proj)
+    drop = config.pushforward_drop
+    if drop is not None:
+        if drop not in range(mu.dim):
+            raise ValueError(f"pushforward_drop must be in [0, {mu.dim}), got {drop}")
+        mu = pushforward(mu, np.eye(mu.dim)[[i for i in range(mu.dim) if i != drop]])
     return mu
 
 

@@ -3,8 +3,8 @@
 A measure is a finite list of atoms (points in R^d) with nonnegative
 weights.  All transforms return new measures; atom arrays are read-only.
 
-File formats
-------------
+File formats, chosen by the file suffix (.csv or .json)
+-------------------------------------------------------
 CSV: header row "x1,...,xd[,weight]"; the weight column is optional and
 defaults to 1/N.  JSON: an array of records with the same keys, e.g.
 [{"x1": 0.0, "x2": 1.0, "weight": 0.5}, ...].
@@ -208,9 +208,10 @@ def generate(spec: GeneratorSpec) -> WeightedPointMeasure:
 def median_nn_distance(mu: WeightedPointMeasure) -> float:
     """Median over atoms of the distance to the nearest other atom.
 
-    The default scale floor for ellipsoid families.  Falls back to a small
-    fraction of the cloud radius when there is a single atom or all nearest
-    neighbors coincide.
+    The default scale floor for ellipsoid families.  Falls back to 2^-10
+    times the cloud radius (2^-10 when every atom sits at the origin) when
+    there is a single atom or all nearest neighbors coincide, so the floor
+    follows dilations in every case.
 
     A KD-tree proposes neighbours in O(N) memory; every candidate within a
     relative 1e-9 of the tree's nearest distance is measured again as
@@ -220,7 +221,7 @@ def median_nn_distance(mu: WeightedPointMeasure) -> float:
     from scipy.spatial import cKDTree  # here: importing it costs ~0.3 s
 
     n = mu.n_atoms
-    fallback = max(mu.max_radius, 1.0) * 2.0 ** -10
+    fallback = (mu.max_radius or 1.0) * 2.0 ** -10
     if n < 2:
         return fallback
     pts = mu.points
@@ -250,9 +251,10 @@ def _columns(dim: int) -> list:
     return [f"x{i + 1}" for i in range(dim)]
 
 
-def save_point_cloud(mu: WeightedPointMeasure, path, fmt: str = None) -> None:
+def save_point_cloud(mu: WeightedPointMeasure, path) -> None:
+    """Write a point cloud as CSV or JSON records, by the path's suffix."""
     path = Path(path)
-    fmt = fmt or path.suffix.lstrip(".").lower()
+    fmt = path.suffix.lstrip(".").lower()
     cols = _columns(mu.dim)
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
@@ -274,8 +276,9 @@ def save_point_cloud(mu: WeightedPointMeasure, path, fmt: str = None) -> None:
     raise ValueError(f"unknown point cloud format {fmt!r}")
 
 
-def load_point_cloud(path, fmt: str = None) -> WeightedPointMeasure:
-    """Read a point cloud from CSV (header required) or JSON records.
+def load_point_cloud(path) -> WeightedPointMeasure:
+    """Read a point cloud from CSV (header required) or JSON records, by the
+    path's suffix.
 
     Missing weight entries default to 1/N.  A row (data line or record,
     numbered from 1) with the wrong number of entries, other keys than the
@@ -284,7 +287,7 @@ def load_point_cloud(path, fmt: str = None) -> WeightedPointMeasure:
     the file and the row.
     """
     path = Path(path)
-    fmt = fmt or path.suffix.lstrip(".").lower()
+    fmt = path.suffix.lstrip(".").lower()
     if fmt == "csv":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)

@@ -147,6 +147,18 @@ class TestVerify:
         assert code == 1
         assert "REGRESSION" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("drop", [7, -1])
+    def test_pushforward_drop_outside_the_axes(self, tmp_path, drop):
+        # the bundled sphere scenario drops axis 2 of 3; any axis outside
+        # [0, 3) used to run the unprojected measure
+        data = get_scenario("sphere-pushforward-d3").to_dict()
+        data["pushforward_drop"] = drop
+        path = tmp_path / "drop.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=rf"pushforward_drop must be in \[0, 3\), "
+                                             rf"got {drop}"):
+            main(["verify", str(path)])
+
     def test_report_side_output(self, tmp_path, capsys):
         out_path = tmp_path / "flat.json"
         code = main(["verify", "flat-subspace-negative",

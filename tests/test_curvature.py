@@ -27,11 +27,11 @@ from detcurve.curvature import (
     slab_constant,
     slab_implication_check,
     _sweep,
-    top_axes_flat,
     weak_lp_norm,
 )
 from detcurve.geometry import AffineSubspace, Ellipsoid, k_content, matrix_content
-from detcurve.measure import WeightedPointMeasure, eval_measure, median_nn_distance
+from detcurve.measure import (GeneratorSpec, WeightedPointMeasure, eval_measure,
+                              generate, median_nn_distance)
 
 
 def dirac(point):
@@ -45,6 +45,14 @@ def members(family):
     for frame in family.frames:
         for lengths in family.length_tuples():
             yield Ellipsoid.from_semi_lengths(lengths, frame=frame)
+
+
+def top_axes_flat(ellipsoid, k):
+    """Span of the k-1 longest axes of a centred ellipsoid (stable ties):
+    the reference for the flats slab_implication_check forms per length
+    tuple."""
+    order = np.argsort(-ellipsoid.semi_lengths, kind="stable")
+    return AffineSubspace(ellipsoid.center, ellipsoid.frame[:, order[:k - 1]].T)
 
 
 class TestEllipsoidFamily:
@@ -214,7 +222,7 @@ class TestMinContents:
             self.assert_fresh_bits(cube64, k, eps, family)
             # the other readers of the table in between
             estimate_curvature_constant(cube64, 2, 1.0, family, refine=0)
-            slab_implication_check(cube64, 2, 1.0, family, max_members=16)
+            slab_implication_check(cube64, 2, 1.0, family)
 
     def test_alternating_measures_get_their_own_tables(self, cube64, circle240):
         family = self.fresh()
@@ -273,18 +281,6 @@ class TestGaussian:
             w * math.exp(-float(np.sum((q @ p) ** 2)))
             for p, w in zip(three_atoms.points, three_atoms.weights))
         assert gaussian_integral(three_atoms, q) == pytest.approx(want, rel=1e-14)
-
-    def test_form_center_shift(self, three_atoms):
-        # atom (1, 0) sits at the centre x0 and contributes its full weight
-        got = gaussian_integral(three_atoms, np.eye(2), np.array([1.0, 0.0]))
-        want = 0.5 + 0.25 * math.exp(-2.0) + 0.25 * math.exp(-0.5)
-        assert got == pytest.approx(want, rel=1e-14)
-
-    @pytest.mark.parametrize("x0", [0.5, [1.0], [1.0, 0.0, 0.0]])
-    def test_rejects_misshapen_center(self, three_atoms, x0):
-        # a scalar or one-entry centre would broadcast silently
-        with pytest.raises(ValueError, match=r"x0 must have shape \(2,\)"):
-            gaussian_integral(three_atoms, np.eye(2), x0)
 
     def test_lower_bound_random(self, cube64):
         rng = np.random.default_rng(6)
@@ -809,11 +805,10 @@ class TestFrameBlocks:
         assert seen[-1] == [(0, 16)]
 
 
-def slab_reference(mu, k, alpha, family, max_members, rel_tol=1e-9):
+def slab_reference(mu, k, alpha, family, rel_tol=1e-9):
     """The per-member Ellipsoid and eval_measure loop slab_implication_check
     replaced."""
     chosen = list(members(family))
-    chosen = chosen[::-(-len(chosen) // max_members)]
     c_slab = slab_constant(mu, k, alpha, [top_axes_flat(b, k) for b in chosen])
     all_ok, worst = True, math.inf
     for b in chosen:
@@ -825,16 +820,19 @@ def slab_reference(mu, k, alpha, family, max_members, rel_tol=1e-9):
 
 
 class TestSlabDedup:
-    @pytest.mark.parametrize("fixture,alpha,max_members", [
-        ("cube64", 1.0, 4096), ("cube64", 0.75, 50),
-        ("circle240", 1.0, 4096), ("circle240", 0.75, 50)])
-    def test_matches_member_loop(self, request, fixture, alpha, max_members):
-        mu = request.getfixturevalue(fixture)
+    @staticmethod
+    def random_frame_family(mu):
         # no data-adapted frames: on cube64 they run through atoms (c_slab inf)
-        fam = EllipsoidFamily.dyadic(2, -5, 1, frames=default_frames(2, n_random=5, seed=1),
-                                     floor=median_nn_distance(mu))
-        got = slab_implication_check(mu, 2, alpha, fam, max_members=max_members)
-        want = slab_reference(mu, 2, alpha, fam, max_members)
+        return EllipsoidFamily.dyadic(2, -5, 1, frames=default_frames(2, n_random=5, seed=1),
+                                      floor=median_nn_distance(mu))
+
+    @pytest.mark.parametrize("fixture,alpha", [
+        ("cube64", 1.0), ("cube64", 0.75), ("circle240", 1.0), ("circle240", 0.75)])
+    def test_matches_member_loop(self, request, fixture, alpha):
+        mu = request.getfixturevalue(fixture)
+        fam = self.random_frame_family(mu)
+        got = slab_implication_check(mu, 2, alpha, fam)
+        want = slab_reference(mu, 2, alpha, fam)
         assert math.isfinite(got[0])
         assert got[0] == want[0] and got[1] == want[1] and got[3] == want[3]
         if fixture == "cube64":  # weights 1/64 sum exactly in any order
@@ -842,16 +840,32 @@ class TestSlabDedup:
         else:
             assert got[2] == pytest.approx(want[2], rel=1e-12)
 
-    @pytest.mark.parametrize("fixture,k,max_members", [
-        ("cube64", 2, 4096), ("cube64", 2, 50),
-        ("sphere80_d3", 2, 4096), ("sphere80_d3", 3, 100)])
-    def test_matches_undeduplicated_flats(self, request, monkeypatch, fixture,
-                                          k, max_members):
+    @pytest.mark.parametrize("alpha", [1.0, 0.75])
+    def test_fails_one_member_over_its_bound(self, cube64, monkeypatch, alpha):
+        # negative control: the bundled cube report's slab record is still
+        # vacuous (c_slab inf, ROADMAP item 5), so it is not the control;
+        # this family's constant is finite, and one member's mass just past
+        # c_slab * l_k^(alpha k) * (1 + 1e-9) must fail the check
+        fam = self.random_frame_family(cube64)
+        c_slab, all_ok, worst, n_checked = slab_implication_check(cube64, 2, alpha, fam)
+        assert math.isfinite(c_slab) and all_ok and worst >= 0.0
+        assert n_checked == fam.size
+        table = curvature._centred_masses(cube64, fam)
+        frame, t = len(fam.frames) // 2, len(fam.length_tuples()) // 3
+        l_k = float(np.min(1.0 / (1.0 / fam.length_tuples()[t])))  # k = d = 2
+        bad = table.copy()
+        bad[frame, t] = c_slab * l_k ** (alpha * 2) * (1.0 + 2e-9)
+        monkeypatch.setattr(curvature, "_centred_masses", lambda mu, family: bad)
+        got = slab_implication_check(cube64, 2, alpha, fam)
+        assert got[0] == c_slab and got[1] is False and got[2] < 0.0
+        assert got[3] == n_checked
+
+    @pytest.mark.parametrize("fixture,k", [
+        ("cube64", 2), ("sphere80_d3", 2), ("sphere80_d3", 3)])
+    def test_matches_undeduplicated_flats(self, request, monkeypatch, fixture, k):
         mu = request.getfixturevalue(fixture)
         fam = default_family(mu, n_frames=3, n_pca=1)
         chosen = list(members(fam))
-        stride = -(-len(chosen) // max_members) if len(chosen) > max_members else 1
-        chosen = chosen[::stride]
         want = slab_constant(mu, k, 1.0, [top_axes_flat(b, k) for b in chosen])
         seen = []
         original = curvature.slab_constant
@@ -861,8 +875,7 @@ class TestSlabDedup:
             return original(mu_, k_, alpha_, flats)
 
         monkeypatch.setattr(curvature, "slab_constant", spy)
-        c_slab, _, _, n_checked = slab_implication_check(
-            mu, k, 1.0, fam, max_members=max_members)
+        c_slab, _, _, n_checked = slab_implication_check(mu, k, 1.0, fam)
         assert c_slab == want
         assert n_checked == len(chosen)
         # one flat per frame and ordered choice of k-1 longest axes at most
@@ -877,8 +890,7 @@ CURVATURE_ENTRIES = {
     "min_content_at_mass": (lambda mu, a: min_content_at_mass(
         mu, a["k"], 0.5, a["family"], refine=0), ("k", "family")),
     "slab_implication_check": (lambda mu, a: slab_implication_check(
-        mu, a["k"], a["alpha"], a["family"], max_members=a["max_members"]),
-        ("k", "alpha", "family", "max_members")),
+        mu, a["k"], a["alpha"], a["family"]), ("k", "alpha", "family")),
     "maximal_function": (lambda mu, a: maximal_function(
         mu, a["k"], a["alpha"], a["family"]), ("k", "alpha", "family")),
     "maximal_weak_bound_check": (lambda mu, a: maximal_weak_bound_check(
@@ -891,13 +903,11 @@ BAD_ARGUMENTS = [
     ("alpha", -1.0, "alpha must be positive"),
     ("alpha", math.inf, "alpha must be positive and finite, got inf"),
     ("family", 3, "family dimension 3 does not match the measure's 2"),
-    ("max_members", 0, "max_members must be at least 1"),
-    ("max_members", -1, "max_members must be at least 1"),
 ]
 
 
 def entry_arguments(**override):
-    args = {"k": 2, "alpha": 1.0, "max_members": 64, "family": 2, **override}
+    args = {"k": 2, "alpha": 1.0, "family": 2, **override}
     args["family"] = EllipsoidFamily.dyadic(args["family"], -4, 0,
                                             mode="doubling_dyadic")
     return args
@@ -1087,6 +1097,21 @@ class TestExactCovariance:
             assert got.floor == fam.floor * 2.0 ** j
             assert got.size == fam.size and len(got.frames) == len(fam.frames)
             assert all(np.array_equal(f, g) for f, g in zip(got.frames, fam.frames))
+
+    @pytest.mark.parametrize("points", [
+        [[0.5, 0.25]],
+        np.repeat(generate(GeneratorSpec("sphere_uniform", 2, 40, 1)).points, 2, axis=0)],
+        ids=["one-atom", "coincident-pairs"])
+    def test_fallback_floor(self, points):
+        # no nearest-neighbour distance is positive, so the floor falls back
+        # to 2^-10 of the radius, and it follows the dilation as well
+        points = np.asarray(points)
+        mu = WeightedPointMeasure(points, np.full(len(points), 1.0 / len(points)))
+        fam = default_family(mu, n_frames=4)
+        for j in range(-8, 9):
+            got = default_family(dilate(mu, 2.0 ** j), n_frames=4)
+            assert got.floor == fam.floor * 2.0 ** j
+            assert np.array_equal(got.length_grid, fam.length_grid * 2.0 ** j)
 
     @given(st.sampled_from(COVARIANCE_MEASURES), st.integers(-8, 8),
            st.integers(1, 2))

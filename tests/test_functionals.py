@@ -321,12 +321,11 @@ class TestInvariance:
 class TestSublevelMass:
     def test_three_atom_oracle(self, three_atoms):
         # pinned pair dets are 1, .5, .5 (and zeros on the diagonal)
-        tau = default_det_threshold([three_atoms] * 2, 2)
-        assert sublevel_mass([three_atoms] * 2, 0.75, tau=tau) == pytest.approx(
+        assert sublevel_mass([three_atoms] * 2, 0.75) == pytest.approx(
             2 * (0.5 * 0.25 + 0.25 * 0.25))
-        assert sublevel_mass([three_atoms] * 2, 0.25, tau=tau) == 0.0
+        assert sublevel_mass([three_atoms] * 2, 0.25) == 0.0
         # delta above every det picks up all nondegenerate pairs
-        assert sublevel_mass([three_atoms] * 2, 10.0, tau=tau) == pytest.approx(
+        assert sublevel_mass([three_atoms] * 2, 10.0) == pytest.approx(
             2 * (0.125 + 0.125 + 0.0625))
 
     def test_monotone_in_delta(self, cube64):
@@ -440,14 +439,6 @@ class TestWeakTypeProbe:
         assert math.isfinite(res.sup_ratio) and res.sup_ratio > 0
         assert len(res.witness["sets"]) == 2
 
-    def test_custom_sampler(self, cube64):
-        def sampler(mu, k, rng):
-            return [np.arange(10), np.arange(30, 64)]
-
-        res = weak_type_probe(cube64, 2, 0.5, 1.0, trials=2, seed=1,
-                              set_sampler=sampler)
-        assert res.witness["kind"] == "custom"
-
     def test_rejects_bad_exponents(self, cube64):
         with pytest.raises(ValueError):
             weak_type_probe(cube64, 2, 3.0, 1.0, trials=2)
@@ -490,17 +481,20 @@ class TestRestrictedSlots:
         assert worst <= 1e-15
 
     @pytest.mark.parametrize("fixture,k", CASES)
-    def test_weak_type_ratios_match_indicator_route(self, request, fixture, k):
+    def test_weak_type_ratios_match_indicator_route(self, request, monkeypatch,
+                                                    fixture, k):
         mu = request.getfixturevalue(fixture)
         drawn = []
+        original = functionals._sample_sets
 
-        def sampler(mu_, k_, rng):
-            drawn.append(self.draw_sets(mu_, k_, rng))
+        def recorder(mu_, k_, rng, kind):
+            drawn.append(original(mu_, k_, rng, kind))
             return drawn[-1]
 
+        monkeypatch.setattr(functionals, "_sample_sets", recorder)
         gamma, alpha = 0.5, 1.0
-        res = weak_type_probe(mu, k, gamma, alpha, trials=3 if k < 3 else 2,
-                              seed=k, set_sampler=sampler)
+        res = weak_type_probe(mu, k, gamma, alpha, trials=3 if k < 3 else 2, seed=k)
+        assert len(drawn) == len(res.ratios)  # every drawn set has mass
         exponent = 1.0 - gamma / (k * alpha)
         for sets, ratio in zip(drawn, res.ratios):
             form = det_form_pinned(mu, k, gamma,
@@ -540,8 +534,6 @@ SET_TAKERS = {
     "dyadic_profile": lambda mu, sets, k=2: dyadic_profile(mu, k, sets, 0.5),
     "cauchy_schwarz_check": lambda mu, sets, k=2: cauchy_schwarz_check(
         mu, k, 0.5, sets),
-    "weak_type_probe": lambda mu, sets, k=2: weak_type_probe(
-        mu, k, 0.5, 1.0, trials=1, set_sampler=lambda mu_, k_, rng: sets),
 }
 
 
@@ -588,8 +580,7 @@ class TestIndexSets:
         assert prof.included_mass == 0.0 and prof.excluded_mass == 0.0
         assert cauchy_schwarz_check(cube64, 2, 0.5, sets) == (0.0, 0.0, True)
 
-    @pytest.mark.parametrize("taker", ["dyadic_profile", "cauchy_schwarz_check",
-                                       "weak_type_probe"])
+    @pytest.mark.parametrize("taker", sorted(SET_TAKERS))
     def test_rejects_wrong_set_count(self, cube64, taker):
         with pytest.raises(ValueError, match="expected 2 index sets"):
             SET_TAKERS[taker](cube64, [[0, 1], [2], [3]])

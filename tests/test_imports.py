@@ -3,7 +3,8 @@ used, every module-level name the package defines is read somewhere in it
 or exported, and every method of its classes is read as an attribute;
 every exported name is documented in README.md or used by bench/; every
 parameter of the package's functions and methods is read, every parameter
-with a default is read by its function and passed by some caller; lab
+with a default is read by its function and passed by some caller, and by
+some program in src/ or bench/ outside a named allow-list; lab
 imports no private name of another module, no exponent comes from log2,
 and importing the package leaves scipy unloaded."""
 
@@ -299,6 +300,43 @@ def test_no_never_passed_default_parameters():
     callers = {str(p): p.read_text(encoding="utf-8")
                for p in [*PACKAGE, *ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py")]}
     assert never_passed_defaults(package, callers) == []
+
+
+# the options that no call in src/ or bench/ sets, only tests, each with the
+# reason it stays an option
+TEST_SET_OPTIONS = {
+    ("cli.py", "main", "argv"): "the entry point: bench/workloads.py passes "
+                                "it through a wrapper the scan does not follow",
+    ("curvature.py", "maximal_function", "eval_points"): "bench/tracing.py "
+                                                         "reads it by name",
+    ("curvature.py", "maximal_function", "inner"): "bench/tracing.py reads it "
+                                                   "by name",
+    ("functionals.py", "det_form", "fs"): "bench/tracing.py reads it by name",
+    ("geometry.py", "simplex_det_many", "pinned"): "the documented pinned "
+                                                   "variant of a public kernel",
+    ("functionals.py", "cauchy_schwarz_check", "rel_tol"): "acceptance "
+                                                           "criterion 4 passes it",
+    ("lab.py", "verify_necessity_growth", "n_frames"): "acceptance criterion 7 "
+                                                       "passes it",
+}
+
+
+def test_program_caller_scan_flags_options_only_tests_set():
+    package = {"m.py": "def f(a, scale=1.0):\n    return a * scale\n"}
+    program = {"src/m.py": package["m.py"], "bench/run.py": "f(2)\n"}
+    tests = {"tests/test_m.py": "f(2, scale=3.0)\n"}
+    assert never_passed_defaults(package, {**program, **tests}) == []
+    assert never_passed_defaults(package, program) == [("m.py", 1, "f", "scale")]
+
+
+def test_programs_set_every_option_outside_the_allow_list():
+    # an option that only tests set is a constant the tests vary: make it
+    # one, or name the reason it stays in TEST_SET_OPTIONS
+    package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    callers = {str(p): p.read_text(encoding="utf-8")
+               for p in [*PACKAGE, *ROOT.glob("bench/*.py")]}
+    flagged = [(mod, fn, arg) for mod, _, fn, arg in never_passed_defaults(package, callers)]
+    assert sorted(flagged) == sorted(TEST_SET_OPTIONS)
 
 
 def private_imports(source: str) -> list:

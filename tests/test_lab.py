@@ -168,6 +168,22 @@ class TestScenarioConfig:
         assert mu.dim == 2
         assert mu.n_atoms == 40
 
+    @pytest.mark.parametrize("drop", [3, 7, -1, 1.5])
+    @pytest.mark.parametrize("source", ["spec", "cloud"])
+    def test_pushforward_drop_outside_the_axes(self, tmp_path, source, drop):
+        # an axis outside [0, d) used to keep every axis: the unprojected
+        # 3-d measure ran in place of its 2-d image
+        generator = GeneratorSpec("sphere_uniform", 3, 40, 0)
+        if source == "cloud":
+            path = tmp_path / "sphere.csv"
+            measure.save_point_cloud(measure.generate(generator), path)
+            generator = str(path)
+        cfg = ScenarioConfig(name="drop", generator=generator, pushforward_drop=drop,
+                             checks=("gaussian",))
+        with pytest.raises(ValueError, match=rf"pushforward_drop must be in \[0, 3\), "
+                                             rf"got {drop}"):
+            scenario_measure(cfg)
+
 
     def test_family_block_doubling_rejects_floor(self, cube64):
         cfg = ScenarioConfig.from_dict({

@@ -164,12 +164,6 @@ class TestPointCloudIO:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
             load_point_cloud(path)
 
-    def test_format_override(self, tmp_path, three_atoms):
-        path = tmp_path / "cloud.dat"
-        save_point_cloud(three_atoms, path, fmt="csv")
-        back = load_point_cloud(path, fmt="csv")
-        assert np.array_equal(back.points, three_atoms.points)
-
     def test_unknown_suffix_raises(self, tmp_path, three_atoms):
         with pytest.raises(ValueError):
             save_point_cloud(three_atoms, tmp_path / "cloud.xyz")
@@ -177,7 +171,7 @@ class TestPointCloudIO:
 
 def dense_median_nn(mu):
     """The all-pairs floor that median_nn_distance replaced."""
-    fallback = max(mu.max_radius, 1.0) * 2.0 ** -10
+    fallback = (mu.max_radius or 1.0) * 2.0 ** -10
     if mu.n_atoms < 2:
         return fallback
     diffs = mu.points[:, None, :] - mu.points[None, :, :]
