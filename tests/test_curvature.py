@@ -860,13 +860,14 @@ class TestSlabDedup:
         assert got[0] == c_slab and got[1] is False and got[2] < 0.0
         assert got[3] == n_checked
 
-    @pytest.mark.parametrize("fixture,k", [
-        ("cube64", 2), ("sphere80_d3", 2), ("sphere80_d3", 3)])
-    def test_matches_undeduplicated_flats(self, request, monkeypatch, fixture, k):
+    @pytest.mark.parametrize("fixture,k,alpha", [
+        ("cube64", 2, 1.0), ("sphere80_d3", 2, 1.0), ("sphere80_d3", 2, 0.75),
+        ("sphere80_d3", 3, 1.0)])
+    def test_matches_undeduplicated_flats(self, request, monkeypatch, fixture, k, alpha):
         mu = request.getfixturevalue(fixture)
         fam = default_family(mu, n_frames=3, n_pca=1)
         chosen = list(members(fam))
-        want = slab_constant(mu, k, 1.0, [top_axes_flat(b, k) for b in chosen])
+        want = slab_constant(mu, k, alpha, [top_axes_flat(b, k) for b in chosen])
         seen = []
         original = curvature.slab_constant
 
@@ -875,7 +876,7 @@ class TestSlabDedup:
             return original(mu_, k_, alpha_, flats)
 
         monkeypatch.setattr(curvature, "slab_constant", spy)
-        c_slab, _, _, n_checked = slab_implication_check(mu, k, 1.0, fam)
+        c_slab, _, _, n_checked = slab_implication_check(mu, k, alpha, fam)
         assert c_slab == want
         assert n_checked == len(chosen)
         # one flat per frame and ordered choice of k-1 longest axes at most
