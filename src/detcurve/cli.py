@@ -138,8 +138,7 @@ def _cmd_report(args) -> int:
         report = run_scenario(_load_scenario(name))
         if multiple:
             os.makedirs(args.out, exist_ok=True)
-            suffix = "csv" if args.format == "csv" else "json"
-            path = os.path.join(args.out, f"{report.scenario}.{suffix}")
+            path = os.path.join(args.out, f"{report.scenario}.{args.format}")
         else:
             path = args.out
         emit_report(report, path, fmt=args.format, include_timings=args.timings)

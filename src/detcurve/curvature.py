@@ -24,7 +24,7 @@ import numpy as np
 
 from . import parallel
 from .geometry import (AffineSubspace, Ellipsoid, k_content, matrix_content,
-                       _axis_sum, _check_frame)
+                       _axis_sum, _check_frame, _freeze)
 from .measure import WeightedPointMeasure, _check_k_alpha, eval_measure
 
 MODES = ("scale_floored_search", "doubling_dyadic")
@@ -81,10 +81,8 @@ class EllipsoidFamily:
                 raise ValueError("doubling_dyadic mode does not take a floor")
             if grid.size > 1 and np.any(grid[1:] != 2.0 * grid[:-1]):
                 raise ValueError("doubling_dyadic grid must be consecutive doublings")
-        grid = grid.copy()
-        grid.setflags(write=False)
         object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "length_grid", grid)
+        _freeze(self, length_grid=grid)
         object.__setattr__(self, "_swept", (None, None))  # see _centred_masses
 
     @property
@@ -170,16 +168,10 @@ def default_family(mu: WeightedPointMeasure, *, n_frames: int = 64, n_pca: int =
         floor_val = 0.0
     else:
         floor_val = mu.median_nn if floor is None else float(floor)
-    rmax = mu.max_radius
-    if rmax <= 0.0:
-        rmax = 1.0
     if j_max is None:
-        j_max = dyadic_exponents(2.0 * rmax)[1]
+        j_max = dyadic_exponents(2.0 * (mu.max_radius or 1.0))[1]
     if j_min is None:
-        if floor_val > 0.0:
-            j_min = dyadic_exponents(floor_val)[0]
-        else:
-            j_min = j_max - 12
+        j_min = dyadic_exponents(floor_val)[0] if floor_val > 0.0 else j_max - 12
     frames = default_frames(mu.dim, n_random=n_frames, seed=seed,
                             points=mu.points, n_pca=n_pca)
     return EllipsoidFamily.dyadic(mu.dim, j_min, j_max, frames=frames,

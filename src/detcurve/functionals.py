@@ -75,10 +75,7 @@ def default_det_threshold(measures, k: int) -> float:
     """
     if isinstance(measures, WeightedPointMeasure):
         measures = [measures] * k
-    prod = 1.0
-    for mu in measures:
-        prod *= mu.max_radius
-    return TAU_SCALE * prod
+    return TAU_SCALE * math.prod(mu.max_radius for mu in measures)
 
 
 def difference_threshold(measures) -> float:
@@ -521,10 +518,7 @@ def weak_type_probe(mu: WeightedPointMeasure, k: int, gamma: float, alpha: float
         form, = _enumerate_form([mu.points[s] for s in sets],
                                 [mu.weights[s] for s in sets], tau, False,
                                 (gamma,), pinned=True, budget=budget)
-        denom = 1.0
-        for m_ in masses:
-            denom *= m_ ** exponent
-        ratio = form.value / denom
+        ratio = form.value / math.prod(m_ ** exponent for m_ in masses)
         ratios.append(ratio)
         if ratio > best:
             best = ratio

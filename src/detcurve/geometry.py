@@ -46,6 +46,14 @@ def _check_frame(frame: np.ndarray) -> np.ndarray:
     return frame
 
 
+def _freeze(obj, **arrays) -> None:
+    """Set read-only copies of the arrays as fields of a frozen dataclass."""
+    for name, arr in arrays.items():
+        arr = arr.copy()
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 def _square_det(rows) -> np.ndarray:
     """Batched d x d determinants; rows[i][j] is entry (i, j), in arrays
     that broadcast together (gathered or broadcast coordinate columns).
@@ -145,10 +153,7 @@ class Ellipsoid:
             raise ValueError("center dimension must match the frame")
         if np.any(inv < 0) or np.any(np.isnan(inv)):
             raise ValueError("inverse lengths must be nonnegative")
-        for name, arr in (("center", center), ("frame", frame), ("inv_lengths", inv)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, center=center, frame=frame, inv_lengths=inv)
 
     @property
     def dim(self) -> int:
@@ -164,11 +169,7 @@ class Ellipsoid:
         """The ball of the given radius centred at the origin."""
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        if radius == 0.0:
-            inv = np.full(dim, np.inf)
-        else:
-            inv = np.full(dim, 0.0 if math.isinf(radius) else 1.0 / radius)
-        return cls(center=np.zeros(dim), frame=np.eye(dim), inv_lengths=inv)
+        return cls.from_semi_lengths(np.full(dim, float(radius)))
 
     @classmethod
     def from_semi_lengths(cls, lengths, frame=None) -> "Ellipsoid":
@@ -256,12 +257,7 @@ class AffineSubspace:
             err = np.max(np.abs(basis @ basis.T - np.eye(m)))
             if err > FRAME_TOL:
                 raise ValueError(f"basis rows not orthonormal (defect {err:.3e})")
-        base = base.copy()
-        base.setflags(write=False)
-        basis = basis.copy()
-        basis.setflags(write=False)
-        object.__setattr__(self, "base_point", base)
-        object.__setattr__(self, "basis", basis)
+        _freeze(self, base_point=base, basis=basis)
 
     @property
     def dim(self) -> int:

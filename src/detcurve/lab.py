@@ -122,9 +122,7 @@ def rwt_bound(k: int, alpha: float, gamma: float, curvature: float,
               set_masses) -> float:
     """Explicit weak-type bound for the normalized set form."""
     exponent = 1.0 - gamma / (k * alpha)
-    p = 1.0
-    for m in set_masses:
-        p *= float(m) ** exponent
+    p = math.prod(float(m) ** exponent for m in set_masses)
     return rwt_series_constant(k, alpha, gamma) \
         * curvature ** (gamma / alpha) * p
 
@@ -207,12 +205,9 @@ class ScenarioConfig:
             if len(self.refinement_counts) < 2:
                 raise ValueError("refinement_stability needs two refinement_counts")
         object.__setattr__(self, "eps_grid", eps)
-        object.__setattr__(self, "checks", tuple(self.checks))
-        object.__setattr__(self, "expected_fail", tuple(self.expected_fail))
-        object.__setattr__(self, "co_generators", tuple(self.co_generators))
-        object.__setattr__(self, "floor_shrink", tuple(self.floor_shrink))
-        object.__setattr__(self, "refinement_counts",
-                           tuple(self.refinement_counts))
+        for name in ("checks", "expected_fail", "co_generators", "floor_shrink",
+                     "refinement_counts"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def to_dict(self) -> dict:
         def gen_dict(g):
@@ -304,9 +299,8 @@ def verify_sublevel_bound_multi(measures, eps_grid, families, *,
     """
     measures = list(measures)
     k = len(measures)
-    for m_ in measures:
-        if abs(m_.total_mass - 1.0) > 1e-9:
-            raise ValueError("expects probability measures")
+    if any(abs(m_.total_mass - 1.0) > 1e-9 for m_ in measures):
+        raise ValueError("expects probability measures")
     c_k = sublevel_shrink_factor(k)
     bound_factor = multi_measure_factor(k) * sublevel_mass_factor(k)
     records = []

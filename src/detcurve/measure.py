@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Ellipsoid
+from .geometry import Ellipsoid, _freeze
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,7 @@ class WeightedPointMeasure:
             raise ValueError("points must be finite")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise ValueError("weights must be finite and nonnegative")
-        pts = pts.copy()
-        pts.setflags(write=False)
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
+        _freeze(self, points=pts, weights=w)
 
     @property
     def n_atoms(self) -> int:
@@ -206,41 +201,78 @@ def generate(spec: GeneratorSpec) -> WeightedPointMeasure:
 
 
 def median_nn_distance(mu: WeightedPointMeasure) -> float:
-    """Median over atoms of the distance to the nearest other atom.
+    """Median over atoms of the distance to the nearest other atom, exact
+    in O(N) memory (see _nearest_distances).
 
     The default scale floor for ellipsoid families.  Falls back to 2^-10
     times the cloud radius (2^-10 when every atom sits at the origin) when
     there is a single atom or all nearest neighbors coincide, so the floor
     follows dilations in every case.
-
-    A KD-tree proposes neighbours in O(N) memory; every candidate within a
-    relative 1e-9 of the tree's nearest distance is measured again as
-    np.linalg.norm(p_i - p_j), so ties and rounding match the all-pairs
-    minimum exactly.
     """
-    from scipy.spatial import cKDTree  # here: importing it costs ~0.3 s
+    med = float(np.median(_nearest_distances(mu.points))) if mu.n_atoms > 1 else 0.0
+    return med if med > 0.0 else (mu.max_radius or 1.0) * 2.0 ** -10
 
-    n = mu.n_atoms
-    fallback = (mu.max_radius or 1.0) * 2.0 ** -10
-    if n < 2:
-        return fallback
-    pts = mu.points
-    tree = cKDTree(pts)
-    nn = np.empty(n)
-    todo = np.arange(n)
-    k = min(n, 2 * mu.dim + 2)
+
+def _nearest_distances(points: np.ndarray) -> np.ndarray:
+    """Per point of an (N >= 2, d) array, the least np.linalg.norm(p_i - p_j)
+    over the other points, bit for bit, in O(N) memory: a grid hash.
+
+    Equal points are each other's nearest.  A distinct point's candidates
+    are the points whose cube cells of side h hash to the buckets of its
+    3^d neighbouring cells (a collision only adds some); any other point is
+    more than h away in some coordinate, so a best distance of at most
+    h(1 - 1e-9) is the nearest, the margin covering the rounding of cell
+    coordinates below 2^20.  h starts at 1.2 interquartile spacings, halves
+    while cells are crowded (a curve or surface) and doubles for the points
+    left; the last few, or at most 3^d points, take h = inf: all pairs.
+    """
+    n, d = points.shape
+    ranks = np.lexsort(points.T)
+    ranked = points[ranks]
+    first = np.r_[True, np.any(ranked[1:] != ranked[:-1], axis=1)]
+    runs = np.diff(np.r_[np.flatnonzero(first), n])
+    if runs.size == 1:  # every point is equal
+        return np.zeros(n)
+    pts, nn, todo = ranked[first], np.zeros(runs.size), np.flatnonzero(runs == 1)
+    q1, ref, q3 = np.quantile(pts, [0.25, 0.5, 0.75], axis=0)
+    spread = np.where(q3 > q1, q3 - q1, np.ptp(pts, axis=0))
+    spread = spread[spread > 0]  # N / 2^k points in the box: spacing 2 (volume / N)^(1/k)
+    side = max(2.4 * np.exp(np.mean(np.log(spread)) - np.log(runs.size) / spread.size), 1e-300)
+    mix = np.random.default_rng(0).integers(1 << 62, size=d) * 2 + 1  # odd hash multipliers
+    steps = ((np.indices((3,) * d).reshape(d, -1).T - 1) @ mix if 3 ** d < runs.size
+             else np.zeros(1, dtype=np.int64))  # all pairs: one cell
+    shift, mask = 63 - runs.size.bit_length(), (2 << runs.size.bit_length()) - 1  # 2N-4N buckets
+    halvings = 60  # of h, while the first cells are crowded
     while todo.size:
-        dist, idx = tree.query(pts[todo], k=k)
-        reach = dist[:, 1] * (1.0 + 1e-9)
-        rows, cols = np.nonzero((dist <= reach[:, None]) & (idx != todo[:, None]))
-        exact = np.linalg.norm(pts[todo[rows]] - pts[idx[rows, cols]], axis=1)
-        nn[todo] = np.inf
-        np.minimum.at(nn, todo[rows], exact)
-        # atoms whose k-th neighbour is still in reach may have more candidates
-        todo = todo[(dist[:, -1] <= reach) & (reach > 0.0) & (k < n)]
-        k = min(n, 2 * k)
-    med = float(np.median(nn))
-    return med if med > 0.0 else fallback
+        if todo.size <= 8 or steps.size == 1:
+            side, halvings = np.inf, 0
+        u = (pts - ref) / side if side < np.inf else np.zeros_like(pts)  # pts - ref may be inf
+        keys = np.floor(np.clip(u, -2.0 ** 62, 2.0 ** 62)).astype(np.int64) @ mix
+        bucket = (keys >> shift) & mask
+        count = np.bincount(bucket, minlength=mask + 1)
+        if halvings and count[bucket].mean() > 3.0:
+            side, halvings = side / 2, halvings - 1
+            continue
+        order, start, halvings = np.argsort(bucket), np.cumsum(count) - count, 0
+        best = np.empty(todo.size)
+        per = max(1, (1 << 16) // (steps.size * int(count.max())))  # pairs at once
+        for s in range(0, todo.size, per):
+            rows = todo[s:s + per]
+            cand = ((keys[rows, None] + steps) >> shift) & mask
+            c = count[cand].ravel()
+            j = order[np.arange(c.sum()) + np.repeat(start[cand].ravel() - np.cumsum(c) + c, c)]
+            each = count[cand].sum(axis=1)
+            i = np.repeat(rows, each)
+            dist = np.linalg.norm(np.take(pts, i, axis=0) - np.take(pts, j, axis=0), axis=1)
+            dist[i == j] = np.inf
+            best[s:s + per] = np.minimum.reduceat(dist, np.cumsum(each) - each)
+        done = (np.abs(u[todo]).max(axis=1) < 2.0 ** 20) & (best <= side * (1.0 - 1e-9))
+        nn[todo[done]] = best[done]
+        todo = todo[~done]
+        side *= 2
+    out = np.empty(n)
+    out[ranks] = np.repeat(nn, runs)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +381,5 @@ def _from_table(header, rows, source: str) -> WeightedPointMeasure:
         what, rule = ("weight", "finite and nonnegative") if j == dim else ("coordinate", "finite")
         raise ValueError(f"{source}: row {i + 1} has {what} {rows[i][j]!r}; "
                          f"{what}s must be {rule}")
-    pts = data[:, :dim]
-    if has_weight:
-        w = data[:, dim]
-    else:
-        w = np.full(pts.shape[0], 1.0 / pts.shape[0])
-    return WeightedPointMeasure(points=pts, weights=w)
+    w = data[:, dim] if has_weight else np.full(len(data), 1.0 / len(data))
+    return WeightedPointMeasure(points=data[:, :dim], weights=w)

@@ -27,12 +27,9 @@ def _package_version() -> str:
 
 
 def runtime_versions() -> dict:
-    import scipy
-
     return {
         "detcurve": _package_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": platform.python_version(),
     }
 

@@ -6,7 +6,7 @@ parameter of the package's functions and methods is read, every parameter
 with a default is read by its function and passed by some caller, and by
 some program in src/ or bench/ outside a named allow-list; lab
 imports no private name of another module, no exponent comes from log2,
-and importing the package leaves scipy unloaded."""
+and neither importing the package nor running its commands loads scipy."""
 
 import ast
 import importlib
@@ -20,6 +20,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+
+from detcurve.lab import BUNDLED_SCENARIOS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(ROOT.glob("src/detcurve/*.py"))
@@ -237,16 +239,45 @@ def test_no_log2_exponents(path):
     assert log2_uses(path.read_text(encoding="utf-8")) == []
 
 
-def test_import_leaves_scipy_unloaded():
-    # the benchmark's setup time includes the package import: scipy, a
-    # slow import, stays local to median_nn_distance
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def _package_env():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+
+def test_import_leaves_scipy_unloaded():
+    # the benchmark's setup time includes the package import
     code = ("import sys, detcurve; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                         check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_commands_leave_scipy_unloaded(tmp_path):
+    # the package runs on numpy alone; scipy.spatial would add its import
+    # time and resident memory to every report
+    code = textwrap.dedent("""
+        import contextlib, io, os, sys
+        from detcurve import cli, lab, measure
+        out = sys.argv[1]
+        cloud = os.path.join(out, "cloud.csv")
+        measure.save_point_cloud(measure.generate(
+            measure.GeneratorSpec("sphere_uniform", 3, 200)), cloud)
+        commands = [["report", "--scenario", name, "--out",
+                     os.path.join(out, name + ".json")]
+                    for name in lab.BUNDLED_SCENARIOS]
+        commands.append(["analyze", cloud, "--k", "2", "--alpha", "1.0"])
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            print(argv[0], code, loaded)
+    """)
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         env=_package_env(), check=True, capture_output=True,
+                         text=True).stdout
+    assert out.splitlines() == (["report 0 []"] * len(BUNDLED_SCENARIOS)
+                                + ["analyze 0 []"])
 
 
 def test_unread_default_scan_flags_ignored_parameters():

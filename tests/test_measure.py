@@ -4,15 +4,19 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dilate
 from detcurve.geometry import Ellipsoid
 from detcurve.measure import (
     GeneratorSpec,
     WeightedPointMeasure,
+    _nearest_distances,
     eval_measure,
     generate,
     load_point_cloud,
@@ -169,21 +173,33 @@ class TestPointCloudIO:
             save_point_cloud(three_atoms, tmp_path / "cloud.xyz")
 
 
-def dense_median_nn(mu):
-    """The all-pairs floor that median_nn_distance replaced."""
-    fallback = (mu.max_radius or 1.0) * 2.0 ** -10
-    if mu.n_atoms < 2:
-        return fallback
-    diffs = mu.points[:, None, :] - mu.points[None, :, :]
-    dist = np.linalg.norm(diffs, axis=2)
-    np.fill_diagonal(dist, np.inf)
-    med = float(np.median(np.min(dist, axis=1)))
-    return med if med > 0.0 else fallback
+def dense_nearest(points):
+    """Per atom, the least np.linalg.norm(p_i - p_j) over the other atoms:
+    the all-pairs minimum, 256 rows of the distance matrix at a time."""
+    nearest = []
+    for s in range(0, len(points), 256):
+        dist = np.linalg.norm(points[s:s + 256, None, :] - points[None, :, :], axis=2)
+        dist[np.arange(len(dist)), np.arange(s, s + len(dist))] = np.inf
+        nearest.append(np.min(dist, axis=1))
+    return np.concatenate(nearest)
 
 
 def uniform(points):
     points = np.asarray(points, dtype=float)
     return WeightedPointMeasure(points, np.full(len(points), 1.0 / len(points)))
+
+
+def assert_all_pairs_exact(points):
+    """Every atom's nearest distance equals the all-pairs minimum bit for
+    bit, and the floor is the all-pairs floor that median_nn_distance
+    replaced: their median, or 2^-10 radii when it is 0 or N < 2."""
+    mu = uniform(points)
+    nearest = dense_nearest(mu.points)
+    if mu.n_atoms > 1:
+        np.testing.assert_array_equal(_nearest_distances(mu.points), nearest)
+    med = float(np.median(nearest)) if mu.n_atoms > 1 else 0.0
+    assert median_nn_distance(mu) == (med if med > 0.0 else
+                                      (mu.max_radius or 1.0) * 2.0 ** -10)
 
 
 class TestMedianNN:
@@ -192,22 +208,24 @@ class TestMedianNN:
         (3, 216, 0.1, -3.7), (4, 256, 1.0, 0.0)])
     def test_grids_with_tied_neighbours(self, dim, count, scale, offset):
         pts = generate(GeneratorSpec("cube_lebesgue", dim, count)).points
-        mu = uniform(pts[np.random.default_rng(dim).permutation(len(pts))] * scale + offset)
-        assert median_nn_distance(mu) == dense_median_nn(mu)
+        assert_all_pairs_exact(pts[np.random.default_rng(dim).permutation(len(pts))]
+                               * scale + offset)
 
     def test_duplicate_atoms(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((200, 2))
         for pts in (np.concatenate([x, x[:40]]), np.concatenate([x, x[:150], x[:150]]),
-                    rng.standard_normal((500, 3))):
-            assert median_nn_distance(uniform(pts)) == dense_median_nn(uniform(pts))
+                    rng.standard_normal((500, 3)), np.concatenate([np.zeros((3000, 2)), x])):
+            assert_all_pairs_exact(pts)
 
     def test_coincident_and_tiny_clouds(self):
         ring = np.stack([np.cos(t := np.linspace(0.0, 6.0, 300)), np.sin(t)], axis=1)
         for pts in (np.zeros((30, 3)), np.ones((1, 2)), [[0.0, 0.0], [3.0, 4.0]],
-                    [[2.0], [2.0], [5.0]], np.concatenate([np.zeros((1, 2)), ring])):
-            mu = uniform(pts)
-            assert median_nn_distance(mu) == dense_median_nn(mu)
+                    [[2.0], [2.0], [5.0]], np.concatenate([np.zeros((1, 2)), ring]),
+                    np.random.default_rng(5).random((50, 24)),
+                    [[-1.7e308], [-0.5e308], [0.0], [1.7e308]]):
+            with np.errstate(over="ignore"):  # differences beyond the float range
+                assert_all_pairs_exact(pts)
 
     def test_memory_stays_linear(self):
         # the all-pairs version peaked at ~800 MB at this size
@@ -219,3 +237,49 @@ class TestMedianNN:
         finally:
             tracemalloc.stop()
         assert peak < 50 * 2 ** 20
+
+    def test_memory_stays_linear_at_65536(self):
+        # candidate pairs are measured in blocks of about 2^16
+        mu = generate(GeneratorSpec("cube_lebesgue", 2, 65536))
+        tracemalloc.start()
+        try:
+            assert median_nn_distance(mu) == 2.0 ** -8
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2 ** 20
+
+    @given(st.integers(1, 5), st.integers(2, 600), st.integers(0, 8),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_dyadic_lattice_ties(self, dim, count, level, seed):
+        # on a 2^-level lattice nearest distances tie; coarse levels also
+        # repeat atoms, and clouds of at most 3^dim atoms take the all-pairs
+        # scan
+        rng = np.random.default_rng(seed)
+        assert_all_pairs_exact(np.floor(rng.random((count, dim)) * 2 ** level)
+                               * 2.0 ** -level)
+
+    def test_flat_clouds(self):
+        t = np.linspace(-1.0, 2.0, 1500)
+        for pts in (np.stack([t, 2.0 * t + 0.5, -t], axis=1),
+                    generate(GeneratorSpec("subspace_lebesgue", 4, 400,
+                                           params={"subspace_dim": 2})).points,
+                    generate(GeneratorSpec("subspace_lebesgue", 2, 64,
+                                           params={"subspace_dim": 1})).points):
+            assert_all_pairs_exact(pts)
+
+    @pytest.mark.parametrize("cloud", ["cauchy", "gaussian"])
+    def test_spread_out_clouds(self, cloud):
+        # atoms in the tails are left unsettled by the first cells
+        rng = np.random.default_rng(3)
+        assert_all_pairs_exact(rng.standard_cauchy((4096, 3)) if cloud == "cauchy"
+                               else rng.standard_normal((2000, 2)))
+
+    def test_far_outlier_does_not_overflow(self):
+        # a mixed-radix cell index over this box would exceed int64
+        pts = np.concatenate([np.random.default_rng(4).random((500, 4)),
+                              np.full((1, 4), 1e12)])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert_all_pairs_exact(pts)

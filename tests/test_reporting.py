@@ -134,4 +134,4 @@ class TestScenarioReport:
 class TestVersions:
     def test_keys_present(self):
         v = runtime_versions()
-        assert set(v) >= {"detcurve", "numpy", "scipy", "python"}
+        assert set(v) == {"detcurve", "numpy", "python"}
