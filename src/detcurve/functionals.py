@@ -10,15 +10,16 @@ threshold tau are excluded from the sum and counted separately, for every
 sign of gamma, so inverse powers never divide by (numerical) zero.
 
 Every exact quantity (the forms, sublevel_mass, dyadic_profile) comes from
-one enumerator, _enumerate: it walks the tuples in fixed blocks, forms
-their determinants and slot-value products, and hands each block to a
-reducer; blocks are combined in block order with math.fsum, so values do
-not depend on the worker count.  A product block broadcasts the leading
-slots' entries over slices of the last slot and decodes no tuple; when all
-slots are alike the blocks instead partition the ranks of the nondecreasing
-tuples, which are unranked directly and weighted by their multiplicities.
-One pass can reduce to several exponents, which is how cauchy_schwarz_check
-gets its three forms.
+one enumerator, _enumerate: it walks the tuples in fixed blocks and hands
+each block's determinants and slot-value products to a reducer; blocks are
+combined in block order with math.fsum, so values do not depend on the
+worker count.  A product block is at most three rectangles that broadcast
+the leading slots' entries over a slice of the last slot; when all slots
+are alike the blocks instead partition the ranks of the nondecreasing
+tuples, unranked directly and weighted by their multiplicities.  All block
+kinds, sampled draws too, form their terms in one routine, _tuple_terms,
+from slot coordinate columns made once per call.  One pass can reduce to
+several exponents, which is how cauchy_schwarz_check gets its three forms.
 
 An index set E_j enters only by restricting slot j to its atoms, so set
 forms enumerate and count E_1 x ... x E_k, with the whole measure's tau.
@@ -130,28 +131,30 @@ def _unrank(ranks: np.ndarray, tables) -> list:
     return idx
 
 
-def _tuple_terms(points_list, values_list, idx, pinned: bool):
-    """Determinants and slot-value products of the index tuples; idx[j]
-    holds the atom indices of slot j."""
-    # coordinates are gathered from contiguous columns and freed with the
-    # determinant temporaries before the products are allocated
-    dets = geometry._vertex_dets(
-        [[np.take(col, ix) for col in np.ascontiguousarray(points.T)]
-         for points, ix in zip(points_list, idx)], pinned)
-    wprod = np.take(values_list[0], idx[0])
-    for j in range(1, len(idx)):
-        wprod *= np.take(values_list[j], idx[j])
+def _tuple_terms(cols_list, values_list, idx, pinned: bool):
+    """Determinants and left-to-right slot-value products of a block of
+    tuples, in the shape the keys broadcast to: idx[j] indexes slot j's
+    contiguous coordinate columns cols_list[j] and its values_list[j], as an
+    index array (ranked tuples, sampled draws, a product rectangle's (R, 1)
+    leading slots) or a tuple key such as np.s_[None, lo:hi] (its last)."""
+    # the determinant temporaries are freed before the products are allocated
+    dets = geometry._vertex_dets([[col[key] for col in cols] for cols, key
+                                  in zip(cols_list, idx)], pinned)
+    wprod = values_list[0][idx[0]]
+    for values, key in zip(values_list[1:], idx[1:]):
+        if isinstance(key, tuple):  # a rectangle's last slot widens the product
+            wprod = wprod * values[key]
+        else:
+            wprod *= values[key]
     return dets, wprod
 
 
 def _product_terms(cols_list, values_list, start, stop, pinned: bool):
-    """_tuple_terms of the product tuples [start, stop), last slot fastest,
-    from the contiguous coordinate columns cols_list[j] of each slot j.
+    """_tuple_terms of the product tuples [start, stop), last slot fastest.
 
     The range is cut into part of a row of the last slot, whole rows and part
-    of a row; in each piece the leading slots' (R, 1) entries broadcast over
-    a (1, C) slice of the last slot, so only R rows are decoded and gathered,
-    and each entry is the expression _tuple_terms forms, bit for bit.
+    of a row; in each piece the leading slots' (R, 1) index arrays broadcast
+    over a (1, C) slice of the last slot, so only R rows are decoded.
     """
     n = values_list[-1].shape[0]
     (r0, c0), (r1, c1) = divmod(start, n), divmod(stop, n)
@@ -161,18 +164,11 @@ def _product_terms(cols_list, values_list, start, stop, pinned: bool):
     lead_sizes = [v.shape[0] for v in values_list[:-1]] + [1]
     terms = []
     for a, b, lo, hi in pieces:
-        if a == b or lo == hi:
-            continue
-        lead = np.unravel_index(np.arange(a, b), lead_sizes)[:-1]
-        rows = [[col[ix, None] for col in cols]
-                for cols, ix in zip(cols_list, lead)]
-        rows.append([col[None, lo:hi] for col in cols_list[-1]])
-        dets = geometry._vertex_dets(rows, pinned)
-        # math.prod multiplies the slot values left to right, from 1
-        w = math.prod([v[ix, None] for v, ix in zip(values_list, lead)]
-                      + [values_list[-1][None, lo:hi]])
-        terms.append([np.broadcast_to(x, (b - a, hi - lo)).ravel()
-                      for x in (dets, w)])
+        if a < b and lo < hi:
+            lead = np.unravel_index(np.arange(a, b), lead_sizes)[:-1]
+            keys = [ix[:, None] for ix in lead] + [np.s_[None, lo:hi]]
+            terms.append([np.broadcast_to(x, (b - a, hi - lo)).ravel() for x
+                          in _tuple_terms(cols_list, values_list, keys, pinned)])
     return tuple(np.concatenate(t) for t in zip(*terms))
 
 
@@ -216,8 +212,8 @@ def _enumerate(points_list, values_list, pinned: bool, symmetric: bool,
             return reduce(*_product_terms(cols_list, values_list, start, stop,
                                           pinned), None)
         idx = _unrank(np.arange(start, stop, dtype=np.int64), tables)
-        dets, wprod = _tuple_terms(points_list, values_list, idx, pinned)
-        return reduce(dets, wprod, _multiplicities(idx))
+        return reduce(*_tuple_terms(cols_list, values_list, idx, pinned),
+                      _multiplicities(idx))
 
     return total, parallel.map_blocks(block, parallel.block_ranges(visited))
 
@@ -248,7 +244,8 @@ def _enumerate_form(points_list, values_list, tau: float, symmetric: bool,
 
 def _form_slots(mu, k: int, fs, tau, pinned: bool):
     """(slot points, slot values, tau, symmetric) of a form of order k on one
-    measure or a list of k (pinned) or k+1 slot measures of one dimension,
+    measure or a list of k (pinned) or k+1 slot measures of one dimension
+    d >= k (at k > d every determinant is 0, and every tuple excluded),
     with no density or one per slot: tau defaults to the slots' threshold,
     and symmetric holds when every slot has one measure and one density, so
     the nondecreasing tuples suffice."""
@@ -263,6 +260,7 @@ def _form_slots(mu, k: int, fs, tau, pinned: bool):
     dims = sorted({m_.dim for m_ in measures})
     if len(dims) > 1:
         raise ValueError(f"slot measures must share one dimension, got {dims}")
+    _check_k_alpha(measures[0], k)
     if tau is None:
         tau = (default_det_threshold(measures, k) if pinned
                else difference_threshold(measures))
@@ -311,18 +309,17 @@ def det_form_sampled(mu, k: int, gamma: float, *, samples: int,
     if samples < 2:
         raise ValueError("need at least 2 samples")
     sizes = [p.shape[0] for p in points_list]
+    cols_list = [np.ascontiguousarray(p.T) for p in points_list]
     rng = np.random.default_rng(seed)
     idx = [rng.integers(0, n, size=samples) for n in sizes]
 
     def block(start, stop):
-        dets, wprod = _tuple_terms(points_list, vals,
+        dets, wprod = _tuple_terms(cols_list, vals,
                                    [ix[start:stop] for ix in idx], pinned)
         included = dets > tau
         integrand = np.zeros(stop - start)
-        if gamma == 0.0:
-            integrand[included] = wprod[included]
-        else:
-            integrand[included] = wprod[included] * dets[included] ** (-gamma)
+        # d ** -0.0 is 1.0, so gamma = 0 leaves the products' bits
+        integrand[included] = wprod[included] * dets[included] ** (-gamma)
         return integrand, int(np.count_nonzero(~included))
 
     results = parallel.map_blocks(block, parallel.block_ranges(samples))
@@ -370,6 +367,8 @@ def _index_sets(n: int, sets, k: int) -> list:
     if len(sets) != k:
         raise ValueError(f"expected {k} index sets")
     for j, s in enumerate(sets):
+        if s.ndim != 1:
+            raise ValueError(f"index set {j} must be a flat list of atom indices")
         if s.size and not np.issubdtype(s.dtype, np.integer):
             raise ValueError(f"index set {j} has non-integer entries ({s.dtype})")
         if s.size and (s.min() < 0 or s.max() >= n):

@@ -115,6 +115,13 @@ class TestFunctional:
             main(["functional", cloud_path, "--k", "1", "--gamma", "0.5",
                   "--sets", str(sets_path)])
 
+    def test_nested_set_exits(self, cloud_path, tmp_path):
+        sets_path = tmp_path / "sets.json"
+        sets_path.write_text(json.dumps([[[0, 1], [2, 3]], [0, 1]]))
+        with pytest.raises(SystemExit, match="--sets: index set 0 must be a flat list"):
+            main(["functional", cloud_path, "--k", "2", "--gamma", "0.5",
+                  "--pinned", "--sets", str(sets_path)])
+
     def test_repeated_index_exits(self, cloud_path, tmp_path):
         sets_path = tmp_path / "sets.json"
         sets_path.write_text(json.dumps([[0, 0], [1]]))

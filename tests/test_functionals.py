@@ -5,11 +5,11 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import dilate, translate
-from detcurve import functionals, parallel
+from detcurve import functionals, geometry, parallel
 from detcurve.functionals import (
     BudgetExceededError,
     cauchy_schwarz_check,
@@ -180,6 +180,20 @@ class TestSlotShapes:
         with pytest.raises(ValueError, match=r"one dimension, got \[2, 3\]"):
             call(cube64, sphere80_d3)
 
+    @pytest.mark.parametrize("call", [
+        lambda mu: det_form(mu, 3, 0.5),
+        lambda mu: det_form_pinned(mu, 3, 0.5),
+        lambda mu: det_form_sampled(mu, 3, 0.5, samples=10),
+        lambda mu: det_form_sampled(mu, 3, 0.5, samples=10, pinned=True),
+        lambda mu: sublevel_mass([mu] * 3, 0.5),
+    ], ids=["det_form", "det_form_pinned", "sampled", "sampled-pinned",
+            "sublevel_mass"])
+    def test_rejects_k_above_dimension(self, cube64, call):
+        # at k = 3 every tuple in the plane has determinant 0, so all would
+        # be excluded and the form would read a vacuous 0.0
+        with pytest.raises(ValueError, match=r"k must be in \[1, 2\], got 3"):
+            call(cube64)
+
 
 class TestInvariance:
     def test_translation_invariance_unpinned(self, cube64):
@@ -213,7 +227,9 @@ class TestInvariance:
     @settings(max_examples=40, deadline=None)
     def test_zero_padding_invariant(self, dim, k, pad, gamma, seed):
         # zero coordinates add exact zero minors, so every determinant, both
-        # thresholds and hence the forms keep their bits in the larger space
+        # thresholds and hence the forms keep their bits in the larger space;
+        # the forms refuse k > dim
+        assume(k <= dim)
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
         mu = WeightedPointMeasure(rng.normal(size=(n, dim)),
@@ -572,6 +588,12 @@ class TestIndexSets:
         with pytest.raises(ValueError, match=rf"k must be in \[1, 2\], got {k}"):
             SET_TAKERS[taker](cube64, [[0, 1], [2, 3], [4, 5]][:k], k=k)
 
+    @pytest.mark.parametrize("taker", sorted(SET_TAKERS))
+    def test_rejects_nested(self, cube64, taker):
+        # a list of index lists is not one set of atoms
+        with pytest.raises(ValueError, match="index set 0 must be a flat list of atom indices"):
+            SET_TAKERS[taker](cube64, [[[0, 1], [2, 3]], [0, 1]])
+
     def test_empty_set_is_valid(self, cube64):
         # no tuple meets an empty set, so the set form has zero mass
         sets = [[], [3, 7, 11]]
@@ -616,11 +638,24 @@ def product_blocks(points_list, values_list, pinned):
                                   10 ** 7, keep)[1]
 
 
+def gather_terms(points_list, values_list, idx, pinned):
+    """Determinants and slot-value products of the index tuples idx[j] the
+    way the kernel formed them before it took keys: np.take from contiguous
+    columns, then an in-place product, left to right."""
+    dets = geometry._vertex_dets(
+        [[np.take(col, ix) for col in np.ascontiguousarray(points.T)]
+         for points, ix in zip(points_list, idx)], pinned)
+    wprod = np.take(values_list[0], idx[0])
+    for j in range(1, len(idx)):
+        wprod *= np.take(values_list[j], idx[j])
+    return dets, wprod
+
+
 def decode_gather_blocks(points_list, values_list, pinned):
     """The same blocks the way the product path formed them before it
-    broadcast: decode every flat index, gather, _tuple_terms."""
+    broadcast: decode every flat index, then gather_terms."""
     sizes = [p.shape[0] for p in points_list]
-    return [functionals._tuple_terms(
+    return [gather_terms(
                 points_list, values_list,
                 np.unravel_index(np.arange(start, stop), sizes), pinned)
             for start, stop in parallel.block_ranges(math.prod(sizes))]
@@ -655,9 +690,11 @@ class TestKernelPaths:
         diffs = stack if pinned else stack[:, :-1, :] - stack[:, -1:, :]
         want = np.abs(old_square_det(diffs))
         assert np.array_equal(simplex_det_many(stack, pinned=pinned), want)
-        # the forms' coordinate-major gather gives the same bits
-        dets, _ = functionals._tuple_terms([pts] * m, [np.ones(50)] * m,
-                                               idx, pinned)
+        # the forms' coordinate-major kernel and its reference give the same bits
+        cols, ones = np.ascontiguousarray(pts.T), np.ones(50)
+        dets, _ = functionals._tuple_terms([cols] * m, [ones] * m, idx, pinned)
+        assert np.array_equal(dets, want)
+        dets, _ = gather_terms([pts] * m, [ones] * m, idx, pinned)
         assert np.array_equal(dets, want)
 
     @pytest.mark.parametrize("threads", ["1", "2"])

@@ -6,7 +6,8 @@ parameter of the package's functions and methods is read, every parameter
 with a default is read by its function and passed by some caller, and by
 some program in src/ or bench/ outside a named allow-list; lab
 imports no private name of another module, no exponent comes from log2,
-and neither importing the package nor running its commands loads scipy."""
+functionals forms determinants in _tuple_terms alone, and neither
+importing the package nor running its commands loads scipy."""
 
 import ast
 import importlib
@@ -237,6 +238,34 @@ def test_no_log2_exponents(path):
     # floor or ceil of a log2 can be one off next to a power of two;
     # curvature.dyadic_exponents reads the exponent from math.frexp
     assert log2_uses(path.read_text(encoding="utf-8")) == []
+
+
+def vertex_det_uses(source: str) -> list:
+    """(top-level definition, line) of every use of _vertex_dets in code: as
+    an attribute (geometry._vertex_dets), as a bare name, or in an import;
+    the definition is None outside any def or class."""
+    return sorted(((getattr(top, "name", None), node.lineno)
+                   for top in ast.parse(source).body for node in ast.walk(top)
+                   if (isinstance(node, ast.Attribute) and node.attr == "_vertex_dets")
+                   or (isinstance(node, ast.Name) and node.id == "_vertex_dets")
+                   or (isinstance(node, ast.alias) and node.name == "_vertex_dets")),
+                  key=lambda use: use[1])
+
+
+def test_vertex_det_scan_flags_every_spelling():
+    src = ("from .geometry import _vertex_dets\n"
+           '"""_vertex_dets in a docstring"""\n'
+           "def f(rows):\n    def g():\n        return geometry._vertex_dets(rows)\n"
+           "    return g\n"
+           "h = _vertex_dets\n")
+    assert vertex_det_uses(src) == [(None, 1), ("f", 5), (None, 7)]
+
+
+def test_one_term_routine_forms_the_determinants():
+    # product rectangles, ranked tuples and sampled draws all form their
+    # determinants and slot-value products in functionals._tuple_terms
+    source = (ROOT / "src/detcurve/functionals.py").read_text(encoding="utf-8")
+    assert [name for name, _ in vertex_det_uses(source)] == ["_tuple_terms"]
 
 
 def _package_env():
