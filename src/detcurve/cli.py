@@ -20,7 +20,7 @@ from .functionals import (_index_sets, default_det_threshold, det_form,
                           det_form_pinned, det_form_sampled,
                           difference_threshold)
 from .lab import BUNDLED_SCENARIOS, ScenarioConfig, get_scenario, run_scenario
-from .measure import WeightedPointMeasure, load_point_cloud
+from .measure import WeightedPointMeasure, _check_k_alpha, load_point_cloud
 from .reporting import emit_report
 
 
@@ -34,8 +34,18 @@ def _add_family_args(parser):
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _check_flags(mu, k, alpha=None):
+    """--k (and --alpha) against the loaded cloud: an exit message naming
+    the flag, as the parameter name leads each message."""
+    try:
+        _check_k_alpha(mu, k, alpha)
+    except ValueError as exc:
+        raise SystemExit(f"--{exc}") from exc
+
+
 def _cmd_analyze(args) -> int:
     mu = load_point_cloud(args.cloud)
+    _check_flags(mu, args.k, args.alpha)
     family = default_family(mu, n_frames=args.frames, floor=args.floor,
                             seed=args.seed)
     est = estimate_curvature_constant(mu, args.k, args.alpha, family,
@@ -75,6 +85,7 @@ def _load_sets(path, m, mu):
 
 def _cmd_functional(args) -> int:
     mu = load_point_cloud(args.cloud)
+    _check_flags(mu, args.k)
     slots, tau = mu, None
     if args.sets:
         m = args.k if args.pinned else args.k + 1

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import parallel
 from .geometry import (AffineSubspace, Ellipsoid, k_content, matrix_content,
-                       _axis_sum, _check_frame, _freeze)
+                       _check_frame, _freeze, _inside)
 from .measure import WeightedPointMeasure, _check_k_alpha, eval_measure
 
 MODES = ("scale_floored_search", "doubling_dyadic")
@@ -233,12 +233,9 @@ def _counts(z: np.ndarray, invsq: np.ndarray) -> np.ndarray:
     lengths invsq (L,); one byte wide below 256 lengths.
 
     An atom is inside when s <= 1.0, s summing (z_a * z_a) * (1.0 / l_a) ** 2
-    left to right over the axes as in geometry._axis_sum, which
-    _single_mass and Ellipsoid.contains_many use too (for d >= 3 the order
-    decides atoms on s == 1, and squaring the rounded inverse length, as
-    Ellipsoid does with its stored inv_lengths, can differ from 1.0 / l ** 2
-    in the last bit).  s falls as the last length grows, so the count of
-    admitting lengths locates the first one.
+    left to right over the axes as geometry._inside does (for d >= 3 the
+    order decides atoms on s == 1).  s falls as the last length grows, so
+    the count of admitting lengths locates the first one.
     """
     *batch, n, d = z.shape
     q = np.moveaxis(z * z, -1, -2)[..., None, :]  # (..., d, 1, N): atoms innermost
@@ -300,7 +297,7 @@ def _sweep(z: np.ndarray, zc: np.ndarray, values: np.ndarray, weights: np.ndarra
 
 def _frame_masses(mu: WeightedPointMeasure, family: EllipsoidFamily,
                   centers: np.ndarray, reduce) -> list:
-    """reduce(frame, masses) per frame, in frame order, with masses (P, T):
+    """reduce(masses) per frame, in frame order, with masses (P, T):
     row i holds the members centred at centers[i] in length_tuples order,
     swept by _sweep in tiles of SWEEP_BLOCK atom x prefix entries, mirrored
     when the centres are the atoms.  Runs of frames holding at least
@@ -318,7 +315,7 @@ def _frame_masses(mu: WeightedPointMeasure, family: EllipsoidFamily,
     def swept(frame):
         z = mu.points @ frame
         zc = z if mirror else centers @ frame
-        return reduce(frame, _sweep(z, zc, values, mu.weights, tile, mirror))
+        return reduce(_sweep(z, zc, values, mu.weights, tile, mirror))
 
     ranges = [(s, min(s + run, len(frames))) for s in range(0, len(frames), run)]
     blocks = parallel.map_blocks(lambda a, b: [swept(f) for f in frames[a:b]], ranges)
@@ -379,9 +376,7 @@ def _refine(frame: np.ndarray, lengths: np.ndarray, floor: float, budget: int,
 
 def _single_mass(mu: WeightedPointMeasure, frame: np.ndarray,
                  lengths: np.ndarray) -> float:
-    z = mu.points @ frame
-    s = _axis_sum(z * z * (1.0 / lengths) ** 2)
-    return float(np.sum(mu.weights[s <= 1.0]))
+    return float(np.sum(mu.weights[_inside(mu.points @ frame, lengths)]))
 
 
 def _centred_masses(mu: WeightedPointMeasure, family: EllipsoidFamily) -> np.ndarray:
@@ -391,7 +386,7 @@ def _centred_masses(mu: WeightedPointMeasure, family: EllipsoidFamily) -> np.nda
     swept_mu, masses = family._swept
     if swept_mu is not mu:
         masses = np.concatenate(_frame_masses(mu, family, np.zeros((1, mu.dim)),
-                                              lambda frame, masses: masses))
+                                              lambda masses: masses))
         masses.setflags(write=False)
         object.__setattr__(family, "_swept", (mu, masses))
     return masses
@@ -426,7 +421,7 @@ def _grid_then_refine(family: EllipsoidFamily, tuples: np.ndarray,
                                  minimize)
             if (sc < best_score) if minimize else (sc > best_score):
                 best_score, best_frame, best_lengths = sc, fr, ln
-    return Ellipsoid.from_semi_lengths(best_lengths, frame=best_frame)
+    return Ellipsoid(best_lengths, frame=best_frame)
 
 
 def estimate_curvature_constant(mu: WeightedPointMeasure, k: int, alpha: float,
@@ -621,8 +616,7 @@ def slab_implication_check(mu: WeightedPointMeasure, k: int, alpha: float,
     """
     _check_k_alpha(mu, k, alpha)
     masses = _centred_masses(mu, family)
-    # semi-lengths as an Ellipsoid stores them: 1 / (1 / l) may differ from l
-    semi = 1.0 / (1.0 / family.length_tuples())
+    semi = family.length_tuples()
     top = np.argsort(-semi, axis=1, kind="stable")[:, :k - 1]
     flats = [AffineSubspace(np.zeros(mu.dim), frame[:, axes].T)
              for frame in family.frames for axes in np.unique(top, axis=0)]
@@ -657,7 +651,7 @@ def _maximal(mu: WeightedPointMeasure, k: int, family: EllipsoidFamily,
     contents = _top_k_products(tuples, k)
     cols = [inner_cols if inner else slice(None) for _, inner in reducers]
     contents_a = [contents[c] ** alpha for c, (alpha, _) in zip(cols, reducers)]
-    per_frame = _frame_masses(mu, family, centers, lambda frame, masses: [
+    per_frame = _frame_masses(mu, family, centers, lambda masses: [
         np.max(masses[:, c] / content_a, axis=1) for c, content_a in zip(cols, contents_a)])
     return [np.max(sups, axis=0) for sups in zip(*per_frame)]
 

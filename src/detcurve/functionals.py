@@ -363,11 +363,15 @@ def _index_sets(n: int, sets, k: int) -> list:
     in [0, n) and at most once."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    sets = [np.asarray(s) for s in sets]
     if len(sets) != k:
         raise ValueError(f"expected {k} index sets")
+    arrays = []
     for j, s in enumerate(sets):
-        if s.ndim != 1:
+        try:
+            s = np.asarray(s)
+        except ValueError:  # ragged nesting has no array shape
+            s = None
+        if s is None or s.ndim != 1:
             raise ValueError(f"index set {j} must be a flat list of atom indices")
         if s.size and not np.issubdtype(s.dtype, np.integer):
             raise ValueError(f"index set {j} has non-integer entries ({s.dtype})")
@@ -375,7 +379,8 @@ def _index_sets(n: int, sets, k: int) -> list:
             raise ValueError(f"index set {j} has an index outside [0, {n})")
         if np.unique(s).size != s.size:
             raise ValueError(f"index set {j} repeats an index")
-    return [s.astype(int) for s in sets]
+        arrays.append(s.astype(int))
+    return arrays
 
 
 def dyadic_profile(mu: WeightedPointMeasure, k: int, sets, gamma: float) -> DyadicProfile:

@@ -10,9 +10,9 @@ and minors up to 3 x 3 go through one cofactor circuit, so the values are
 exact under power-of-two dilations, and padding the points with zero
 coordinates leaves them unchanged.
 
-Ellipsoids are stored as a center, an orthonormal frame, and per-axis inverse
-semi-lengths.  Inverse lengths keep the membership sum finite for infinite
-axes: inv = 0 encodes an infinite semi-length, inv = inf a zero one.
+Ellipsoids are centred at the origin and stored as their semi-lengths and an
+orthonormal frame; one routine, _inside, decides membership for them and for
+the curvature layer's local refinement.
 """
 
 from __future__ import annotations
@@ -135,71 +135,54 @@ def _axis_sum(terms: np.ndarray) -> np.ndarray:
     return s
 
 
+def _inside(z: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Membership of frame coordinates z (..., d) in the centred ellipsoid
+    with semi-lengths (d,): s <= 1.0, s summing z_a ** 2 * (1.0 / l_a) ** 2
+    over the positive axes with _axis_sum.  An infinite axis adds nothing;
+    a nonzero coordinate along a zero-length axis puts the point outside.
+    """
+    positive = lengths > 0.0
+    ok = _axis_sum(z[..., positive] ** 2 * (1.0 / lengths[positive]) ** 2) <= 1.0
+    if not positive.all():
+        ok &= np.all(z[..., ~positive] == 0.0, axis=-1)
+    return ok
+
+
 @dataclass(frozen=True)
 class Ellipsoid:
-    """Solid ellipsoid {x : sum_i (inv_lengths[i] * <x - center, frame[:, i]>)^2 <= 1}."""
+    """Centred solid ellipsoid {x : sum_i (<x, frame[:, i]> / semi_lengths[i])^2 <= 1}.
 
-    center: np.ndarray
-    frame: np.ndarray
-    inv_lengths: np.ndarray
+    Semi-lengths may be 0 (the point must lie on the other axes' span) or
+    inf (the axis is unconstrained); the frame defaults to the coordinate
+    axes.
+    """
+
+    semi_lengths: np.ndarray
+    frame: np.ndarray = None
 
     def __post_init__(self):
-        center = _as_point(self.center)
-        frame = _check_frame(self.frame)
-        inv = np.asarray(self.inv_lengths, dtype=float)
-        if inv.ndim != 1 or inv.shape[0] != frame.shape[0]:
-            raise ValueError("inv_lengths must match the frame dimension")
-        if center.shape[0] != frame.shape[0]:
-            raise ValueError("center dimension must match the frame")
-        if np.any(inv < 0) or np.any(np.isnan(inv)):
-            raise ValueError("inverse lengths must be nonnegative")
-        _freeze(self, center=center, frame=frame, inv_lengths=inv)
+        lengths = np.asarray(self.semi_lengths, dtype=float)
+        if lengths.ndim != 1 or np.any(np.isnan(lengths)) or np.any(lengths < 0):
+            raise ValueError("semi_lengths must be a vector of nonnegative lengths")
+        frame = _check_frame(np.eye(lengths.size) if self.frame is None else self.frame)
+        if frame.shape[0] != lengths.size:
+            raise ValueError("semi_lengths must match the frame dimension")
+        _freeze(self, semi_lengths=lengths, frame=frame)
 
     @property
     def dim(self) -> int:
         return self.frame.shape[0]
-
-    @property
-    def semi_lengths(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.where(self.inv_lengths == 0.0, np.inf, 1.0 / self.inv_lengths)
 
     @classmethod
     def ball(cls, radius: float, dim: int) -> "Ellipsoid":
         """The ball of the given radius centred at the origin."""
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        return cls.from_semi_lengths(np.full(dim, float(radius)))
-
-    @classmethod
-    def from_semi_lengths(cls, lengths, frame=None) -> "Ellipsoid":
-        """The centred ellipsoid with these semi-lengths along the frame's
-        columns (default: the coordinate axes)."""
-        lengths = np.asarray(lengths, dtype=float)
-        d = lengths.shape[0]
-        if frame is None:
-            frame = np.eye(d)
-        with np.errstate(divide="ignore"):
-            inv = np.where(lengths == 0.0, np.inf,
-                           np.where(np.isinf(lengths), 0.0, 1.0 / lengths))
-        return cls(center=np.zeros(d), frame=frame, inv_lengths=inv)
+        return cls(np.full(dim, float(radius)))
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized membership for an (N, d) array of points.
-
-        Axes with infinite semi-length contribute nothing; a nonzero
-        component along a zero-length axis excludes the point.
-        """
-        points = np.asarray(points, dtype=float)
-        z = (points - self.center) @ self.frame
-        inv = self.inv_lengths
-        finite = np.isfinite(inv)
-        s = _axis_sum(z[:, finite] ** 2 * inv[finite] ** 2)
-        ok = s <= 1.0
-        collapsed = ~finite
-        if np.any(collapsed):
-            ok &= np.all(z[:, collapsed] == 0.0, axis=1)
-        return ok
+        """Vectorized membership for an (N, d) array of points."""
+        return _inside(np.asarray(points, dtype=float) @ self.frame, self.semi_lengths)
 
 
 def k_content(ellipsoid: Ellipsoid, k: int) -> float:

@@ -190,7 +190,7 @@ def test_criterion_08_content_bound():
         k = int(rng.integers(1, min(3, d) + 1))
         frame = np.linalg.qr(rng.standard_normal((d, d)))[0]
         lengths = rng.lognormal(0.0, 1.0, size=d)
-        ell = Ellipsoid.from_semi_lengths(lengths, frame=frame)
+        ell = Ellipsoid(lengths, frame=frame)
         batch = min(500, 10_000 - total)
         g = rng.standard_normal((batch * k, d))
         g /= np.linalg.norm(g, axis=1, keepdims=True)

@@ -37,6 +37,15 @@ class TestAnalyze:
         assert out["constant"] > 0
         assert len(out["witness"]["semi_lengths"]) == 2
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--k", "3", "--alpha", "1.0"], r"--k must be in \[1, 2\], got 3"),
+        (["--k", "2", "--alpha", "0"], "--alpha must be positive and finite, got 0.0"),
+    ], ids=["k", "alpha"])
+    def test_bad_flag_exits(self, cloud_path, flags, message):
+        # checked against the loaded cloud before the family is built
+        with pytest.raises(SystemExit, match=message):
+            main(["analyze", cloud_path, *flags])
+
 
 class TestFunctional:
     def test_plain_form(self, cloud_path, capsys):
@@ -121,6 +130,17 @@ class TestFunctional:
         with pytest.raises(SystemExit, match="--sets: index set 0 must be a flat list"):
             main(["functional", cloud_path, "--k", "2", "--gamma", "0.5",
                   "--pinned", "--sets", str(sets_path)])
+
+    def test_ragged_set_exits(self, cloud_path, tmp_path):
+        sets_path = tmp_path / "sets.json"
+        sets_path.write_text(json.dumps([[0, [1, 2]], [0]]))
+        with pytest.raises(SystemExit, match="--sets: index set 0 must be a flat list"):
+            main(["functional", cloud_path, "--k", "2", "--gamma", "0.5",
+                  "--pinned", "--sets", str(sets_path)])
+
+    def test_k_outside_cloud_exits(self, cloud_path):
+        with pytest.raises(SystemExit, match=r"--k must be in \[1, 2\], got 3"):
+            main(["functional", cloud_path, "--k", "3", "--gamma", "0.5"])
 
     def test_repeated_index_exits(self, cloud_path, tmp_path):
         sets_path = tmp_path / "sets.json"

@@ -44,7 +44,7 @@ def members(family):
     the brute-force reference for the swept tables."""
     for frame in family.frames:
         for lengths in family.length_tuples():
-            yield Ellipsoid.from_semi_lengths(lengths, frame=frame)
+            yield Ellipsoid(lengths, frame=frame)
 
 
 def top_axes_flat(ellipsoid, k):
@@ -52,7 +52,7 @@ def top_axes_flat(ellipsoid, k):
     the reference for the flats slab_implication_check forms per length
     tuple."""
     order = np.argsort(-ellipsoid.semi_lengths, kind="stable")
-    return AffineSubspace(ellipsoid.center, ellipsoid.frame[:, order[:k - 1]].T)
+    return AffineSubspace(np.zeros(ellipsoid.dim), ellipsoid.frame[:, order[:k - 1]].T)
 
 
 class TestEllipsoidFamily:
@@ -137,12 +137,12 @@ class TestCurvatureRatio:
 
     def test_zero_content_with_mass(self):
         mu = dirac([0.0, 0.0])
-        flat = Ellipsoid(np.zeros(2), np.eye(2), np.array([math.inf, 1.0]))
+        flat = Ellipsoid(np.array([0.0, 1.0]))
         assert math.isinf(curvature_ratio(mu, flat, 2, 1.0))
 
     def test_infinite_content(self):
         mu = dirac([0.0, 0.0])
-        huge = Ellipsoid(np.zeros(2), np.eye(2), np.array([0.0, 1.0]))
+        huge = Ellipsoid(np.array([math.inf, 1.0]))
         assert curvature_ratio(mu, huge, 1, 1.0) == 0.0
 
 
@@ -193,8 +193,8 @@ class TestMinContent:
 
 
 def same_ellipsoid(a, b):
-    return (np.array_equal(a.center, b.center) and np.array_equal(a.frame, b.frame)
-            and np.array_equal(a.inv_lengths, b.inv_lengths))
+    return (np.array_equal(a.frame, b.frame)
+            and np.array_equal(a.semi_lengths, b.semi_lengths))
 
 
 class TestMinContents:
@@ -248,6 +248,16 @@ class TestMinContents:
         assert np.array_equal(witness.frame, np.eye(2))
         assert delta == 2.0 ** 2
         assert eval_measure(cube64, witness) >= 0.95
+
+    def test_witness_is_the_searched_member(self, line64):
+        # 1 / (1 / h) != h: the witness keeps the lengths the search scored
+        h = 0.026907488847906336
+        family = EllipsoidFamily.dyadic(2, -6, 1, floor=h)
+        delta, witness = min_content_at_mass(line64, 2, 1 / 64, family, refine=0)
+        assert witness.semi_lengths.tolist() == [h, h]
+        assert delta == h * h
+        est = estimate_curvature_constant(line64, 2, 1.0, family, refine=0)
+        assert est.witness.semi_lengths.tolist() == [h, h]
 
     def test_rejects_eps_outside_total_mass(self, cube64):
         for eps in (0.0, 1.5):
@@ -343,7 +353,7 @@ class TestSlab:
         assert math.isinf(slab_constant(line64, 2, 1.0, [axis]))
 
     def test_top_axes_flat(self):
-        e = Ellipsoid.from_semi_lengths([2.0, 1.0])
+        e = Ellipsoid([2.0, 1.0])
         flat = top_axes_flat(e, 2)
         assert flat.dim == 1
         dist = flat.distance_many(np.array([[5.0, 0.0], [0.0, 1.0]]))
@@ -443,7 +453,7 @@ class TestMaximal:
 def brute_sweep(z, values, weights):
     """Weight sum over the atoms each member's Ellipsoid contains, z being
     coordinates in the frame, so the sweep is pinned to the evaluator."""
-    return np.array([np.sum(weights[Ellipsoid.from_semi_lengths(lengths).contains_many(z)])
+    return np.array([np.sum(weights[Ellipsoid(lengths).contains_many(z)])
                      for lengths in product(values, repeat=z.shape[-1])])
 
 
@@ -484,8 +494,7 @@ def weak_bound_reference(mu, k, alpha, p, family):
         tuples = fam.length_tuples()
         contents_a = np.prod(np.sort(tuples, axis=1)[:, ::-1][:, :k], axis=1) ** a
         out = np.zeros(mu.n_atoms)
-        for _, masses in curvature._frame_masses(mu, fam, mu.points,
-                                                 lambda f, m: (f, m)):
+        for masses in curvature._frame_masses(mu, fam, mu.points, lambda m: m):
             out = np.maximum(out, np.max(masses / contents_a, axis=1))
         return out
 
@@ -614,11 +623,11 @@ class TestSweep:
         fam = EllipsoidFamily(frames=frames, length_grid=values)
         tuples = fam.length_tuples()
         einsum_differs = 0
-        for frame, masses in curvature._frame_masses(mu, fam, np.zeros((1, 3)),
-                                                     lambda f, m: (f, m)):
+        for frame, masses in zip(fam.frames, curvature._frame_masses(
+                mu, fam, np.zeros((1, 3)), lambda m: m)):
             z = mu.points @ frame
             for lengths, mass in zip(tuples, masses[0]):
-                assert mass == eval_measure(mu, Ellipsoid.from_semi_lengths(lengths, frame=frame))
+                assert mass == eval_measure(mu, Ellipsoid(lengths, frame=frame))
                 assert mass == curvature._single_mass(mu, frame, lengths)
                 s = np.einsum("na,a->n", z * z, 1.0 / lengths ** 2)
                 einsum_differs += float(np.sum(mu.weights[s <= 1.0])) != mass
@@ -697,11 +706,11 @@ class TestSymmetricSweep:
         fam = EllipsoidFamily.dyadic(2, -4, 1, mode="doubling_dyadic",
                                      frames=default_frames(2, n_random=2, seed=5))
         got = curvature._frame_masses(circle240, fam, circle240.points.copy(),
-                                      lambda f, m: (f, m))
+                                      lambda m: m)
         assert calls == [True] * len(fam.frames)
-        for frame, masses in got:
+        for frame, masses in zip(fam.frames, got):
             assert np.array_equal(masses, per_centre_rows(circle240, frame, fam.effective_lengths))
-        curvature._frame_masses(circle240, fam, circle240.points[:-1], lambda f, m: m)
+        curvature._frame_masses(circle240, fam, circle240.points[:-1], lambda m: m)
         assert calls[len(fam.frames):] == [False] * len(fam.frames)  # other centres
 
     def test_memory_bounded_by_tile(self, cube256, monkeypatch):
@@ -754,17 +763,14 @@ class TestFrameBlocks:
                                           frames=default_frames(mu.dim, n_random=5, seed=3))
 
         def run():
-            swept = curvature._frame_masses(mu, floored, mu.points[:5],
-                                            lambda f, m: (f, m))
+            swept = curvature._frame_masses(mu, floored, mu.points[:5], lambda m: m)
             # the atoms as centres: the symmetric sweep
-            swept += curvature._frame_masses(mu, floored, mu.points,
-                                             lambda f, m: (f, m))
+            swept += curvature._frame_masses(mu, floored, mu.points, lambda m: m)
             # a new family each run, or it would serve its kept table
             est = estimate_curvature_constant(mu, 2, 1.0,
                                               default_family(mu, n_frames=4, n_pca=2),
                                               refine=12)
-            return ([f for f, _ in swept], [m for _, m in swept],
-                    maximal_weak_bound_check(mu, 2, 0.75, 1.0, doubling),
+            return (swept, maximal_weak_bound_check(mu, 2, 0.75, 1.0, doubling),
                     (est.constant, est.witness.frame, est.witness.semi_lengths))
 
         monkeypatch.setenv("DETCURVE_THREADS", "1")
@@ -772,14 +778,13 @@ class TestFrameBlocks:
         for threads, work in product(["1", "2", "3"], [curvature.FRAME_WORK, 1, 2 ** 40]):
             monkeypatch.setenv("DETCURVE_THREADS", threads)
             monkeypatch.setattr(curvature, "FRAME_WORK", work)
-            frames, masses, check, (constant, frame, lengths) = run()
-            assert all(np.array_equal(a, b) for a, b in zip(frames, want[0]))
-            assert all(np.array_equal(a, b) for a, b in zip(masses, want[1]))
-            assert len(masses) == len(want[1]) == 2 * len(floored.frames)
-            assert check == want[2]
-            assert constant == want[3][0]
-            assert np.array_equal(frame, want[3][1])
-            assert np.array_equal(lengths, want[3][2])
+            masses, check, (constant, frame, lengths) = run()
+            assert all(np.array_equal(a, b) for a, b in zip(masses, want[0]))
+            assert len(masses) == len(want[0]) == 2 * len(floored.frames)
+            assert check == want[1]
+            assert constant == want[2][0]
+            assert np.array_equal(frame, want[2][1])
+            assert np.array_equal(lengths, want[2][2])
 
     def test_blocks_hold_frame_work(self, cube64, monkeypatch):
         seen = []
@@ -796,12 +801,12 @@ class TestFrameBlocks:
         for work in (3 * per_frame, 3 * per_frame - 1):
             monkeypatch.setattr(curvature, "FRAME_WORK", work)
             got = curvature._frame_masses(cube64, fam, np.zeros((1, 2)),
-                                          lambda f, m: m.shape)
+                                          lambda m: m.shape)
             assert got == [(1, len(tuples))] * 16
             assert seen[-1] == [(s, min(s + 3, 16)) for s in range(0, 16, 3)]
         # no centres, no work: one inline block, no division by zero
         assert curvature._frame_masses(cube64, fam, np.zeros((0, 2)),
-                                       lambda f, m: m.shape) == [(0, len(tuples))] * 16
+                                       lambda m: m.shape) == [(0, len(tuples))] * 16
         assert seen[-1] == [(0, 16)]
 
 
@@ -852,7 +857,7 @@ class TestSlabDedup:
         assert n_checked == fam.size
         table = curvature._centred_masses(cube64, fam)
         frame, t = len(fam.frames) // 2, len(fam.length_tuples()) // 3
-        l_k = float(np.min(1.0 / (1.0 / fam.length_tuples()[t])))  # k = d = 2
+        l_k = float(np.min(fam.length_tuples()[t]))  # k = d = 2
         bad = table.copy()
         bad[frame, t] = c_slab * l_k ** (alpha * 2) * (1.0 + 2e-9)
         monkeypatch.setattr(curvature, "_centred_masses", lambda mu, family: bad)

@@ -594,6 +594,12 @@ class TestIndexSets:
         with pytest.raises(ValueError, match="index set 0 must be a flat list of atom indices"):
             SET_TAKERS[taker](cube64, [[[0, 1], [2, 3]], [0, 1]])
 
+    @pytest.mark.parametrize("taker", sorted(SET_TAKERS))
+    def test_rejects_ragged(self, cube64, taker):
+        # a set holding a list has no array shape
+        with pytest.raises(ValueError, match="index set 0 must be a flat list of atom indices"):
+            SET_TAKERS[taker](cube64, [[0, [1, 2]], [0]])
+
     def test_empty_set_is_valid(self, cube64):
         # no tuple meets an empty set, so the set form has zero mass
         sets = [[], [3, 7, 11]]

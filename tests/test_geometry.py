@@ -37,9 +37,9 @@ def simplex_det(points):
 
 def ellipsoid_of(q):
     """The centred ellipsoid {x : ||Qx||^2 <= 1}: from Q = U diag(s) V^T,
-    axes the columns of V and inverse semi-lengths s."""
+    axes the columns of V and semi-lengths 1 / s."""
     _, s, vt = np.linalg.svd(q)
-    return Ellipsoid(center=np.zeros(q.shape[0]), frame=vt.T, inv_lengths=s)
+    return Ellipsoid(1.0 / s, frame=vt.T)
 
 
 def coordinate_det(points):
@@ -232,35 +232,41 @@ class TestEllipsoid:
         assert k_content(b, 3) == pytest.approx(0.125)
 
     def test_content_is_top_k_product(self):
-        e = Ellipsoid.from_semi_lengths([3.0, 0.5, 2.0])
+        e = Ellipsoid([3.0, 0.5, 2.0])
         assert k_content(e, 1) == pytest.approx(3.0)
         assert k_content(e, 2) == pytest.approx(6.0)
         assert k_content(e, 3) == pytest.approx(3.0)
 
     def test_infinite_axis(self):
-        e = Ellipsoid(np.zeros(2), np.eye(2), np.array([0.0, 2.0]))
+        e = Ellipsoid(np.array([math.inf, 0.5]))
         assert math.isinf(k_content(e, 1))
         assert e.contains_many(np.array([[1e9, 0.0], [0.0, 0.6]])).tolist() == [True, False]
 
     def test_zero_axis(self):
-        e = Ellipsoid(np.zeros(2), np.eye(2), np.array([math.inf, 1.0]))
+        e = Ellipsoid(np.array([0.0, 1.0]))
         assert k_content(e, 2) == 0.0
         assert e.contains_many(np.array([[0.0, 0.5], [1e-9, 0.0]])).tolist() == [True, False]
 
     def test_contains_many_matches_loop(self):
         rng = np.random.default_rng(5)
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        e = Ellipsoid(rng.normal(size=3), q, np.array([0.5, 1.0, 4.0]))
+        center = rng.normal(size=3)
+        e = Ellipsoid(np.array([2.0, 1.0, 0.25]), q)
         pts = rng.normal(size=(40, 3))
-        mask = e.contains_many(pts)
+        mask = e.contains_many(pts - center)
         for i in range(40):
-            z = (pts[i] - e.center) @ e.frame
-            assert mask[i] == (sum(z ** 2 * e.inv_lengths ** 2) <= 1.0)
+            z = (pts[i] - center) @ e.frame
+            assert mask[i] == (sum(z ** 2 * (1.0 / e.semi_lengths) ** 2) <= 1.0)
+
+    @pytest.mark.parametrize("lengths", [[-1.0, 1.0], [math.nan, 1.0], [[1.0, 1.0]]],
+                             ids=["negative", "nan", "matrix"])
+    def test_rejects_bad_lengths(self, lengths):
+        with pytest.raises(ValueError, match="vector of nonnegative lengths"):
+            Ellipsoid(lengths)
 
     def test_rejects_bad_frame(self):
         with pytest.raises(ValueError):
-            Ellipsoid(np.zeros(2), np.array([[1.0, 1.0], [0.0, 1.0]]),
-                      np.ones(2))
+            Ellipsoid(np.ones(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestMatrixContent:
@@ -325,7 +331,7 @@ class TestContentBound:
             k = int(rng.integers(1, min(d, 3) + 1))
             lengths = np.exp(rng.uniform(-1.5, 1.5, size=d))
             frame, _ = np.linalg.qr(rng.normal(size=(d, d)))
-            e = Ellipsoid(np.zeros(d), frame, 1.0 / lengths)
+            e = Ellipsoid(lengths, frame)
             # sample points inside the ellipsoid
             raw = rng.normal(size=(k + 1, d))
             raw /= np.linalg.norm(raw, axis=1, keepdims=True)

@@ -6,8 +6,9 @@ parameter of the package's functions and methods is read, every parameter
 with a default is read by its function and passed by some caller, and by
 some program in src/ or bench/ outside a named allow-list; lab
 imports no private name of another module, no exponent comes from log2,
-functionals forms determinants in _tuple_terms alone, and neither
-importing the package nor running its commands loads scipy."""
+functionals forms determinants in _tuple_terms alone, geometry._inside
+alone sums ellipsoid membership terms, and neither importing the package
+nor running its commands loads scipy."""
 
 import ast
 import importlib
@@ -240,15 +241,15 @@ def test_no_log2_exponents(path):
     assert log2_uses(path.read_text(encoding="utf-8")) == []
 
 
-def vertex_det_uses(source: str) -> list:
-    """(top-level definition, line) of every use of _vertex_dets in code: as
-    an attribute (geometry._vertex_dets), as a bare name, or in an import;
+def name_uses(source: str, name: str) -> list:
+    """(top-level definition, line) of every use of a name in code: as an
+    attribute (geometry._vertex_dets), as a bare name, or in an import;
     the definition is None outside any def or class."""
     return sorted(((getattr(top, "name", None), node.lineno)
                    for top in ast.parse(source).body for node in ast.walk(top)
-                   if (isinstance(node, ast.Attribute) and node.attr == "_vertex_dets")
-                   or (isinstance(node, ast.Name) and node.id == "_vertex_dets")
-                   or (isinstance(node, ast.alias) and node.name == "_vertex_dets")),
+                   if (isinstance(node, ast.Attribute) and node.attr == name)
+                   or (isinstance(node, ast.Name) and node.id == name)
+                   or (isinstance(node, ast.alias) and node.name == name)),
                   key=lambda use: use[1])
 
 
@@ -258,14 +259,42 @@ def test_vertex_det_scan_flags_every_spelling():
            "def f(rows):\n    def g():\n        return geometry._vertex_dets(rows)\n"
            "    return g\n"
            "h = _vertex_dets\n")
-    assert vertex_det_uses(src) == [(None, 1), ("f", 5), (None, 7)]
+    assert name_uses(src, "_vertex_dets") == [(None, 1), ("f", 5), (None, 7)]
 
 
 def test_one_term_routine_forms_the_determinants():
     # product rectangles, ranked tuples and sampled draws all form their
     # determinants and slot-value products in functionals._tuple_terms
     source = (ROOT / "src/detcurve/functionals.py").read_text(encoding="utf-8")
-    assert [name for name, _ in vertex_det_uses(source)] == ["_tuple_terms"]
+    assert [name for name, _ in name_uses(source, "_vertex_dets")] == ["_tuple_terms"]
+
+
+def reciprocal_round_trips(source: str) -> list:
+    """Lines of code that take a reciprocal of a reciprocal, 1 / (1 / x)."""
+    def reciprocal(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and isinstance(node.left, ast.Constant) and node.left.value == 1)
+
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if reciprocal(node) and reciprocal(node.right))
+
+
+def test_round_trip_scan_flags_reciprocals_of_reciprocals():
+    src = ('"""1.0 / (1.0 / x) in a docstring"""\na = 1.0 / (1.0 / x)\n'
+           "b = 1 / (1 / y)\nc = 1.0 / x\nd = 2.0 / (1.0 / x)\ne = 1.0 / (x / 1.0)\n")
+    assert reciprocal_round_trips(src) == [2, 3]
+
+
+def test_one_membership_routine():
+    # an Ellipsoid stores its semi-lengths, and geometry._inside alone sums
+    # the membership terms, for contains_many and the curvature refinement
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    callers = {mod: [top for top, _ in name_uses(src, "_axis_sum")]
+               for mod, src in sources.items()}
+    assert {mod: tops for mod, tops in callers.items() if tops} == {"geometry.py": ["_inside"]}
+    for mod, src in sources.items():
+        assert [word for word in ("inv_lengths", "from_semi_lengths") if word in src] == [], mod
+        assert reciprocal_round_trips(src) == [], mod
 
 
 def _package_env():
