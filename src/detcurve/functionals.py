@@ -16,7 +16,7 @@ combined in block order with math.fsum, so values do not depend on the
 worker count.  A product block is at most three rectangles that broadcast
 the leading slots' entries over a slice of the last slot; when all slots
 are alike the blocks instead partition the ranks of the nondecreasing
-tuples, unranked directly and weighted by their multiplicities.  All block
+tuples, unranked run by run and weighted by their multiplicities.  All block
 kinds, sampled draws too, form their terms in one routine, _tuple_terms,
 from slot coordinate columns made once per call.  One pass can reduce to
 several exponents, which is how cauchy_schwarz_check gets its three forms.
@@ -32,6 +32,7 @@ Carlo estimate whose integrand is formed in the same fixed blocks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,20 +116,42 @@ def _rank_tables(n: int, m: int) -> list:
             for L in range(1, m + 1)]
 
 
-def _unrank(ranks: np.ndarray, tables) -> list:
-    """Per-slot index arrays of the nondecreasing tuples with the given
-    lexicographic ranks (combinations with repetition, Knuth 7.2.1.3)."""
-    idx = []
-    low = np.zeros_like(ranks)
-    for cum in tables[:0:-1]:
+def _unrank_block(start: int, stop: int, tables) -> tuple:
+    """Per-slot index arrays of the nondecreasing tuples with lexicographic
+    ranks [start, stop) (Knuth 7.2.1.3) and their multiplicities, the
+    numbers of distinct permutations, built run by run.
+
+    The tuples (p, v) with one prefix p of m - 1 entries are consecutive, v
+    counting up from p[-1] to n - 1.  So only the block's end ranks are
+    searched for, their prefixes ranked in the next shorter tables on the
+    way; the range of prefix ranks between them is unranked the same way,
+    each prefix repeated along its run.  (p, v) has m / c times the
+    permutations of p, c the number of its entries equal to v, which
+    exceeds 1 only at the start of a run, where v can equal p[-1].
+    """
+    if len(tables) == 1:
+        return [np.arange(start, stop, dtype=np.int64)], np.ones(stop - start)
+    ranks = np.array([start, stop - 1], dtype=np.int64)
+    low = prefix_rank = np.zeros(2, dtype=np.int64)
+    for cum, prefix_cum in zip(tables[:0:-1], tables[-2::-1]):
         # position among all tuples of this length, then its first entry
         pos = ranks + cum[low]
-        low = np.searchsorted(cum, pos, side="right") - 1
-        ranks = pos - cum[low]
-        idx.append(low)
-    # one entry left: the remaining rank counts up from the previous entry
-    idx.append(low + ranks)
-    return idx
+        entry = np.searchsorted(cum, pos, side="right") - 1
+        prefix_rank = prefix_rank + prefix_cum[entry] - prefix_cum[low]
+        ranks, low = pos - cum[entry], entry
+    # the remaining rank counts up from the previous entry
+    (p0, p1), (first, last) = prefix_rank.tolist(), (low + ranks).tolist()
+    prefix, mult = _unrank_block(p0, p1 + 1, tables[:-1])
+    lo = prefix[-1].copy()
+    lo[0] = first
+    counts = tables[0].shape[0] - 1 - lo
+    counts[-1] = last + 1 - lo[-1]
+    offsets = np.cumsum(counts) - counts
+    # one segmented arange: each run counts up from lo at its offset
+    tail = np.repeat(lo - offsets, counts) + np.arange(stop - start)
+    mult = np.repeat(len(tables) * mult, counts)
+    mult[offsets] /= 1.0 + sum(p == lo for p in prefix)
+    return [np.repeat(p, counts) for p in prefix] + [tail], mult
 
 
 def _tuple_terms(cols_list, values_list, idx, pinned: bool):
@@ -172,19 +195,6 @@ def _product_terms(cols_list, values_list, start, stop, pinned: bool):
     return tuple(np.concatenate(t) for t in zip(*terms))
 
 
-def _multiplicities(idx) -> np.ndarray:
-    """Number of distinct permutations of each nondecreasing index tuple."""
-    m = len(idx)
-    run = np.ones(idx[0].shape[0])
-    fact_prod = np.ones(idx[0].shape[0])
-    for j in range(1, m):
-        eq = idx[j] == idx[j - 1]
-        run = np.where(eq, run + 1.0, 1.0)
-        fact_prod *= run
-    # fact_prod accumulates prod over runs of (run length)! one factor at a time
-    return math.factorial(m) / fact_prod
-
-
 def _enumerate(points_list, values_list, pinned: bool, symmetric: bool,
                budget: int, reduce):
     """(ordered tuple count, [reduce(dets, wprod, mult) per block]) over the
@@ -211,9 +221,8 @@ def _enumerate(points_list, values_list, pinned: bool, symmetric: bool,
         if not symmetric:
             return reduce(*_product_terms(cols_list, values_list, start, stop,
                                           pinned), None)
-        idx = _unrank(np.arange(start, stop, dtype=np.int64), tables)
-        return reduce(*_tuple_terms(cols_list, values_list, idx, pinned),
-                      _multiplicities(idx))
+        idx, mult = _unrank_block(start, stop, tables)
+        return reduce(*_tuple_terms(cols_list, values_list, idx, pinned), mult)
 
     return total, parallel.map_blocks(block, parallel.block_ranges(visited))
 
@@ -303,33 +312,39 @@ def det_form_sampled(mu, k: int, gamma: float, *, samples: int,
 
     Tuples are drawn uniformly with replacement; the estimator is the tuple
     count times the sample mean of the integrand, which is unbiased for the
-    exact sum.  stderr is the standard error of that estimate.
+    exact sum.  stderr is the standard error of that estimate.  The call
+    holds about 8 bytes per sample plus one index byte per slot and sample
+    (two above 256 atoms, four above 65,536).
     """
     points_list, vals, tau, _ = _form_slots(mu, k, None, tau, pinned)
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
+    if type(samples) is bool or not isinstance(samples, numbers.Integral) or samples < 2:
+        raise ValueError(f"samples must be an integer of at least 2, got {samples!r}")
+    samples = int(samples)
     sizes = [p.shape[0] for p in points_list]
     cols_list = [np.ascontiguousarray(p.T) for p in points_list]
     rng = np.random.default_rng(seed)
-    idx = [rng.integers(0, n, size=samples) for n in sizes]
+    ranges = parallel.block_ranges(samples)
+    # drawn block by block (the stream of one call), 1-2 bytes an index
+    idx = [np.empty(samples, dtype=np.min_scalar_type(n - 1)) for n in sizes]
+    for ix, n in zip(idx, sizes):
+        for start, stop in ranges:
+            ix[start:stop] = rng.integers(0, n, size=stop - start)
+    integrand = np.zeros(samples)
 
     def block(start, stop):
-        dets, wprod = _tuple_terms(cols_list, vals,
-                                   [ix[start:stop] for ix in idx], pinned)
+        dets, wprod = _tuple_terms(cols_list, vals, [ix[start:stop].astype(np.intp)
+                                                     for ix in idx], pinned)
         included = dets > tau
-        integrand = np.zeros(stop - start)
         # d ** -0.0 is 1.0, so gamma = 0 leaves the products' bits
-        integrand[included] = wprod[included] * dets[included] ** (-gamma)
-        return integrand, int(np.count_nonzero(~included))
+        integrand[start:stop][included] = wprod[included] * dets[included] ** (-gamma)
+        return int(np.count_nonzero(~included))
 
-    results = parallel.map_blocks(block, parallel.block_ranges(samples))
-    integrand = np.concatenate([r[0] for r in results])
+    excluded = sum(parallel.map_blocks(block, ranges))
     total = math.prod(sizes)
     est = float(total * np.mean(integrand))
     err = float(total * np.std(integrand, ddof=1) / math.sqrt(samples))
     return FunctionalResult(value=est, tuples_total=samples,
-                            tuples_excluded=sum(r[1] for r in results),
-                            stderr=err)
+                            tuples_excluded=excluded, stderr=err)
 
 
 def sublevel_mass(measures, delta: float, *, budget: int = DEFAULT_BUDGET) -> float:

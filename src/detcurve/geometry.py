@@ -37,8 +37,8 @@ def _as_point(y) -> np.ndarray:
 
 def _check_frame(frame: np.ndarray) -> np.ndarray:
     frame = np.asarray(frame, dtype=float)
-    if frame.ndim != 2 or frame.shape[0] != frame.shape[1]:
-        raise ValueError(f"frame must be square, got shape {frame.shape}")
+    if frame.ndim != 2 or frame.shape[0] != frame.shape[1] or frame.size == 0:
+        raise ValueError(f"frame must be square and nonempty, got shape {frame.shape}")
     d = frame.shape[0]
     err = np.max(np.abs(frame.T @ frame - np.eye(d)))
     if err > FRAME_TOL:
@@ -162,8 +162,8 @@ class Ellipsoid:
 
     def __post_init__(self):
         lengths = np.asarray(self.semi_lengths, dtype=float)
-        if lengths.ndim != 1 or np.any(np.isnan(lengths)) or np.any(lengths < 0):
-            raise ValueError("semi_lengths must be a vector of nonnegative lengths")
+        if lengths.ndim != 1 or lengths.size == 0 or not np.all(lengths >= 0):
+            raise ValueError("semi_lengths must be a nonempty vector of nonnegative lengths")
         frame = _check_frame(np.eye(lengths.size) if self.frame is None else self.frame)
         if frame.shape[0] != lengths.size:
             raise ValueError("semi_lengths must match the frame dimension")

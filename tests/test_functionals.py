@@ -1,6 +1,7 @@
 """Determinant-kernel forms against nested-loop oracles and exact identities."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -446,6 +447,32 @@ class TestSampledForm:
         with pytest.raises(ValueError):
             det_form_sampled(cube64, 2, 0.5, samples=1)
 
+    @pytest.mark.parametrize("samples", [2.5, True, "10", None, np.array(2.5)])
+    def test_rejects_non_integer_samples(self, cube64, samples):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            det_form_sampled(cube64, 2, 0.5, samples=samples)
+
+    def test_numpy_integer_samples(self, cube64):
+        got = det_form_sampled(cube64, 2, 0.5, samples=np.int64(10), pinned=True)
+        assert type(got.tuples_total) is int
+        assert got == det_form_sampled(cube64, 2, 0.5, samples=10, pinned=True)
+
+    @pytest.mark.parametrize("n,k,pinned", [(80, 3, False), (300, 2, True)])
+    def test_memory_per_sample(self, monkeypatch, n, k, pinned):
+        # one index byte per slot and sample (two above 256 atoms) and an
+        # 8-byte integrand make 12 bytes here; int64 draws would make ~40
+        monkeypatch.setenv("DETCURVE_THREADS", "1")
+        mu = generate(GeneratorSpec("sphere_uniform", 3, n, 0))
+        peaks = []
+        for samples in (500_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                det_form_sampled(mu, k, 0.5, samples=samples, pinned=pinned)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 500_000 <= 16
+
 
 class TestWeakTypeProbe:
     def test_probe_shape_and_witness(self, cube64):
@@ -635,6 +662,18 @@ def decode_filter(n, m):
     return idx[np.all(idx[:, :-1] <= idx[:, 1:], axis=1)]
 
 
+def multiplicities(idx):
+    """Distinct permutations of each nondecreasing index tuple, counted
+    tuple by tuple: m! over the product of its equal-entry runs' factorials,
+    built one factor at a time."""
+    run = np.ones(idx[0].shape[0])
+    fact_prod = np.ones(idx[0].shape[0])
+    for j in range(1, len(idx)):
+        run = np.where(idx[j] == idx[j - 1], run + 1.0, 1.0)
+        fact_prod *= run
+    return math.factorial(len(idx)) / fact_prod
+
+
 def product_blocks(points_list, values_list, pinned):
     """(dets, wprod) of each product block through _enumerate."""
     def keep(dets, wprod, mult):
@@ -677,13 +716,21 @@ def assert_blocks_equal(got, want):
 class TestKernelPaths:
     """The tuple kernel against the simpler code it replaced, bit for bit."""
 
-    @pytest.mark.parametrize("n,m", list(product(range(1, 10), range(1, 5))))
-    def test_unrank_equals_decode_filter(self, n, m):
+    @pytest.mark.parametrize("n,m", list(product(range(1, 12), range(1, 5))))
+    def test_unrank_equals_decode_filter(self, monkeypatch, n, m):
+        # blocks inside one run, across runs and across longer prefixes
         tables = functionals._rank_tables(n, m)
-        count = math.comb(n + m - 1, m)
-        assert tables[-1][-1] == count
-        got = functionals._unrank(np.arange(count, dtype=np.int64), tables)
-        assert np.array_equal(np.stack(got, axis=1), decode_filter(n, m))
+        want = decode_filter(n, m)
+        count = want.shape[0]
+        assert tables[-1][-1] == count == math.comb(n + m - 1, m)
+        for block in (1, 2, 3, 5, 7, 40):
+            monkeypatch.setattr(parallel, "BLOCK", block)
+            for start, stop in parallel.block_ranges(count):
+                idx, mult = functionals._unrank_block(start, stop, tables)
+                assert [ix.dtype for ix in idx] == [want.dtype] * m
+                assert np.array_equal(np.stack(idx, axis=1), want[start:stop])
+                ref = multiplicities(list(want[start:stop].T))
+                assert mult.dtype == ref.dtype and np.array_equal(mult, ref)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("pinned", [True, False])
@@ -741,12 +788,20 @@ class TestKernelPaths:
                 decode_gather_blocks(points_list, values_list, pinned))
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize("k,pinned", [(2, True), (2, False), (3, False)])
-    def test_sampled_equals_single_batch(self, monkeypatch, sphere80_d3,
-                                         threads, k, pinned):
-        # more samples than one parallel block, so the blocked path splits
+    @pytest.mark.parametrize("k,pinned,n,samples", [
+        pytest.param(2, True, 80, parallel.BLOCK + 54_321, id="2-True"),
+        pytest.param(2, False, 80, parallel.BLOCK + 54_321, id="2-False"),
+        pytest.param(3, False, 80, parallel.BLOCK + 54_321, id="3-False"),
+        # more than 256 atoms are stored at two bytes an index
+        pytest.param(2, True, 300, 2 * parallel.BLOCK + 1, id="2-True-300"),
+        pytest.param(2, False, 300, 1000, id="2-False-300-short"),
+        pytest.param(3, False, 80, 777, id="3-False-short"),
+    ])
+    def test_sampled_equals_single_batch(self, monkeypatch, threads, k, pinned,
+                                         n, samples):
+        # sample counts over a block, so the blocked path splits, and below
         monkeypatch.setenv("DETCURVE_THREADS", threads)
-        mu, samples, gamma = sphere80_d3, parallel.BLOCK + 54_321, 0.5
+        mu, gamma = generate(GeneratorSpec("sphere_uniform", 3, n, 0)), 0.5
         m = k if pinned else k + 1
         tau = (functionals.default_det_threshold(mu, k) if pinned
                else functionals.difference_threshold([mu] * m))

@@ -258,8 +258,8 @@ class TestEllipsoid:
             z = (pts[i] - center) @ e.frame
             assert mask[i] == (sum(z ** 2 * (1.0 / e.semi_lengths) ** 2) <= 1.0)
 
-    @pytest.mark.parametrize("lengths", [[-1.0, 1.0], [math.nan, 1.0], [[1.0, 1.0]]],
-                             ids=["negative", "nan", "matrix"])
+    @pytest.mark.parametrize("lengths", [[-1.0, 1.0], [math.nan, 1.0], [[1.0, 1.0]], []],
+                             ids=["negative", "nan", "matrix", "empty"])
     def test_rejects_bad_lengths(self, lengths):
         with pytest.raises(ValueError, match="vector of nonnegative lengths"):
             Ellipsoid(lengths)
@@ -267,6 +267,10 @@ class TestEllipsoid:
     def test_rejects_bad_frame(self):
         with pytest.raises(ValueError):
             Ellipsoid(np.ones(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_rejects_empty_frame(self):
+        with pytest.raises(ValueError, match="frame must be square and nonempty"):
+            geometry._check_frame(np.zeros((0, 0)))
 
 
 class TestMatrixContent:
