@@ -16,8 +16,8 @@ import os
 import sys
 
 from .curvature import default_family, estimate_curvature_constant
-from .functionals import (_index_sets, default_det_threshold, det_form,
-                          det_form_pinned, det_form_sampled,
+from .functionals import (_check_gamma, _index_sets, default_det_threshold,
+                          det_form, det_form_pinned, det_form_sampled,
                           difference_threshold)
 from .lab import BUNDLED_SCENARIOS, ScenarioConfig, get_scenario, run_scenario
 from .measure import WeightedPointMeasure, _check_k_alpha, load_point_cloud
@@ -34,11 +34,12 @@ def _add_family_args(parser):
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _check_flags(mu, k, alpha=None):
-    """--k (and --alpha) against the loaded cloud: an exit message naming
-    the flag, as the parameter name leads each message."""
+def _check_flags(mu, k, alpha=None, gamma=0.0):
+    """--k (and --alpha, --gamma) against the loaded cloud: an exit message
+    naming the flag, as the parameter name leads each message."""
     try:
         _check_k_alpha(mu, k, alpha)
+        _check_gamma(gamma)
     except ValueError as exc:
         raise SystemExit(f"--{exc}") from exc
 
@@ -85,7 +86,7 @@ def _load_sets(path, m, mu):
 
 def _cmd_functional(args) -> int:
     mu = load_point_cloud(args.cloud)
-    _check_flags(mu, args.k)
+    _check_flags(mu, args.k, gamma=args.gamma)
     slots, tau = mu, None
     if args.sets:
         m = args.k if args.pinned else args.k + 1

@@ -16,10 +16,10 @@ combined in block order with math.fsum, so values do not depend on the
 worker count.  A product block is at most three rectangles that broadcast
 the leading slots' entries over a slice of the last slot; when all slots
 are alike the blocks instead partition the ranks of the nondecreasing
-tuples, unranked run by run and weighted by their multiplicities.  All block
-kinds, sampled draws too, form their terms in one routine, _tuple_terms,
-from slot coordinate columns made once per call.  One pass can reduce to
-several exponents, which is how cauchy_schwarz_check gets its three forms.
+tuples, unranked run by run and weighted by their multiplicities.  Every
+block kind, sampled draws too, forms its terms in _tuple_terms from slot
+columns made once per call (ranked tuples and draws CHUNK at a time); one
+pass can reduce to several exponents: cauchy_schwarz_check's three forms.
 
 An index set E_j enters only by restricting slot j to its atoms, so set
 forms enumerate and count E_1 x ... x E_k, with the whole measure's tau.
@@ -42,6 +42,9 @@ from .measure import WeightedPointMeasure, _check_k_alpha
 
 DEFAULT_BUDGET = 10_000_000
 TAU_SCALE = 1e-12
+# Tuples an index-array block forms at once: ~2 MB of columns, differences and
+# cofactor products at k = 3, not a whole block's ~24 MB.  Terms are per tuple.
+CHUNK = 1 << 14
 
 
 class BudgetExceededError(RuntimeError):
@@ -89,6 +92,12 @@ def difference_threshold(measures) -> float:
     center = np.average(pts, axis=0, weights=w if np.sum(w) > 0.0 else None)
     spread = 2.0 * float(np.max(np.linalg.norm(pts - center, axis=1)))
     return TAU_SCALE * spread ** (len(measures) - 1)
+
+
+def _check_gamma(gamma) -> None:
+    """A named error for a kernel exponent that is nan or infinite."""
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
 
 
 def _values_for_slots(measures, fs):
@@ -221,8 +230,13 @@ def _enumerate(points_list, values_list, pinned: bool, symmetric: bool,
         if not symmetric:
             return reduce(*_product_terms(cols_list, values_list, start, stop,
                                           pinned), None)
-        idx, mult = _unrank_block(start, stop, tables)
-        return reduce(*_tuple_terms(cols_list, values_list, idx, pinned), mult)
+        # terms chunk by chunk into block-length arrays; one reduce per block
+        dets, wprod, mult = np.empty((3, stop - start))
+        for s in range(0, stop - start, CHUNK):
+            e = min(s + CHUNK, stop - start)
+            idx, mult[s:e] = _unrank_block(start + s, start + e, tables)
+            dets[s:e], wprod[s:e] = _tuple_terms(cols_list, values_list, idx, pinned)
+        return reduce(dets, wprod, mult)
 
     return total, parallel.map_blocks(block, parallel.block_ranges(visited))
 
@@ -231,6 +245,8 @@ def _enumerate_form(points_list, values_list, tau: float, symmetric: bool,
                     gammas, pinned: bool, budget: int) -> list:
     """Exact forms at each exponent in gammas, from one enumeration over the
     product of the slots (see _enumerate for symmetric)."""
+    for g in gammas:
+        _check_gamma(g)
 
     def reduce(dets, wprod, mult):
         included = dets > tau
@@ -314,9 +330,10 @@ def det_form_sampled(mu, k: int, gamma: float, *, samples: int,
     count times the sample mean of the integrand, which is unbiased for the
     exact sum.  stderr is the standard error of that estimate.  The call
     holds about 8 bytes per sample plus one index byte per slot and sample
-    (two above 256 atoms, four above 65,536).
+    (two above 256 atoms, four above 65,536); stderr reuses the integrand.
     """
     points_list, vals, tau, _ = _form_slots(mu, k, None, tau, pinned)
+    _check_gamma(gamma)
     if type(samples) is bool or not isinstance(samples, numbers.Integral) or samples < 2:
         raise ValueError(f"samples must be an integer of at least 2, got {samples!r}")
     samples = int(samples)
@@ -332,17 +349,24 @@ def det_form_sampled(mu, k: int, gamma: float, *, samples: int,
     integrand = np.zeros(samples)
 
     def block(start, stop):
-        dets, wprod = _tuple_terms(cols_list, vals, [ix[start:stop].astype(np.intp)
-                                                     for ix in idx], pinned)
-        included = dets > tau
-        # d ** -0.0 is 1.0, so gamma = 0 leaves the products' bits
-        integrand[start:stop][included] = wprod[included] * dets[included] ** (-gamma)
-        return int(np.count_nonzero(~included))
+        excluded = 0
+        for s in range(start, stop, CHUNK):
+            e = min(s + CHUNK, stop)
+            dets, wprod = _tuple_terms(cols_list, vals, [ix[s:e].astype(np.intp)
+                                                         for ix in idx], pinned)
+            included = dets > tau
+            # d ** -0.0 is 1.0, so gamma = 0 leaves the products' bits
+            integrand[s:e][included] = wprod[included] * dets[included] ** (-gamma)
+            excluded += int(np.count_nonzero(~included))
+        return excluded
 
     excluded = sum(parallel.map_blocks(block, ranges))
     total = math.prod(sizes)
-    est = float(total * np.mean(integrand))
-    err = float(total * np.std(integrand, ddof=1) / math.sqrt(samples))
+    # np.mean and np.std(ddof=1), step for step, with the deviations in place
+    mean = np.add.reduce(integrand) / samples
+    np.square(np.subtract(integrand, mean, out=integrand), out=integrand)
+    est, var = float(total * mean), np.add.reduce(integrand) / (samples - 1)
+    err = float(total * np.sqrt(var) / math.sqrt(samples))
     return FunctionalResult(value=est, tuples_total=samples,
                             tuples_excluded=excluded, stderr=err)
 

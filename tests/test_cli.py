@@ -142,6 +142,11 @@ class TestFunctional:
         with pytest.raises(SystemExit, match=r"--k must be in \[1, 2\], got 3"):
             main(["functional", cloud_path, "--k", "3", "--gamma", "0.5"])
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+    def test_non_finite_gamma_exits(self, cloud_path, gamma):
+        with pytest.raises(SystemExit, match=f"^--gamma must be finite, got {gamma}$"):
+            main(["functional", cloud_path, "--k", "1", f"--gamma={gamma}"])
+
     def test_repeated_index_exits(self, cloud_path, tmp_path):
         sets_path = tmp_path / "sets.json"
         sets_path.write_text(json.dumps([[0, 0], [1]]))

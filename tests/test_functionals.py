@@ -70,6 +70,16 @@ def oracle_unpinned(mu, gamma, tau):
     return math.fsum(terms)
 
 
+def traced_peak(call) -> int:
+    """Peak bytes tracemalloc sees during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestExactForms:
     def test_two_atom_distance_kernel(self):
         # k = 1 with gamma = -1 integrates the pairwise distance
@@ -93,6 +103,25 @@ class TestExactForms:
         want = oracle_pinned(three_atoms, -0.5, tau)
         got = det_form_pinned(three_atoms, 2, -0.5)
         assert got.value == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_gamma(self, cube64, gamma):
+        # a nan or infinite exponent gave a nan or inf form, and a
+        # Cauchy-Schwarz check of (lhs, nan, False) or one that passed at inf
+        calls = [lambda: det_form(cube64, 2, gamma),
+                 lambda: det_form_pinned(cube64, 2, gamma),
+                 lambda: det_form_sampled(cube64, 2, gamma, samples=10),
+                 lambda: cauchy_schwarz_check(cube64, 2, gamma, [np.arange(8)] * 2)]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"gamma must be finite, got {gamma}"):
+                call()
+
+    def test_exact_form_peak(self, monkeypatch):
+        # symmetric blocks form their terms CHUNK tuples at a time; a whole
+        # block's columns and cofactor products traced ~26 MB here
+        monkeypatch.setenv("DETCURVE_THREADS", "1")
+        mu = generate(GeneratorSpec("sphere_uniform", 3, 56, 0))
+        assert traced_peak(lambda: det_form(mu, 3, 0.5)) <= 10_000_000
 
     def test_unpinned_collinear_atoms_vanish(self, three_atoms):
         # (1,0), (0,1), (.5,.5) are collinear: every distinct triple drops out
@@ -474,6 +503,15 @@ class TestSampledForm:
         assert (peaks[1] - peaks[0]) / 500_000 <= 16
 
 
+    def test_peak_per_sample(self, monkeypatch):
+        # 4 index bytes and the 8-byte integrand, whose deviations are taken
+        # in place: np.std's copy of them made 20 bytes per sample
+        monkeypatch.setenv("DETCURVE_THREADS", "1")
+        mu = generate(GeneratorSpec("sphere_uniform", 3, 80, 0))
+        peak = traced_peak(lambda: det_form_sampled(mu, 3, 0.5, samples=4_000_000))
+        assert peak / 4_000_000 <= 16
+
+
 class TestWeakTypeProbe:
     def test_probe_shape_and_witness(self, cube64):
         res = weak_type_probe(cube64, 2, 0.5, 1.0, trials=8, seed=0)
@@ -796,6 +834,10 @@ class TestKernelPaths:
         pytest.param(2, True, 300, 2 * parallel.BLOCK + 1, id="2-True-300"),
         pytest.param(2, False, 300, 1000, id="2-False-300-short"),
         pytest.param(3, False, 80, 777, id="3-False-short"),
+        # a chunk split inside the only block, and inside the second
+        pytest.param(3, False, 80, functionals.CHUNK + 3, id="3-False-chunk-split"),
+        pytest.param(2, True, 300, parallel.BLOCK + functionals.CHUNK + 5,
+                     id="2-True-300-chunk-split"),
     ])
     def test_sampled_equals_single_batch(self, monkeypatch, threads, k, pinned,
                                          n, samples):
@@ -820,6 +862,32 @@ class TestKernelPaths:
         assert got.stderr == float(total * np.std(integrand, ddof=1)
                                    / math.sqrt(samples))
         assert got.tuples_excluded == int(np.count_nonzero(~included))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("chunk", [1, 7, 1000, 1 << 17])
+    def test_chunks_keep_bits(self, monkeypatch, threads, chunk):
+        # blocks of 1200 tuples or draws, cut into chunks of one, of 7, of
+        # 1000 (1000 + 200) and whole, against the default chunk at 1 thread
+        monkeypatch.setattr(parallel, "BLOCK", 1200)
+        atoms = {1: 1400, 2: 52, 3: 19, 4: 12}  # 1330-1400 ranked tuples
+
+        def forms():
+            exact = [form(generate(GeneratorSpec("sphere_uniform", 3,
+                                                 atoms[k if pinned else k + 1], k)),
+                          k, 0.5)
+                     for k in (1, 2, 3) for pinned, form
+                     in ((True, det_form_pinned), (False, det_form))]
+            # one-byte (80 atoms) and two-byte (300 atoms) index stores
+            sampled = [det_form_sampled(generate(GeneratorSpec("sphere_uniform", 3, n, 0)),
+                                        k, 0.5, samples=1500, seed=5, pinned=pinned)
+                       for n, k, pinned in ((80, 3, False), (300, 2, True))]
+            return exact + sampled
+
+        monkeypatch.setenv("DETCURVE_THREADS", "1")
+        want = forms()
+        monkeypatch.setenv("DETCURVE_THREADS", threads)
+        monkeypatch.setattr(functionals, "CHUNK", chunk)
+        assert forms() == want
 
     def test_dyadic_layers_equal_level_loop(self):
         # 400 x 401 tuples span two blocks; uneven weights make order matter

@@ -262,11 +262,34 @@ def test_vertex_det_scan_flags_every_spelling():
     assert name_uses(src, "_vertex_dets") == [(None, 1), ("f", 5), (None, 7)]
 
 
+def unchunked_term_uses(source: str) -> list:
+    """name_uses of _tuple_terms outside _product_terms and outside every
+    loop over CHUNK-long sub-ranges: a block gathering all its terms at once."""
+    chunked = {node.lineno for loop in ast.walk(ast.parse(source))
+               if isinstance(loop, ast.For) and "CHUNK" in ast.unparse(loop.iter)
+               for node in ast.walk(loop) if hasattr(node, "lineno")}
+    return [(top, line) for top, line in name_uses(source, "_tuple_terms")
+            if top != "_product_terms" and line not in chunked]
+
+
+def test_unchunked_term_scan_flags_a_full_block_call():
+    src = ("def _product_terms(c, v, a, b, p):\n    return _tuple_terms(c, v, a, p)\n"
+           "def _enumerate(c, v, p):\n    def block(start, stop):\n"
+           "        for s in range(start, stop, CHUNK):\n"
+           "            t = _tuple_terms(c, v, s, p)\n"
+           "        return _tuple_terms(c, v, (start, stop), p)\n")
+    assert unchunked_term_uses(src) == [("_enumerate", 7)]
+
+
 def test_one_term_routine_forms_the_determinants():
     # product rectangles, ranked tuples and sampled draws all form their
-    # determinants and slot-value products in functionals._tuple_terms
+    # determinants and slot-value products in functionals._tuple_terms;
+    # index-array blocks call it CHUNK tuples at a time, never on a block
     source = (ROOT / "src/detcurve/functionals.py").read_text(encoding="utf-8")
     assert [name for name, _ in name_uses(source, "_vertex_dets")] == ["_tuple_terms"]
+    assert {name for name, _ in name_uses(source, "_tuple_terms")} == {
+        "_product_terms", "_enumerate", "det_form_sampled"}
+    assert unchunked_term_uses(source) == []
 
 
 def reciprocal_round_trips(source: str) -> list:
