@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from .curvature import default_family, estimate_curvature_constant
-from .functionals import (_check_gamma, _index_sets, default_det_threshold,
-                          det_form, det_form_pinned, det_form_sampled,
-                          difference_threshold)
+from .functionals import (BudgetExceededError, _check_gamma, _index_sets,
+                          default_det_threshold, det_form, det_form_pinned,
+                          det_form_sampled, difference_threshold)
 from .lab import BUNDLED_SCENARIOS, ScenarioConfig, get_scenario, run_scenario
 from .measure import WeightedPointMeasure, _check_k_alpha, load_point_cloud
 from .reporting import emit_report
@@ -45,6 +46,11 @@ def _check_flags(mu, k, alpha=None, gamma=0.0):
 
 
 def _cmd_analyze(args) -> int:
+    for flag, value in (("--frames", args.frames), ("--refine", args.refine)):
+        if value < 0:
+            raise SystemExit(f"{flag} must be a nonnegative count, got {value}")
+    if args.floor is not None and not (args.floor >= 0 and math.isfinite(args.floor)):
+        raise SystemExit(f"--floor must be a finite nonnegative length, got {args.floor}")
     mu = load_point_cloud(args.cloud)
     _check_flags(mu, args.k, args.alpha)
     family = default_family(mu, n_frames=args.frames, floor=args.floor,
@@ -93,16 +99,20 @@ def _cmd_functional(args) -> int:
         slots = _load_sets(args.sets, m, mu)
         tau = (default_det_threshold(mu, args.k) if args.pinned
                else difference_threshold([mu] * m))
-    if args.samples:
-        result = det_form_sampled(slots, args.k, args.gamma, tau=tau,
-                                  samples=args.samples, seed=args.seed,
-                                  pinned=args.pinned)
-    elif args.pinned:
-        result = det_form_pinned(slots, args.k, args.gamma, tau=tau,
-                                 budget=args.budget)
-    else:
-        result = det_form(slots, args.k, args.gamma, tau=tau,
-                          budget=args.budget)
+    try:
+        if args.samples:
+            result = det_form_sampled(slots, args.k, args.gamma, tau=tau,
+                                      samples=args.samples, seed=args.seed,
+                                      pinned=args.pinned)
+        elif args.pinned:
+            result = det_form_pinned(slots, args.k, args.gamma, tau=tau,
+                                     budget=args.budget)
+        else:
+            result = det_form(slots, args.k, args.gamma, tau=tau,
+                              budget=args.budget)
+    except BudgetExceededError as exc:
+        raise SystemExit(f"--budget: {exc}; raise --budget or sample with "
+                         f"--samples") from exc
     out = {
         "value": result.value,
         "tuples_total": result.tuples_total,

@@ -9,16 +9,17 @@ Estimates are therefore certified lower bounds for the true constant, with a
 deterministic local refinement to tighten them.  The constant search, the
 min-content search at every mass level and the slab check read one (frames x
 length tuples) table, _centred_masses, kept on the family with the last
-measure it swept: a family keeps that measure alive.  The slab, Gaussian,
-weak-type and radius-quantile checks read the level masses mu({f <= t}) of a
-per-atom value f from one primitive, _level_masses.
+measure it swept: a family keeps that measure alive; both searches maximise
+one objective(mass, content) on it and in refinement (_grid_then_refine).
+The slab, Gaussian, weak-type and radius-quantile checks read the level
+masses mu({f <= t}) of a per-atom value f from one primitive, _level_masses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -123,6 +124,9 @@ def default_frames(dim: int, n_random: int = 64, seed: int = 0,
     centered covariance) and from seeded random atom subsets, so flat or
     stretched directions in the data show up as candidate axes.
     """
+    for name, count in (("n_random", n_random), ("n_pca", n_pca)):
+        if count < 0:
+            raise ValueError(f"{name} must be a nonnegative count, got {count}")
     rng = np.random.default_rng(seed)
     frames = [np.eye(dim)]
 
@@ -332,12 +336,12 @@ def _givens(d: int, i: int, j: int, theta: float) -> np.ndarray:
     return g
 
 
-def _refine(frame: np.ndarray, lengths: np.ndarray, floor: float, budget: int,
-            score_fn, minimize: bool):
-    """First-improvement hill climb over axis rescalings and small rotations.
+def _refine(frame: np.ndarray, lengths: np.ndarray, floor: float, budget: int, score_fn):
+    """First-improvement hill climb of score_fn over axis rescalings and
+    small rotations: (score, frame, lengths) after at most budget moves.
 
-    Deterministic: moves are tried in a fixed cycle and only strict
-    improvements are accepted.  Lengths never go below the floor.
+    Moves are tried in a fixed cycle and only strictly higher scores are
+    accepted.  Lengths never go below the floor.
     """
     d = lengths.shape[0]
     step = 2.0 ** 0.25
@@ -357,21 +361,16 @@ def _refine(frame: np.ndarray, lengths: np.ndarray, floor: float, budget: int,
                     q, r = np.linalg.qr(rot)
                     yield q * np.sign(np.diag(r)), ln
 
-    best = score_fn(frame, lengths)
-    evals = 0
-    improved = True
-    while improved and evals < budget:
+    best, evals, improved = score_fn(frame, lengths), 0, True
+    while improved:
         improved = False
-        for cand_frame, cand_lengths in proposals(frame, lengths):
-            if evals >= budget:
-                break
+        for cand_frame, cand_lengths in islice(proposals(frame, lengths), budget - evals):
             score = score_fn(cand_frame, cand_lengths)
             evals += 1
-            if (score < best) if minimize else (score > best):
-                frame, lengths, best = cand_frame, cand_lengths, score
-                improved = True
+            if score > best:
+                best, frame, lengths, improved = score, cand_frame, cand_lengths, True
                 break
-    return frame, lengths, best
+    return best, frame, lengths
 
 
 def _single_mass(mu: WeightedPointMeasure, frame: np.ndarray,
@@ -392,36 +391,40 @@ def _centred_masses(mu: WeightedPointMeasure, family: EllipsoidFamily) -> np.nda
     return masses
 
 
-def _grid_then_refine(family: EllipsoidFamily, tuples: np.ndarray,
-                      table: np.ndarray, score, refine: int, minimize: bool,
-                      fallback=None) -> Ellipsoid:
-    """Witness of a grid search over the centred members, refined locally.
+def _grid_then_refine(mu: WeightedPointMeasure, family: EllipsoidFamily, k: int,
+                      objective, refine: int, fallback=None) -> Ellipsoid:
+    """Witness of the largest objective(mass, content) over the centred
+    members, content the product of the k largest semi-lengths, refined.
 
-    table (frames, T) scores every member; each frame's best column is its
-    start, except that a frame whose least score is +inf has none when
-    minimising.  fallback() gives the start (value, frame, lengths) if no
-    frame has one.  The best three starts get refine // n_starts
-    evaluations of score each, and only a strictly better refined score
-    replaces the best.
+    One expression scores the (frames, T) table of _centred_masses and each
+    refinement proposal's _single_mass.  Each frame's best column is its
+    start, except that a frame whose best score is -inf has none;
+    fallback() gives the start (value, frame, lengths) if no frame has one.
+    The best three starts get refine // n_starts evaluations each, and only
+    a strictly higher refined score replaces the best.
     """
-    cols = np.argmin(table, axis=1) if minimize else np.argmax(table, axis=1)
+    if refine < 0:
+        raise ValueError(f"refine must be a nonnegative count, got {refine}")
+    tuples = family.length_tuples()
+    table = objective(_centred_masses(mu, family), _top_k_products(tuples, k))
+    cols = np.argmax(table, axis=1)
     best = table[np.arange(len(cols)), cols]
-    starts = [(float(v), frame, tuples[t])
-              for v, frame, t in zip(best, family.frames, cols)
-              if not (minimize and v == math.inf)]
-    starts = starts or [fallback()]
-    starts.sort(key=lambda s: s[0], reverse=not minimize)
+    starts = [(float(v), frame, tuples[t]) for v, frame, t in zip(best, family.frames, cols)
+              if v != -math.inf] or [fallback()]
+    starts.sort(key=lambda s: s[0], reverse=True)
 
-    best_score, best_frame, best_lengths = starts[0]
+    def score(frame, lengths):
+        return objective(_single_mass(mu, frame, lengths),
+                         _top_k_products(lengths[None, :], k)[0])
+
+    best = starts[0]
     if refine > 0:
         n_starts = min(3, len(starts))
-        for _, frame, lengths in starts[:n_starts]:
-            fr, ln, sc = _refine(np.array(frame), np.array(lengths, dtype=float),
-                                 family.floor, max(1, refine // n_starts), score,
-                                 minimize)
-            if (sc < best_score) if minimize else (sc > best_score):
-                best_score, best_frame, best_lengths = sc, fr, ln
-    return Ellipsoid(best_lengths, frame=best_frame)
+        refined = [_refine(np.array(frame), np.array(lengths, dtype=float), family.floor,
+                           max(1, refine // n_starts), score)
+                   for _, frame, lengths in starts[:n_starts]]
+        best = max([best, *refined], key=lambda s: s[0])  # the first of the highest
+    return Ellipsoid(best[2], frame=best[1])
 
 
 def estimate_curvature_constant(mu: WeightedPointMeasure, k: int, alpha: float,
@@ -433,16 +436,8 @@ def estimate_curvature_constant(mu: WeightedPointMeasure, k: int, alpha: float,
     search evaluation budget (0 disables it).
     """
     _check_k_alpha(mu, k, alpha)
-    tuples = family.length_tuples()
-    ratios = _centred_masses(mu, family) / _top_k_products(tuples, k) ** alpha
-
-    def score(frame, lengths):
-        content = float(_top_k_products(lengths[None, :], k)[0])
-        if content <= 0.0:
-            return -math.inf
-        return _single_mass(mu, frame, lengths) / content ** alpha
-
-    witness = _grid_then_refine(family, tuples, ratios, score, refine, minimize=False)
+    witness = _grid_then_refine(mu, family, k,
+                                lambda mass, content: mass / content ** alpha, refine)
     constant = curvature_ratio(mu, witness, k, alpha)
     return CurvatureEstimate(alpha=alpha, constant=constant, witness=witness,
                              family_size=family.size)
@@ -455,7 +450,10 @@ def min_content_at_mass(mu: WeightedPointMeasure, k: int, eps: float,
     Returns (delta_hat, witness) with delta_hat an upper bound for the true
     infimum.  For k = 1 the infimum is exact: an ellipsoid is contained in
     the ball of its largest semi-length, so centered balls are optimal and
-    the answer is the radius quantile at mass eps.
+    the answer is the radius quantile at mass eps.  Otherwise the search
+    maximises -content, -inf below mass eps: negation is exact, and argmax
+    and the descending stable sort break ties as argmin and an ascending
+    sort of the contents would.
     """
     _check_k_alpha(mu, k)
     if not 0 < eps <= mu.total_mass + 1e-9:
@@ -472,19 +470,11 @@ def min_content_at_mass(mu: WeightedPointMeasure, k: int, eps: float,
         for _ in range(128):
             radius *= 2.0
             if eval_measure(mu, Ellipsoid.ball(radius, mu.dim)) >= eps_eff:
-                return radius ** k, np.eye(mu.dim), np.full(mu.dim, radius)
+                return -radius ** k, np.eye(mu.dim), np.full(mu.dim, radius)
         raise RuntimeError("could not reach the requested mass level")
 
-    def score(frame, lengths):
-        if _single_mass(mu, frame, lengths) < eps_eff:
-            return math.inf
-        return float(_top_k_products(lengths[None, :], k)[0])
-
-    tuples = family.length_tuples()
-    table = np.where(_centred_masses(mu, family) >= eps_eff,
-                     _top_k_products(tuples, k), math.inf)
-    witness = _grid_then_refine(family, tuples, table, score, refine,
-                                minimize=True, fallback=grow_ball)
+    witness = _grid_then_refine(mu, family, k, lambda mass, content: np.where(
+        mass >= eps_eff, -content, -math.inf), refine, fallback=grow_ball)
     return k_content(witness, k), witness
 
 

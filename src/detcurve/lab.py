@@ -121,6 +121,8 @@ def rwt_series_constant(k: int, alpha: float, gamma: float) -> float:
 def rwt_bound(k: int, alpha: float, gamma: float, curvature: float,
               set_masses) -> float:
     """Explicit weak-type bound for the normalized set form."""
+    if not (curvature >= 0 and math.isfinite(curvature)):
+        raise ValueError(f"curvature must be finite and nonnegative, got {curvature}")
     exponent = 1.0 - gamma / (k * alpha)
     p = math.prod(float(m) ** exponent for m in set_masses)
     return rwt_series_constant(k, alpha, gamma) \
@@ -184,6 +186,10 @@ class ScenarioConfig:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.refine < 0:
+            raise ValueError(f"refine must be a nonnegative count, got {self.refine}")
+        if not (self.slack >= 0 and math.isfinite(self.slack)):
+            raise ValueError(f"slack must be finite and nonnegative, got {self.slack}")
         eps = tuple(float(e) for e in self.eps_grid)
         if any(not 0 < e <= 1 for e in eps):
             raise ValueError("eps_grid values must lie in (0, 1]")

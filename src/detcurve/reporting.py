@@ -14,21 +14,14 @@ import io
 import json
 import platform
 from dataclasses import dataclass, field
-from importlib import metadata
 
 import numpy as np
 
 
-def _package_version() -> str:
-    try:
-        return metadata.version("detcurve")
-    except metadata.PackageNotFoundError:
-        return "0.0.0"
-
-
 def runtime_versions() -> dict:
+    from . import __version__  # set once the package's imports are done
     return {
-        "detcurve": _package_version(),
+        "detcurve": __version__,
         "numpy": np.__version__,
         "python": platform.python_version(),
     }

@@ -1,6 +1,9 @@
 """End-to-end command-line tests run in process through main()."""
 
 import json
+import os
+import subprocess
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -15,7 +18,8 @@ from detcurve.measure import (GeneratorSpec, generate, load_point_cloud,
                               save_point_cloud)
 from detcurve.reporting import runtime_versions
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -46,8 +50,31 @@ class TestAnalyze:
         with pytest.raises(SystemExit, match=message):
             main(["analyze", cloud_path, *flags])
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--frames", "-3", "--frames must be a nonnegative count, got -3"),
+        ("--refine", "-3", "--refine must be a nonnegative count, got -3"),
+        ("--floor", "-1", "--floor must be a finite nonnegative length, got -1.0"),
+        ("--floor", "nan", "--floor must be a finite nonnegative length, got nan")])
+    def test_bad_family_flag_exits(self, cloud_path, flag, value, message):
+        # negative counts used to run with fewer frames or no refinement, and
+        # a bad floor ended in a traceback from the family
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", cloud_path, "--k", "2", "--alpha", "1.0", flag, value])
+        assert exc.value.code == message
+
 
 class TestFunctional:
+    def test_budget_overrun_exits_with_one_line(self, cloud_path):
+        # it used to end in a BudgetExceededError traceback
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-m", "detcurve.cli", "functional",
+                              cloud_path, "--k", "2", "--gamma", "0.5", "--budget", "10"],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 1 and run.stdout == ""
+        assert run.stderr.endswith("\n") and run.stderr.count("\n") == 1
+        assert run.stderr.startswith("--budget: ") and "--samples" in run.stderr
+
     def test_plain_form(self, cloud_path, capsys):
         code = main(["functional", cloud_path, "--k", "1", "--gamma", "0.5"])
         assert code == 0

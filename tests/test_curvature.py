@@ -892,9 +892,10 @@ class TestSlabDedup:
 # the curvature entry points on the d = 2 cube, with the arguments each takes
 CURVATURE_ENTRIES = {
     "estimate_curvature_constant": (lambda mu, a: estimate_curvature_constant(
-        mu, a["k"], a["alpha"], a["family"], refine=0), ("k", "alpha", "family")),
+        mu, a["k"], a["alpha"], a["family"], refine=a["refine"]),
+        ("k", "alpha", "family", "refine")),
     "min_content_at_mass": (lambda mu, a: min_content_at_mass(
-        mu, a["k"], 0.5, a["family"], refine=0), ("k", "family")),
+        mu, a["k"], 0.5, a["family"], refine=a["refine"]), ("k", "family", "refine")),
     "slab_implication_check": (lambda mu, a: slab_implication_check(
         mu, a["k"], a["alpha"], a["family"]), ("k", "alpha", "family")),
     "maximal_function": (lambda mu, a: maximal_function(
@@ -909,11 +910,13 @@ BAD_ARGUMENTS = [
     ("alpha", -1.0, "alpha must be positive"),
     ("alpha", math.inf, "alpha must be positive and finite, got inf"),
     ("family", 3, "family dimension 3 does not match the measure's 2"),
+    # a negative budget used to run with no refinement
+    ("refine", -5, "refine must be a nonnegative count, got -5"),
 ]
 
 
 def entry_arguments(**override):
-    args = {"k": 2, "alpha": 1.0, "family": 2, **override}
+    args = {"k": 2, "alpha": 1.0, "family": 2, "refine": 0, **override}
     args["family"] = EllipsoidFamily.dyadic(args["family"], -4, 0,
                                             mode="doubling_dyadic")
     return args
@@ -933,6 +936,50 @@ class TestArgumentChecks:
     @pytest.mark.parametrize("entry", sorted(CURVATURE_ENTRIES))
     def test_valid_arguments_run(self, cube64, entry):
         CURVATURE_ENTRIES[entry][0](cube64, entry_arguments())
+
+    @pytest.mark.parametrize("option,name,value", [
+        ("n_frames", "n_random", -2), ("n_pca", "n_pca", -1)])
+    def test_negative_frame_counts(self, cube64, option, name, value):
+        # they used to drop the random frames or the subset frames silently
+        with pytest.raises(ValueError, match=f"{name} must be a nonnegative count, "
+                                             f"got {value}"):
+            default_family(cube64, **{option: value})
+
+
+class TestOneObjective:
+    """Both family searches maximise one objective(mass, content) in
+    _grid_then_refine; min_content_at_mass maximises -content."""
+
+    def test_ties_keep_the_first_frame_and_column(self, cube64):
+        # the axis swap maps cube64 onto itself, so both frames' tables hold
+        # the same scores in other columns, and each has tied best columns
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        fam = EllipsoidFamily.dyadic(2, -4, 0, frames=(np.eye(2), swap),
+                                     floor=cube64.median_nn)
+        masses = curvature._centred_masses(cube64, fam)
+        tuples = fam.length_tuples()
+        content = np.prod(tuples, axis=1)
+        tables = [masses / content]
+        witnesses = [estimate_curvature_constant(cube64, 2, 1.0, fam, refine=0).witness]
+        for eps in (0.1, 0.3):
+            tables.append(np.where(masses >= eps - 1e-9, -content, -math.inf))
+            witnesses.append(min_content_at_mass(cube64, 2, eps, fam, refine=0)[1])
+        for table, witness in zip(tables, witnesses):
+            best = table.max(axis=1)
+            assert best[0] == best[1] and np.sum(table[0] == best[0]) >= 2
+            col = np.flatnonzero(table[0] == best[0])[0]
+            assert np.array_equal(witness.frame, np.eye(2))
+            assert np.array_equal(witness.semi_lengths, tuples[col])
+
+    def test_refined_fallback_beats_the_grown_ball(self, cube64):
+        # no member reaches mass 0.9, so the start is the grown ball; its
+        # score is -content, and refinement must find a smaller content
+        fam = EllipsoidFamily.dyadic(2, -6, -4, floor=0.0)
+        grown, ball = min_content_at_mass(cube64, 2, 0.9, fam, refine=0)
+        assert np.array_equal(ball.semi_lengths, [2.0, 2.0])
+        delta, witness = min_content_at_mass(cube64, 2, 0.9, fam, refine=40)
+        assert eval_measure(cube64, witness) >= 0.9
+        assert delta == k_content(witness, 2) < grown
 
 
 # the inline distribution functions that curvature._level_masses replaced

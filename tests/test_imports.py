@@ -8,7 +8,9 @@ some program in src/ or bench/ outside a named allow-list; lab
 imports no private name of another module, no exponent comes from log2,
 functionals forms determinants in _tuple_terms alone, geometry._inside
 alone sums ellipsoid membership terms, and neither importing the package
-nor running its commands loads scipy."""
+nor running its commands loads scipy, and importing it leaves
+importlib.metadata unloaded; both curvature searches maximise one
+objective in _grid_then_refine."""
 
 import ast
 import importlib
@@ -320,6 +322,40 @@ def test_one_membership_routine():
         assert reciprocal_round_trips(src) == [], mod
 
 
+def parameter_names(source: str) -> set:
+    """Every parameter name of every def and lambda in the source."""
+    return {arg.arg for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            for arg in [*node.args.posonlyargs, *node.args.args, node.args.vararg,
+                        *node.args.kwonlyargs, node.args.kwarg] if arg is not None}
+
+
+def test_search_scan_flags_a_second_objective():
+    src = ("def _refine(fr, ln, score_fn, minimize):\n    return score_fn(fr, ln)\n"
+           "def _grid_then_refine(mu, fam):\n    def score(fr, ln):\n"
+           "        return _single_mass(mu, fr, ln)\n"
+           "    return curvature._centred_masses(mu, fam)\n"
+           "def estimate(mu, fam, *, scale=lambda minimize: 1):\n"
+           "    mass = _single_mass\n    return mass(mu, fam, 0)\n"
+           "g = lambda a, /, *b, **c: a\n")
+    # minimize as a parameter of _refine and of the default's lambda
+    assert parameter_names(src) == {"fr", "ln", "score_fn", "minimize", "mu", "fam",
+                                    "scale", "a", "b", "c"}
+    assert name_uses(src, "_single_mass") == [("_grid_then_refine", 5), ("estimate", 8)]
+    assert name_uses(src, "_centred_masses") == [("_grid_then_refine", 6)]
+
+
+def test_one_objective_per_search():
+    # estimate_curvature_constant and min_content_at_mass each hand one
+    # objective(mass, content) to _grid_then_refine, which alone scores
+    # the grid table and the refinement proposals, and always maximises
+    source = (ROOT / "src/detcurve/curvature.py").read_text(encoding="utf-8")
+    assert "minimize" not in parameter_names(source)
+    assert {top for top, _ in name_uses(source, "_single_mass")} == {"_grid_then_refine"}
+    assert {top for top, _ in name_uses(source, "_centred_masses")} == {
+        "_grid_then_refine", "slab_implication_check"}
+
+
 def _package_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
@@ -332,6 +368,15 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=_package_env(),
                          check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_import_leaves_importlib_metadata_unloaded():
+    # reports read detcurve.__version__, which also holds when the package
+    # runs from src/ uninstalled; the metadata lookup cost every cold import
+    code = "import sys, detcurve; print('importlib.metadata' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_commands_leave_scipy_unloaded(tmp_path):

@@ -85,6 +85,13 @@ class TestSeriesConstant:
         hi = rwt_bound(2, 1.0, 0.5, 4.0, [1.0, 1.0])
         assert hi == pytest.approx(2.0 * lo, rel=1e-12)
 
+    @pytest.mark.parametrize("curvature", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_curvature(self, curvature):
+        # a negative constant raised to gamma / alpha used to give a complex bound
+        with pytest.raises(ValueError, match="curvature must be finite and "
+                                             f"nonnegative, got {curvature}"):
+            rwt_bound(2, 1.0, 0.5, curvature, [1.0, 1.0])
+
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
             rwt_series_constant(2, 1.0, 1.0)
@@ -132,7 +139,12 @@ class TestScenarioConfig:
         ("alpha", float("inf"), "alpha must be positive and finite, got inf"),
         ("alpha", float("nan"), "alpha must be positive and finite, got nan"),
         ("trials", 0, "trials must be at least 1, got 0"),
-        ("trials", -3, "trials must be at least 1, got -3")])
+        ("trials", -3, "trials must be at least 1, got -3"),
+        # refine -5 used to run with no refinement; a negative slack made the
+        # weak-type bound complex, and slack nan made it nan
+        ("refine", -5, "refine must be a nonnegative count, got -5"),
+        ("slack", -2.0, "slack must be finite and nonnegative, got -2.0"),
+        ("slack", float("nan"), "slack must be finite and nonnegative, got nan")])
     def test_rejects_by_name(self, field, value, message):
         # trials 0 used to pass cauchy-schwarz-duality with lhs -inf
         with pytest.raises(ValueError, match=message):

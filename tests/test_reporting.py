@@ -1,10 +1,13 @@
 """Check records and scenario reports: serialization and summary lines."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import detcurve
 from detcurve.reporting import (
     CheckRecord,
     ScenarioReport,
@@ -135,3 +138,10 @@ class TestVersions:
     def test_keys_present(self):
         v = runtime_versions()
         assert set(v) == {"detcurve", "numpy", "python"}
+
+    def test_package_version_is_the_project_version(self):
+        # the metadata lookup read 0.0.0 whenever the package ran from src/
+        pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(
+            encoding="utf-8")
+        project = re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1)
+        assert runtime_versions()["detcurve"] == detcurve.__version__ == project
