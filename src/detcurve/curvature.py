@@ -110,10 +110,9 @@ class EllipsoidFamily:
                floor: float = 0.0, mode: str = "scale_floored_search") -> "EllipsoidFamily":
         if j_max < j_min:
             raise ValueError("j_max must be at least j_min")
-        if frames is None:
-            frames = (np.eye(dim),)
+        frames = (np.eye(dim),) if frames is None else tuple(frames)
         grid = 2.0 ** np.arange(j_min, j_max + 1)
-        return cls(frames=tuple(frames), length_grid=grid, floor=floor, mode=mode)
+        return cls(frames=frames, length_grid=grid, floor=floor, mode=mode)
 
 
 def default_frames(dim: int, n_random: int = 64, seed: int = 0,
@@ -132,9 +131,7 @@ def default_frames(dim: int, n_random: int = 64, seed: int = 0,
 
     def pca_frame(pts, center):
         x = pts - pts.mean(axis=0) if center else pts
-        moment = x.T @ x
-        _, vecs = np.linalg.eigh(moment)
-        return vecs
+        return np.linalg.eigh(x.T @ x)[1]
 
     if points is not None:
         points = np.asarray(points, dtype=float)
@@ -148,10 +145,8 @@ def default_frames(dim: int, n_random: int = 64, seed: int = 0,
                 frames.append(pca_frame(points[sub], center=True))
 
     for _ in range(n_random):
-        raw = rng.standard_normal((dim, dim))
-        q, r = np.linalg.qr(raw)
-        q = q * np.sign(np.diag(r))
-        frames.append(q)
+        q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+        frames.append(q * np.sign(np.diag(r)))
     return frames
 
 
@@ -210,8 +205,7 @@ def curvature_ratio(mu: WeightedPointMeasure, ellipsoid: Ellipsoid, k: int,
 
 
 def _top_k_products(tuples: np.ndarray, k: int) -> np.ndarray:
-    ordered = np.sort(tuples, axis=1)[:, ::-1]
-    return np.prod(ordered[:, :k], axis=1)
+    return np.prod(np.sort(tuples, axis=1)[:, ::-1][:, :k], axis=1)
 
 
 def _level_masses(values: np.ndarray, weights: np.ndarray) -> tuple:
@@ -238,18 +232,32 @@ def _counts(z: np.ndarray, invsq: np.ndarray) -> np.ndarray:
 
     An atom is inside when s <= 1.0, s summing (z_a * z_a) * (1.0 / l_a) ** 2
     left to right over the axes as geometry._inside does (for d >= 3 the
-    order decides atoms on s == 1).  s falls as the last length grows, so
-    the count of admitting lengths locates the first one.
+    order decides atoms on s == 1; +0.0 + the first term is that term).
+    s falls as the last length grows, so the count of admitting lengths
+    locates the first one.  Each prefix p meets the last term t =
+    fl(q_last * invsq[l]) in one compare: fl(p + t) <= 1.0 exactly when
+    p <= u = RD(1 + 2^-53 - t), as x -> fl(p + x) is monotone and, rounding
+    to nearest even, fl(y) <= 1.0 exactly when y <= 1 + 2^-53 (the midpoint
+    rounds to 1.0).  u = (1 - ceil(t 2^53) 2^-53) + 2^-53 is exact: so are
+    the scalings and ceil; so is 1 - c for c <= 2 (c is a multiple of 2^-53
+    in [0, 0.5], or Sterbenz's lemma applies); so is the last add, but at
+    t = 0, where it rounds to 1.0, the right answer.  For t > 1, u < 0 <= p,
+    and u = -inf when t 2^53 overflows: no length admits the atom.
     """
     *batch, n, d = z.shape
     q = np.moveaxis(z * z, -1, -2)[..., None, :]  # (..., d, 1, N): atoms innermost
-    prefix = np.zeros((*batch, 1, n))
-    for a in range(d - 1):
+    prefix = np.zeros((*batch, 1, n)) if d == 1 else invsq[:, None] * q[..., 0, :, :]
+    for a in range(1, d - 1):
         term = invsq[:, None] * q[..., a, :, :]
         prefix = (prefix[..., :, None, :] + term[..., None, :, :]).reshape(*batch, -1, n)
+    u = invsq[:, None] * q[..., d - 1, :, :]  # t, made u in place: (..., L, N)
+    with np.errstate(over="ignore"):  # t 2^53 = inf gives u = -inf, as it should
+        np.ceil(np.multiply(u, 2.0 ** 53, out=u), out=u)
+    np.add(np.subtract(1.0, np.multiply(u, 2.0 ** -53, out=u), out=u), 2.0 ** -53, out=u)
     count = np.zeros(prefix.shape, dtype=np.min_scalar_type(len(invsq)))
-    for v in invsq:
-        count += prefix + q[..., d - 1, :, :] * v <= 1.0
+    below = np.empty(prefix.shape, dtype=bool)
+    for l in range(len(invsq)):
+        count += np.less_equal(prefix, u[..., l:l + 1, :], out=below)
     return count
 
 
@@ -273,8 +281,7 @@ def _sweep(z: np.ndarray, zc: np.ndarray, values: np.ndarray, weights: np.ndarra
     transposed, to the rows b..N; np.add.at adds in sequence, so each
     centre gets the atoms of earlier tiles, ascending, before its own row.
     """
-    n, d = z.shape
-    p, n_len = zc.shape[0], values.shape[0]
+    (n, d), p, n_len = z.shape, zc.shape[0], values.shape[0]
     invsq = (1.0 / values) ** 2
     n_pre = n_len ** (d - 1)
     row = n_pre * (n_len + 1)
@@ -329,10 +336,7 @@ def _frame_masses(mu: WeightedPointMeasure, family: EllipsoidFamily,
 def _givens(d: int, i: int, j: int, theta: float) -> np.ndarray:
     g = np.eye(d)
     c, s = math.cos(theta), math.sin(theta)
-    g[i, i] = c
-    g[j, j] = c
-    g[i, j] = -s
-    g[j, i] = s
+    g[i, i], g[i, j], g[j, i], g[j, j] = c, -s, s, c
     return g
 
 
@@ -357,8 +361,7 @@ def _refine(frame: np.ndarray, lengths: np.ndarray, floor: float, budget: int, s
         for i in range(d):
             for j in range(i + 1, d):
                 for theta in angles:
-                    rot = fr @ _givens(d, i, j, theta)
-                    q, r = np.linalg.qr(rot)
+                    q, r = np.linalg.qr(fr @ _givens(d, i, j, theta))
                     yield q * np.sign(np.diag(r)), ln
 
     best, evals, improved = score_fn(frame, lengths), 0, True
@@ -403,8 +406,6 @@ def _grid_then_refine(mu: WeightedPointMeasure, family: EllipsoidFamily, k: int,
     The best three starts get refine // n_starts evaluations each, and only
     a strictly higher refined score replaces the best.
     """
-    if refine < 0:
-        raise ValueError(f"refine must be a nonnegative count, got {refine}")
     tuples = family.length_tuples()
     table = objective(_centred_masses(mu, family), _top_k_products(tuples, k))
     cols = np.argmax(table, axis=1)
@@ -436,6 +437,8 @@ def estimate_curvature_constant(mu: WeightedPointMeasure, k: int, alpha: float,
     search evaluation budget (0 disables it).
     """
     _check_k_alpha(mu, k, alpha)
+    if refine < 0:
+        raise ValueError(f"refine must be a nonnegative count, got {refine}")
     witness = _grid_then_refine(mu, family, k,
                                 lambda mass, content: mass / content ** alpha, refine)
     constant = curvature_ratio(mu, witness, k, alpha)
@@ -456,6 +459,8 @@ def min_content_at_mass(mu: WeightedPointMeasure, k: int, eps: float,
     sort of the contents would.
     """
     _check_k_alpha(mu, k)
+    if refine < 0:  # checked before the k = 1 branch, which does not refine
+        raise ValueError(f"refine must be a nonnegative count, got {refine}")
     if not 0 < eps <= mu.total_mass + 1e-9:
         raise ValueError(f"eps must lie in (0, total mass], got {eps}")
     eps_eff = eps - 1e-9 * max(1.0, eps)
@@ -520,8 +525,7 @@ def layer_cake_check(mu: WeightedPointMeasure, q: np.ndarray) -> tuple:
                                    mu.weights)
     rhs = 0.0
     for i, (a, m_) in enumerate(zip(breaks, masses)):
-        b2 = breaks[i + 1] ** 2 if i + 1 < len(breaks) else math.inf
-        tail = 0.0 if math.isinf(b2) else math.exp(-b2)
+        tail = math.exp(-breaks[i + 1] ** 2) if i + 1 < len(breaks) else 0.0
         rhs += m_ * (math.exp(-a * a) - tail)
     denom = abs(lhs) if lhs != 0.0 else 1.0
     return lhs, rhs, abs(lhs - rhs) / denom
@@ -687,11 +691,8 @@ def weak_lp_norm(values, weights, p: float) -> float:
     if not np.all(np.isfinite(w) & (w >= 0.0)):
         raise ValueError("weights must be finite and nonnegative")
     neg, mass_ge = _level_masses(-v, w)
-    keep = neg < 0.0
-    if not np.any(keep):
-        return 0.0
-    best = float(np.max((-neg[keep]) ** p * mass_ge[keep]))
-    return best ** (1.0 / p)
+    keep = neg < 0.0  # none: the norm is 0.0
+    return float(np.max((-neg[keep]) ** p * mass_ge[keep], initial=0.0)) ** (1.0 / p)
 
 
 def maximal_weak_bound_check(mu: WeightedPointMeasure, k: int, alpha: float,

@@ -87,9 +87,8 @@ def rwt_series_bound(k: int, alpha: float, gamma: float, l0: int) -> float:
     """
     _check_rwt_exponents(alpha, gamma)
     c_k = sublevel_shrink_factor(k)
-    big_c = sublevel_mass_factor(k)
     head = 2.0 ** gamma * 2.0 ** (gamma * l0) / (1.0 - 2.0 ** -gamma)
-    a_e = multi_measure_factor(k) * big_c * c_k ** -alpha
+    a_e = multi_measure_factor(k) * sublevel_mass_factor(k) * c_k ** -alpha
     tail = a_e * 2.0 ** gamma * 2.0 ** ((gamma - alpha) * (l0 + 1)) \
         / (1.0 - 2.0 ** (gamma - alpha))
     return head + tail
@@ -108,8 +107,7 @@ def rwt_series_constant(k: int, alpha: float, gamma: float) -> float:
     """
     _check_rwt_exponents(alpha, gamma)
     c_k = sublevel_shrink_factor(k)
-    big_c = sublevel_mass_factor(k)
-    a0 = multi_measure_factor(k) * big_c * c_k ** -alpha * 2.0 ** gamma \
+    a0 = multi_measure_factor(k) * sublevel_mass_factor(k) * c_k ** -alpha * 2.0 ** gamma \
         / (1.0 - 2.0 ** (gamma - alpha))
     b0 = 1.0 / (1.0 - 2.0 ** -gamma)
     r = gamma / (alpha - gamma)
@@ -661,8 +659,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             if flip and not rec.expected_fail:
                 rec = replace(rec, expected_fail=True)
             report.add(rec)
-        for key, value in consts.items():
-            report.constants[key] = value
+        report.constants.update(consts)
     return report
 
 

@@ -179,6 +179,12 @@ class TestMinContent:
         assert content == pytest.approx(0.5)
         assert eval_measure(mu, witness) >= 0.6 - 1e-9
 
+    def test_k1_rejects_negative_refine(self, cube64):
+        # the radius quantile at k = 1 used to return before refine was read
+        fam = default_family(cube64, n_frames=2)
+        with pytest.raises(ValueError, match="refine must be a nonnegative count, got -5"):
+            min_content_at_mass(cube64, 1, 0.5, fam, refine=-5)
+
     def test_witness_consistency(self, cube64):
         fam = default_family(cube64, n_frames=4, n_pca=2)
         content, witness = min_content_at_mass(cube64, 2, 0.3, fam, refine=40)
@@ -460,9 +466,17 @@ def brute_sweep(z, values, weights):
 def bincount_sweep(z, values, weights):
     """The per-centre sweep that _sweep's tiles replaced: one np.bincount of
     the weights over (length prefix, first admitting last-axis length),
-    summed from the top, for atoms z relative to one centre."""
-    n_len = len(values)
-    count = curvature._counts(z, (1.0 / values) ** 2)
+    summed from the top, for atoms z relative to one centre.  The counts
+    are formed here, not by curvature._counts: per length prefix, in
+    itertools.product order, s = 0.0 + the prefix terms left to right, and
+    an atom counts once for every last-axis length with s + q * v <= 1.0."""
+    n_len, d = len(values), z.shape[1]
+    invsq, q = (1.0 / values) ** 2, z * z
+    pre = np.array(list(product(invsq, repeat=d - 1))).reshape(n_len ** (d - 1), d - 1)
+    prefix = np.zeros((len(pre), len(z)))
+    for a in range(d - 1):
+        prefix = prefix + pre[:, a:a + 1] * q[:, a]
+    count = sum(prefix + q[:, d - 1] * v <= 1.0 for v in invsq)
     bins = count + (n_len + 1) * np.arange(count.shape[0])[:, None]
     hist = np.bincount(bins.ravel(), weights=np.broadcast_to(weights, bins.shape).ravel(),
                        minlength=count.shape[0] * (n_len + 1))
@@ -733,6 +747,35 @@ class TestSymmetricSweep:
         assert tile < n
         assert len(sizes) == len(fam.frames) * n // tile
         assert max(sizes) == tile * n_pre * n  # no N x N table
+
+
+def ulp_steps(x, k):
+    """x moved k ulps (toward +inf for k > 0)."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.copysign(math.inf, k)))
+    return x
+
+
+class TestAdmissionThreshold:
+    # b across binades: zero, the least subnormal, where b * b underflows
+    # to 2^-54, and next to 2^-0.5, 1 and sqrt(2), where b * b crosses 0.5,
+    # 1 and 2, and where b * b * 2^53 overflows
+    B_ANCHORS = [0.0, 5e-324, 2.0 ** -27, 2.0 ** -0.5, 1.0, math.sqrt(2.0), 1e150]
+
+    @given(st.one_of(
+        st.builds(ulp_steps, st.sampled_from(B_ANCHORS), st.integers(-40, 40)),
+        st.floats(0.0, 2.0), st.floats(0.0, 1e154)))
+    @settings(max_examples=300, deadline=None)
+    def test_one_compare_matches_the_sum(self, b):
+        # with invsq = [1.0] the atom (a, b) has prefix fl(a * a) and last
+        # term t = fl(b * b), so the count is the membership of fl(a*a + b*b)
+        edge = math.sqrt(max(0.0, 1.0 - b * b))
+        a = np.array([0.0] + [ulp_steps(edge, k) for k in range(-40, 41)])
+        count = curvature._counts(np.stack([a, np.full(a.size, b)], axis=1),
+                                  np.array([1.0]))
+        assert count.shape == (1, a.size)
+        want = [x * x + b * b <= 1.0 for x in a.tolist()]
+        assert count[0].tolist() == [int(w) for w in want]
 
 
 class TestNumpySumOrder:
@@ -1195,3 +1238,43 @@ class TestExactCovariance:
         got = maximal_function(nu, k, 1.0, fam_nu, nu.points[::8], inner=inner)
         want = maximal_function(mu, k, 1.0, fam, mu.points[::8], inner=inner)
         assert np.array_equal(got, want * 2.0 ** (-j * k))
+
+
+# the eight signed coordinate permutations of the plane; the last four swap the axes
+SIGNED_PERMUTATIONS_2D = [np.eye(2)[list(order)] * signs
+                          for order in ((0, 1), (1, 0))
+                          for signs in product((1.0, -1.0), repeat=2)]
+AXIS_SWAP_FUSED = pytest.mark.xfail(reason=(
+    "mu.points @ frame goes to a BLAS kernel that fuses the multiply-add, so "
+    "a swap of the two products moves last bits of the frame coordinates "
+    "and atoms on a member boundary change sides"), strict=False)
+
+
+class TestSignedPermutation:
+    """A signed coordinate permutation S of the atoms (P S) and S^T of every
+    family frame should leave every swept mass bit-equal in d = 2: each
+    frame coordinate sums the same two products, in the other order when S
+    swaps the axes.  Sign flips alone keep every mass; axis swaps do not
+    where the matmul fuses a multiply-add (AXIS_SWAP_FUSED)."""
+
+    @pytest.mark.parametrize("name", ["cube64", "circle240"])
+    @pytest.mark.parametrize("mirror", [False, True], ids=["centred", "mirrored"])
+    @pytest.mark.parametrize("s", [
+        pytest.param(s, id=f"S{i}", marks=[AXIS_SWAP_FUSED] if s[0, 0] == 0.0 else [])
+        for i, s in enumerate(SIGNED_PERMUTATIONS_2D)])
+    def test_swept_masses(self, covariance_measures, name, mirror, s):
+        mu = covariance_measures[name]
+        frames = default_frames(2, n_random=8, seed=3, points=mu.points, n_pca=2)
+        fam = EllipsoidFamily.dyadic(2, -5, 1, frames=frames, floor=mu.median_nn)
+        nu = WeightedPointMeasure(mu.points @ s, mu.weights)
+        fam_s = EllipsoidFamily(frames=tuple(s.T @ f for f in fam.frames),
+                                length_grid=fam.length_grid, floor=fam.floor)
+
+        def swept(m, family):
+            centers = m.points if mirror else np.zeros((1, 2))
+            return curvature._frame_masses(m, family, centers, lambda masses: masses)
+
+        want, got = swept(mu, fam), swept(nu, fam_s)
+        assert len(got) == len(want) == len(fam.frames)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
