@@ -250,12 +250,12 @@ def _counts(z: np.ndarray, invsq: np.ndarray) -> np.ndarray:
     for a in range(1, d - 1):
         term = invsq[:, None] * q[..., a, :, :]
         prefix = (prefix[..., :, None, :] + term[..., None, :, :]).reshape(*batch, -1, n)
+    count = np.zeros(prefix.shape, dtype=np.min_scalar_type(len(invsq)))
+    below = np.empty(prefix.shape, dtype=bool)
     u = invsq[:, None] * q[..., d - 1, :, :]  # t, made u in place: (..., L, N)
     with np.errstate(over="ignore"):  # t 2^53 = inf gives u = -inf, as it should
         np.ceil(np.multiply(u, 2.0 ** 53, out=u), out=u)
     np.add(np.subtract(1.0, np.multiply(u, 2.0 ** -53, out=u), out=u), 2.0 ** -53, out=u)
-    count = np.zeros(prefix.shape, dtype=np.min_scalar_type(len(invsq)))
-    below = np.empty(prefix.shape, dtype=bool)
     for l in range(len(invsq)):
         count += np.less_equal(prefix, u[..., l:l + 1, :], out=below)
     return count
