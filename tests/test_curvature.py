@@ -757,9 +757,10 @@ def ulp_steps(x, k):
 
 
 class TestAdmissionThreshold:
-    # b across binades: zero, the least subnormal, where b * b underflows
-    # to 2^-54, and next to 2^-0.5, 1 and sqrt(2), where b * b crosses 0.5,
-    # 1 and 2, and where b * b * 2^53 overflows
+    # b across binades: 0; the least subnormal, whose square underflows to
+    # 0; 2^-27, whose square 2^-54 lies below the 2^-53 step of the
+    # threshold; next to 2^-0.5, 1 and sqrt(2), where b * b crosses 0.5, 1
+    # and 2; and 1e150, where b * b * 2^53 overflows
     B_ANCHORS = [0.0, 5e-324, 2.0 ** -27, 2.0 ** -0.5, 1.0, math.sqrt(2.0), 1e150]
 
     @given(st.one_of(
@@ -768,14 +769,16 @@ class TestAdmissionThreshold:
     @settings(max_examples=300, deadline=None)
     def test_one_compare_matches_the_sum(self, b):
         # with invsq = [1.0] the atom (a, b) has prefix fl(a * a) and last
-        # term t = fl(b * b), so the count is the membership of fl(a*a + b*b)
+        # term t = fl(b * b), so its count is the membership fl(a*a + b*b) <= 1
         edge = math.sqrt(max(0.0, 1.0 - b * b))
-        a = np.array([0.0] + [ulp_steps(edge, k) for k in range(-40, 41)])
-        count = curvature._counts(np.stack([a, np.full(a.size, b)], axis=1),
-                                  np.array([1.0]))
-        assert count.shape == (1, a.size)
-        want = [x * x + b * b <= 1.0 for x in a.tolist()]
-        assert count[0].tolist() == [int(w) for w in want]
+        below, above = [edge], [edge]
+        for _ in range(40):  # the neighbours of edge within 40 ulps
+            below.append(float(np.nextafter(below[-1], -math.inf)))
+            above.append(float(np.nextafter(above[-1], math.inf)))
+        a = [0.0] + below[::-1] + above[1:]
+        count = curvature._counts(np.array([[x, b] for x in a]), np.array([1.0]))
+        assert count.shape == (1, 82)
+        assert count[0].tolist() == [int(x * x + b * b <= 1.0) for x in a]
 
 
 class TestNumpySumOrder:
