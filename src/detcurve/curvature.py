@@ -11,8 +11,10 @@ min-content search at every mass level and the slab check read one (frames x
 length tuples) table, _centred_masses, kept on the family with the last
 measure it swept: a family keeps that measure alive; both searches maximise
 one objective(mass, content) on it and in refinement (_grid_then_refine).
-The slab, Gaussian, weak-type and radius-quantile checks read the level
-masses mu({f <= t}) of a per-atom value f from one primitive, _level_masses.
+Every table comes from _sweep, which tiles the (frame, centre) rows of a
+run of frames, so small frames share one count and one histogram call.  The
+slab, Gaussian, weak-type and radius-quantile checks read the level masses
+mu({f <= t}) of a per-atom value f from one primitive, _level_masses.
 """
 
 from __future__ import annotations
@@ -128,26 +130,14 @@ def default_frames(dim: int, n_random: int = 64, seed: int = 0,
             raise ValueError(f"{name} must be a nonnegative count, got {count}")
     rng = np.random.default_rng(seed)
     frames = [np.eye(dim)]
-
-    def pca_frame(pts, center):
-        x = pts - pts.mean(axis=0) if center else pts
-        return np.linalg.eigh(x.T @ x)[1]
-
-    if points is not None:
-        points = np.asarray(points, dtype=float)
-        n = points.shape[0]
-        if n >= 2:
-            frames.append(pca_frame(points, center=False))
-            frames.append(pca_frame(points, center=True))
-            size = min(n, max(dim + 1, 8))
-            for _ in range(n_pca):
-                sub = rng.choice(n, size=size, replace=False)
-                frames.append(pca_frame(points[sub], center=True))
-
-    for _ in range(n_random):
-        q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-        frames.append(q * np.sign(np.diag(r)))
-    return frames
+    if points is not None and len(points) >= 2:
+        pts = np.asarray(points, dtype=float)
+        size = min(len(pts), max(dim + 1, 8))
+        subsets = [pts[rng.choice(len(pts), size=size, replace=False)] for _ in range(n_pca)]
+        centred = [x - x.mean(axis=0) for x in [pts, *subsets]]
+        frames += list(np.linalg.eigh(np.stack([x.T @ x for x in [pts, *centred]]))[1])
+    q, r = np.linalg.qr(rng.standard_normal((n_random, dim, dim)))
+    return frames + list(q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :])
 
 
 def default_family(mu: WeightedPointMeasure, *, n_frames: int = 64, n_pca: int = 8,
@@ -261,76 +251,86 @@ def _counts(z: np.ndarray, invsq: np.ndarray) -> np.ndarray:
     return count
 
 
-def _sweep(z: np.ndarray, zc: np.ndarray, values: np.ndarray, weights: np.ndarray,
-           tile: int, mirror: bool) -> np.ndarray:
-    """Masses (P, L**d), in itertools.product order, of the members with
-    semi-lengths from the increasing grid values centred at zc (P, d), for
-    atoms z (N, d) in one frame: per centre and length prefix, the weights
-    are histogrammed at the atoms' _counts (the last bin: no length admits)
-    and summed from the top.
-
-    A tile of centres [a, b) counts the atoms [a, N) under mirror (the
-    centres are the atoms) and all atoms otherwise, so memory is bounded by
-    the tile and the histogram.  Whatever the tile, every bin is the
-    left-to-right sum of its atoms' weights in ascending atom order, as one
-    np.bincount per centre makes it, so the masses agree bit for bit.
-    Without mirror, a tile's rows get adds from that tile only.  With
-    mirror, a in c + B if and only if c in a + B for a centred B, and
-    z_j - z_i = -(z_i - z_j) exactly, so the count is the same with either
-    atom as the centre.  A tile's counts go directly to the rows a..b and,
-    transposed, to the rows b..N; np.add.at adds in sequence, so each
-    centre gets the atoms of earlier tiles, ascending, before its own row.
+def _sweep(points: np.ndarray, centers: np.ndarray, frames, values: np.ndarray,
+           weights: np.ndarray, tile: int, mirror: bool) -> np.ndarray:
+    """Masses (F, P, L**d), in itertools.product order, of the members with
+    semi-lengths from the increasing grid values centred at centers (P, d)
+    in each of the F frames, for atoms points (N, d): per (frame, centre) row
+    and length prefix, the weights are histogrammed at the atoms' _counts
+    (the last bin: no length admits) and summed from the top.  Without
+    mirror, a tile is `tile` consecutive rows of the flattened (frame,
+    centre) table, so one _counts and one np.bincount cover many small
+    frames; coordinates are rows of the whole products points @ frame and
+    centers @ frame (a matmul's fused multiply-adds decide boundary atoms).
+    Under mirror (the centres are the atoms) a tile of centres [a, b) of one
+    frame counts the atoms [a, N): a in c + B if and only if c in a + B for
+    a centred B, and z_j - z_i = -(z_i - z_j) exactly, so either atom may be
+    the centre.  Its counts go directly to the rows a..b and, transposed, to
+    the rows b..N; np.add.at adds in sequence, so each centre gets the atoms
+    of earlier tiles, ascending, before its own row.  Memory is bounded by
+    the tile and the histogram (a helper call per tile), and whatever the
+    tile each bin sums its weights left to right in ascending atom order.
     """
-    (n, d), p, n_len = z.shape, zc.shape[0], values.shape[0]
-    invsq = (1.0 / values) ** 2
-    n_pre = n_len ** (d - 1)
+    (n, d), p, n_len = points.shape, centers.shape[0], values.shape[0]
+    invsq, n_pre = (1.0 / values) ** 2, n_len ** (d - 1)
     row = n_pre * (n_len + 1)
     cells = (n_len + 1) * np.arange(n_pre)[:, None]
-    hist = np.zeros(p * row)
-    for a in range(0, p, tile):
-        b = min(a + tile, p)
-        lo = a if mirror else 0
-        count = _counts(z[lo:] - zc[a:b, None, :], invsq)  # (b - a, n_pre, n - lo)
+    hist = np.zeros(len(frames) * p * row)
+
+    def coords(a, b):  # (b - a, N, d): the atoms around the centres of rows a..b
+        return np.concatenate([points @ frames[f] - (centers @ frames[f])[
+            max(0, a - f * p):b - f * p, None] for f in range(a // p, (b - 1) // p + 1)])
+
+    def rows(a, b):
+        bins = _counts(coords(a, b), invsq) + (cells + row * np.arange(b - a)[:, None, None])
+        hist[a * row:b * row] = np.bincount(bins.ravel(), minlength=(b - a) * row,
+                                            weights=np.broadcast_to(weights, bins.shape).ravel())
+
+    def mirrored(z, a, b, out):  # out: the frame's histogram from row a on
+        count = _counts(z[a:] - z[a:b, None, :], invsq)  # (b - a, n_pre, n - a)
         bins = count + (cells + row * np.arange(b - a)[:, None, None])
-        w = np.broadcast_to(weights[lo:], bins.shape).ravel()
-        if not mirror:
-            hist[a * row:b * row] = np.bincount(bins.ravel(), weights=w,
-                                                minlength=(b - a) * row)
-            continue
-        out = hist[a * row:]  # a view, indexed from the tile's first row
-        np.add.at(out, bins.ravel(), w)
+        np.add.at(out, bins.ravel(), np.broadcast_to(weights[a:], bins.shape).ravel())
         bins = count[:, :, b - a:] + (cells + row * np.arange(b - a, n - a))
-        w = np.broadcast_to(weights[a:b, None, None], bins.shape).ravel()
-        np.add.at(out, bins.ravel(), w)
+        np.add.at(out, bins.ravel(), np.broadcast_to(weights[a:b, None, None], bins.shape).ravel())
+
+    if mirror:
+        for f, frame in enumerate(frames):
+            z = points @ frame
+            for a in range(0, p, tile):
+                mirrored(z, a, min(a + tile, p), hist[(f * p + a) * row:(f + 1) * p * row])
+    else:
+        for a in range(0, len(frames) * p, tile):
+            rows(a, min(a + tile, len(frames) * p))
     masses = np.cumsum(hist.reshape(-1, n_len + 1)[:, ::-1], axis=-1)[:, :n_len]
-    return masses.reshape(p, n_len ** d)
+    return masses.reshape(len(frames), p, n_len ** d)
 
 
 def _frame_masses(mu: WeightedPointMeasure, family: EllipsoidFamily,
                   centers: np.ndarray, reduce) -> list:
-    """reduce(masses) per frame, in frame order, with masses (P, T):
-    row i holds the members centred at centers[i] in length_tuples order,
-    swept by _sweep in tiles of SWEEP_BLOCK atom x prefix entries, mirrored
-    when the centres are the atoms.  Runs of frames holding at least
-    FRAME_WORK tests, set by P, N and T alone, go to map_blocks.
+    """reduce(masses) per frame, in frame order, with masses (P, T): row i
+    holds the members centred at centers[i] in length_tuples order.  Runs of
+    frames holding at least FRAME_WORK tests, set by P, N and T alone, go to
+    map_blocks; a run goes to _sweep (tiles of SWEEP_BLOCK atom x prefix
+    entries) `step` frames a call: one if mirrored (the N atoms are the
+    centres), else as many as keep the histogram within SWEEP_BLOCK entries.
+    A call's masses are freed, but what reduce keeps, before the next call.
     """
     if family.dim != mu.dim:
         raise ValueError(f"family dimension {family.dim} does not match the "
                          f"measure's {mu.dim}")
-    values = family.effective_lengths
-    tile = max(1, SWEEP_BLOCK // (mu.n_atoms * len(values) ** (mu.dim - 1)))
-    frames = family.frames
-    run = -(-FRAME_WORK // max(1, len(values) ** mu.dim * mu.n_atoms * centers.shape[0]))
+    values, frames = family.effective_lengths, family.frames
+    n_pre, p = len(values) ** (mu.dim - 1), centers.shape[0]
+    tile = max(1, SWEEP_BLOCK // (mu.n_atoms * n_pre))
+    run = -(-FRAME_WORK // max(1, n_pre * len(values) * mu.n_atoms * p))
     mirror = np.array_equal(centers, mu.points)
+    step = 1 if mirror else max(1, SWEEP_BLOCK // max(1, p * n_pre * (len(values) + 1)))
 
-    def swept(frame):
-        z = mu.points @ frame
-        zc = z if mirror else centers @ frame
-        return reduce(_sweep(z, zc, values, mu.weights, tile, mirror))
+    def swept(a, b):
+        return [r for s in range(a, b, step) for r in map(reduce, _sweep(
+            mu.points, centers, frames[s:min(s + step, b)], values, mu.weights, tile, mirror))]
 
     ranges = [(s, min(s + run, len(frames))) for s in range(0, len(frames), run)]
-    blocks = parallel.map_blocks(lambda a, b: [swept(f) for f in frames[a:b]], ranges)
-    return [r for block in blocks for r in block]
+    return [r for block in parallel.map_blocks(swept, ranges) for r in block]
 
 
 def _givens(d: int, i: int, j: int, theta: float) -> np.ndarray:
@@ -521,8 +521,8 @@ def layer_cake_check(mu: WeightedPointMeasure, q: np.ndarray) -> tuple:
     """
     q = np.asarray(q, dtype=float)
     lhs = gaussian_integral(mu, q)
-    breaks, masses = _level_masses(np.linalg.norm(mu.points @ q.T, axis=1),
-                                   mu.weights)
+    breaks, masses = (v.tolist() for v in _level_masses(
+        np.linalg.norm(mu.points @ q.T, axis=1), mu.weights))
     rhs = 0.0
     for i, (a, m_) in enumerate(zip(breaks, masses)):
         tail = math.exp(-breaks[i + 1] ** 2) if i + 1 < len(breaks) else 0.0

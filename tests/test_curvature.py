@@ -1,6 +1,7 @@
 """Ellipsoid families, curvature search, Gaussian and slab checks, maximal bounds."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -53,6 +54,28 @@ def top_axes_flat(ellipsoid, k):
     tuple."""
     order = np.argsort(-ellipsoid.semi_lengths, kind="stable")
     return AffineSubspace(np.zeros(ellipsoid.dim), ellipsoid.frame[:, order[:k - 1]].T)
+
+
+def frames_reference(dim, n_random, seed, points, n_pca):
+    """default_frames one frame at a time: one eigh per principal frame, the
+    subset draws between them, then one QR per random rotation."""
+    rng = np.random.default_rng(seed)
+    frames = [np.eye(dim)]
+
+    def pca_frame(pts, center):
+        x = pts - pts.mean(axis=0) if center else pts
+        return np.linalg.eigh(x.T @ x)[1]
+
+    if points is not None and len(points) >= 2:
+        frames += [pca_frame(points, center=False), pca_frame(points, center=True)]
+        size = min(len(points), max(dim + 1, 8))
+        for _ in range(n_pca):
+            sub = rng.choice(len(points), size=size, replace=False)
+            frames.append(pca_frame(points[sub], center=True))
+    for _ in range(n_random):
+        q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+        frames.append(q * np.sign(np.diag(r)))
+    return frames
 
 
 class TestEllipsoidFamily:
@@ -114,6 +137,20 @@ class TestEllipsoidFamily:
         assert np.allclose(frames[0], np.eye(2))
         for f in frames:
             assert np.allclose(f.T @ f, np.eye(2), atol=1e-10)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_random", [0, 1, 64])
+    @pytest.mark.parametrize("n_pca", [0, 8])
+    @pytest.mark.parametrize("n_atoms", [None, 1, 50])
+    def test_default_frames_match_per_frame_loop(self, dim, n_random, n_pca, n_atoms):
+        rng = np.random.default_rng(dim)
+        points = (None if n_atoms is None else  # stretched: distinct principal axes
+                  rng.standard_normal((n_atoms, dim)) * [1.0, 3.0, 0.5, 2.0][:dim])
+        for seed in (0, 7):
+            got = default_frames(dim, n_random=n_random, seed=seed, points=points, n_pca=n_pca)
+            want = frames_reference(dim, n_random, seed, points, n_pca)
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_default_family_floor_is_median_nn(self, cube64):
         fam = default_family(cube64, n_frames=4)
@@ -574,11 +611,13 @@ class TestSweep:
         z = np.concatenate([z_random, z_edge])
         weights = rng.integers(0, 4, z.shape[0]).astype(float)  # exact sums
         centres = np.stack([np.zeros(d), z[0] * 0.5])
-        masses = _sweep(z, centres, values, weights, 1, False)
-        assert masses.shape == (2, len(values) ** d)
-        assert np.array_equal(masses[0], brute_sweep(z, values, weights))
-        assert np.array_equal(masses[1], brute_sweep(z - centres[1], values, weights))
-        assert np.array_equal(_sweep(z, centres, values, weights, 2, False), masses)
+        # the identity frame keeps the coordinates z exact
+        masses = _sweep(z, centres, [np.eye(d)], values, weights, 1, False)
+        assert masses.shape == (1, 2, len(values) ** d)
+        assert np.array_equal(masses[0, 0], brute_sweep(z, values, weights))
+        assert np.array_equal(masses[0, 1], brute_sweep(z - centres[1], values, weights))
+        assert np.array_equal(_sweep(z, centres, [np.eye(d)], values, weights, 2, False),
+                              masses)
 
     @pytest.mark.parametrize("n_len", [255, 256, 300])
     def test_count_type_boundary(self, n_len):
@@ -589,7 +628,7 @@ class TestSweep:
         z = np.concatenate([[[0.0]], values[::7, None], -values[::11, None],
                             rng.uniform(-1.1 * values[-1], 1.1 * values[-1], (40, 1))])
         weights = rng.integers(0, 4, z.shape[0]).astype(float)
-        masses = _sweep(z, np.zeros((1, 1)), values, weights, 1, False)[0]
+        masses = _sweep(z, np.zeros((1, 1)), [np.eye(1)], values, weights, 1, False)[0, 0]
         assert masses[0] >= weights[0] > 0.0
         assert np.array_equal(masses, brute_sweep(z, values, weights))
 
@@ -681,13 +720,12 @@ class TestSymmetricSweep:
         fam = EllipsoidFamily.dyadic(mu.dim, -4, 1, mode="doubling_dyadic",
                                      frames=default_frames(mu.dim, n_random=1, seed=5))
         values = fam.effective_lengths[:-1] if inner else fam.effective_lengths
-        for frame in fam.frames:
-            z = mu.points @ frame
-            want = per_centre_rows(mu, frame, values)
-            # tile heights that divide N or not, one atom and all atoms at once
-            for tile, mirror in product((1, 3, 7, 16, mu.n_atoms + 5), (True, False)):
-                got = _sweep(z, z, values, mu.weights, tile, mirror)
-                assert np.array_equal(got, want), (frame, tile, mirror)
+        want = np.stack([per_centre_rows(mu, frame, values) for frame in fam.frames])
+        # tile heights that divide N or not, one atom, all atoms and more at once
+        for tile, mirror in product((1, 3, 7, 16, mu.n_atoms + 5, 3 * mu.n_atoms + 1),
+                                    (True, False)):
+            got = _sweep(mu.points, mu.points, fam.frames, values, mu.weights, tile, mirror)
+            assert np.array_equal(got, want), (tile, mirror)
 
     @given(st.integers(1, 3), st.integers(1, 24), st.integers(0, 2 ** 32 - 1), st.data())
     @settings(max_examples=60, deadline=None)
@@ -702,30 +740,41 @@ class TestSymmetricSweep:
         weights = rng.uniform(0.5, 1.5, n) / 3.0  # non-dyadic: the sum order shows
         weights[rng.random(n) < 0.3] = 0.0
         want = np.stack([bincount_sweep(z - c, values, weights) for c in z])
-        assert np.array_equal(_sweep(z, z, values, weights, tile, True), want)
-        assert np.array_equal(_sweep(z, z, values, weights, tile, False), want)
+        for mirror in (True, False):  # the identity frame keeps z exact
+            got = _sweep(z, z, [np.eye(d)], values, weights, tile, mirror)
+            assert np.array_equal(got[0], want)
 
     @pytest.mark.parametrize("block", [None, 1])
     def test_frame_masses_take_symmetric_path(self, circle240, monkeypatch, block):
         if block is not None:  # one centre per tile
             monkeypatch.setattr(curvature, "SWEEP_BLOCK", block)
+        monkeypatch.setenv("DETCURVE_THREADS", "1")  # the calls in frame order
         calls = []
         original = curvature._sweep
 
         def spy(*args):
-            calls.append(args[-1])  # mirror
+            calls.append((args[2], args[-1]))  # frames, mirror
             return original(*args)
 
         monkeypatch.setattr(curvature, "_sweep", spy)
         fam = EllipsoidFamily.dyadic(2, -4, 1, mode="doubling_dyadic",
                                      frames=default_frames(2, n_random=2, seed=5))
+
+        def swept_frames(mirror):
+            # every frame exactly once and in order, the mirrored ones one per call
+            assert all(m == mirror and (len(f) == 1 or not mirror) for f, m in calls)
+            got = [frame for f, _ in calls for frame in f]
+            assert len(got) == len(fam.frames)
+            assert all(g is frame for g, frame in zip(got, fam.frames))
+            calls.clear()
+
         got = curvature._frame_masses(circle240, fam, circle240.points.copy(),
                                       lambda m: m)
-        assert calls == [True] * len(fam.frames)
+        swept_frames(True)
         for frame, masses in zip(fam.frames, got):
             assert np.array_equal(masses, per_centre_rows(circle240, frame, fam.effective_lengths))
         curvature._frame_masses(circle240, fam, circle240.points[:-1], lambda m: m)
-        assert calls[len(fam.frames):] == [False] * len(fam.frames)  # other centres
+        swept_frames(False)  # other centres
 
     def test_memory_bounded_by_tile(self, cube256, monkeypatch):
         fam = EllipsoidFamily.dyadic(2, -5, 1, mode="doubling_dyadic",
@@ -747,6 +796,113 @@ class TestSymmetricSweep:
         assert tile < n
         assert len(sizes) == len(fam.frames) * n // tile
         assert max(sizes) == tile * n_pre * n  # no N x N table
+
+
+@pytest.fixture(scope="module")
+def run_measures():
+    """Non-dyadic weights, so the sum order shows, on clouds with ties and
+    atoms on dyadic member boundaries, in d = 1, 2 and 3."""
+    out = {}
+    for d, n in ((1, 37), (2, 60), (3, 40)):
+        rng = np.random.default_rng(20 + d)
+        points = rng.uniform(-1.5, 1.5, (n, d))
+        points[::3] = np.round(points[::3] * 4.0) / 4.0
+        out[d] = WeightedPointMeasure(points, rng.uniform(0.5, 1.5, n) / (3.0 * n))
+    return out
+
+
+class TestFrameRuns:
+    """A run of frames is one _sweep whose tiles run over the flattened
+    (frame, centre) rows."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n_centres", [1, 5], ids=["centred", "five-centres"])
+    def test_tiles_across_frames_match_reference(self, run_measures, monkeypatch, d,
+                                                 n_centres):
+        mu = run_measures[d]
+        fam = EllipsoidFamily.dyadic(d, -3, 1, frames=default_frames(
+            d, n_random=4, seed=d, points=mu.points, n_pca=1))
+        centres = (np.zeros((1, d)) if n_centres == 1
+                   else mu.points[:n_centres] * 0.5 + 0.125)
+        values = fam.effective_lengths
+        want = [np.stack([bincount_sweep(mu.points @ frame - c, values, mu.weights)
+                          for c in centres @ frame]) for frame in fam.frames]
+        p, f = len(centres), len(fam.frames)
+        # tiles splitting a frame (P > 1), holding one frame, straddling frames
+        # at and off their boundaries, and holding all of them
+        for tile, work in product(sorted({1, max(1, p - 2), p, p + 1, 2 * p + 1, f * p}),
+                                  (1, 2 ** 40)):  # one frame per run, or one run
+            monkeypatch.setattr(curvature, "SWEEP_BLOCK", tile * mu.n_atoms * len(values) ** (d - 1))
+            monkeypatch.setattr(curvature, "FRAME_WORK", work)
+            got = curvature._frame_masses(mu, fam, centres, lambda m: m)
+            assert len(got) == f
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (tile, work)
+
+    def test_one_count_per_run_when_frames_fit_a_tile(self, cube64, monkeypatch):
+        fam = default_family(cube64, n_frames=5)  # 16 frames
+        n_len = len(fam.effective_lengths)
+        assert 16 * cube64.n_atoms * n_len <= curvature.SWEEP_BLOCK
+        rows = []
+        original = curvature._counts
+
+        def spy(z, invsq):
+            rows.append(z.shape[0])
+            return original(z, invsq)
+
+        monkeypatch.setattr(curvature, "_counts", spy)
+        for work, runs in ((curvature.FRAME_WORK, 1), (3 * n_len ** 2 * cube64.n_atoms, 6)):
+            monkeypatch.setattr(curvature, "FRAME_WORK", work)
+            rows.clear()
+            curvature._frame_masses(cube64, fam, np.zeros((1, 2)), lambda m: m)
+            assert len(rows) == runs and sum(rows) == 16
+
+    @pytest.mark.parametrize("fixture", ["circle240", "sphere80_d3"])
+    def test_centred_masses_across_threads(self, request, monkeypatch, fixture):
+        mu = request.getfixturevalue(fixture)
+        got = []
+        for threads, work in product(("1", "3"), (curvature.FRAME_WORK, 1 << 18)):
+            monkeypatch.setenv("DETCURVE_THREADS", threads)
+            monkeypatch.setattr(curvature, "FRAME_WORK", work)
+            # a new family each time, or it would serve its kept table
+            got.append(curvature._centred_masses(mu, default_family(mu, n_frames=8, n_pca=2)))
+        assert all(np.array_equal(g, got[0]) for g in got[1:])
+
+    def test_many_tiles_peak_as_one(self):
+        # each tile's temporaries go before the next tile counts
+        rng = np.random.default_rng(9)
+        points = rng.uniform(-1.0, 1.0, (2000, 2))
+        weights, values = np.full(2000, 1.0 / 2000), 2.0 ** np.arange(-4, 2)
+        frames, tile = default_frames(2, n_random=47, seed=9), 4
+
+        def peak(frames):
+            tracemalloc.start()
+            try:
+                _sweep(points, np.zeros((1, 2)), frames, values, weights, tile, False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(frames) <= 1.25 * peak(frames[:tile])
+
+    def test_many_centres_peak_as_one_frame(self, monkeypatch):
+        # a frame's P x T masses fill the histogram's SWEEP_BLOCK entries, so
+        # a run of such frames goes to _sweep one frame a call
+        rng = np.random.default_rng(3)
+        mu = WeightedPointMeasure(rng.uniform(-1.0, 1.0, (8, 2)), np.full(8, 1.0 / 8))
+        fam = EllipsoidFamily.dyadic(2, -4, 1, frames=default_frames(2, n_random=15, seed=3))
+        centres = rng.uniform(-1.0, 1.0, (2000, 2))
+        monkeypatch.setattr(curvature, "FRAME_WORK", 2 ** 40)  # one run
+
+        def peak(family):
+            tracemalloc.start()
+            try:
+                curvature._frame_masses(mu, family, centres, lambda m: m.max(axis=1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = EllipsoidFamily(frames=fam.frames[:1], length_grid=fam.length_grid)
+        assert peak(fam) <= 1.25 * peak(one)
 
 
 def ulp_steps(x, k):
