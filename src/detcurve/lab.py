@@ -29,7 +29,7 @@ import numpy as np
 from .curvature import (EllipsoidFamily, default_family, dyadic_exponents,
                         estimate_curvature_constant, gaussian_content_check,
                         gaussian_lower_check, layer_cake_check,
-                        maximal_weak_bound_check, min_content_at_mass,
+                        maximal_weak_bound_check, min_content_at_mass, ratios,
                         slab_implication_check)
 from .functionals import (DEFAULT_BUDGET, cauchy_schwarz_check,
                           sublevel_mass, weak_type_probe)
@@ -273,8 +273,7 @@ def verify_sublevel_bound(mu: WeightedPointMeasure, k: int, eps_grid, family,
                       2.0 ** -j * sublevel_shrink_factor(j - 1))
                   for j in range(2, 7))
     records.append(CheckRecord(
-        name="shrink-factor-recursion", passed=rec_err == 0.0, lhs=rec_err,
-        rhs=0.0, direction="lhs == rhs",
+        "shrink-factor-recursion", rec_err, 0.0,
         details={"relation": "factor(k) = 2^-k * factor(k-1), k = 2..6"}))
 
     for eps in eps_grid:
@@ -282,8 +281,7 @@ def verify_sublevel_bound(mu: WeightedPointMeasure, k: int, eps_grid, family,
         value = sublevel_mass([mu] * k, c_k * delta_hat, budget=budget)
         bound = big_c * eps
         records.append(CheckRecord(
-            name=f"sublevel-bound-eps-{eps:g}", passed=value <= bound,
-            lhs=value, rhs=bound, margin=bound - value,
+            f"sublevel-bound-eps-{eps:g}", value, bound,
             details={"delta_hat": delta_hat,
                      "threshold": c_k * delta_hat,
                      "witness_lengths": sorted(witness.semi_lengths.tolist(),
@@ -317,8 +315,7 @@ def verify_sublevel_bound_multi(measures, eps_grid, families, *,
         value = sublevel_mass(measures, c_k * level, budget=budget)
         bound = bound_factor * eps
         records.append(CheckRecord(
-            name=f"sublevel-mixed-eps-{eps:g}", passed=value <= bound,
-            lhs=value, rhs=bound, margin=bound - value,
+            f"sublevel-mixed-eps-{eps:g}", value, bound,
             details={"delta_hats": deltas, "threshold": c_k * level}))
         constants["delta_hat_multi"][f"{eps:g}"] = deltas
     return records, constants
@@ -331,10 +328,11 @@ def verify_weak_type_bound(mu: WeightedPointMeasure, k: int, gamma: float,
     """Probe the normalized set form against the explicit series constant.
 
     The curvature constant is a searched lower bound, so it is inflated by
-    the relative slack before entering the bound; the margin and the probe
-    witness are reported either way.  A second record cross-checks the
-    closed-form constant against the brute-force integer-crossover minimum
-    of the series it summarizes.
+    the relative slack before entering the bound; the probe witness is
+    reported either way.  A second record cross-checks the closed-form
+    constant against the brute-force integer-crossover minimum of the
+    series it summarizes: the larger of min / closed and
+    closed / (2^(alpha-gamma) min), against 1.
     """
     _check_rwt_exponents(alpha, gamma)
     estimate = estimate_curvature_constant(mu, k, alpha, family, refine=refine)
@@ -343,26 +341,22 @@ def verify_weak_type_bound(mu: WeightedPointMeasure, k: int, gamma: float,
     w_used = estimate.constant * (1.0 + slack)
     bound = rwt_bound(k, alpha, gamma, w_used, [1.0] * k)
     records = [CheckRecord(
-        name="weak-type-empirical-sup", passed=probe.sup_ratio <= bound,
-        lhs=probe.sup_ratio, rhs=bound, margin=bound - probe.sup_ratio,
+        "weak-type-empirical-sup", probe.sup_ratio, bound,
         details={"curvature_estimate": estimate.constant,
                  "curvature_slack": slack,
                  "series_constant": rwt_series_constant(k, alpha, gamma),
                  "trials": probe.trials,
                  "witness": probe.witness})]
 
+    # series_min <= closed <= 2^(alpha-gamma) * series_min, as one ratio
     closed = rwt_series_constant(k, alpha, gamma)
     series_values = [rwt_series_bound(k, alpha, gamma, l0)
                      for l0 in range(-512, 513)]
     series_min = min(series_values)
     rounding = 2.0 ** (alpha - gamma)
-    consistent = (series_min <= closed * (1.0 + 1e-12)
-                  and closed <= rounding * series_min * (1.0 + 1e-12))
     records.append(CheckRecord(
-        name="weak-type-series-consistency", passed=consistent,
-        lhs=series_min, rhs=closed,
-        direction="lhs <= rhs <= 2^(alpha-gamma) * lhs",
-        margin=closed - series_min,
+        "weak-type-series-consistency",
+        max(series_min / closed, closed / (rounding * series_min)), 1.0, tol=1e-12,
         details={"integer_crossover": int(np.argmin(series_values)) - 512,
                  "rounding_factor": rounding}))
     constants = {"curvature_estimate": estimate.constant,
@@ -372,36 +366,37 @@ def verify_weak_type_bound(mu: WeightedPointMeasure, k: int, gamma: float,
     return records, constants
 
 
+def _worst_trial(name: str, sides, tol: float) -> CheckRecord:
+    """A trial family of (lhs_i, rhs_i) as one record: the worst ratio
+    lhs_i / rhs_i (0/0 = 0, m/0 = inf) against 1 at tol, with the trial and
+    failure counts in details."""
+    trial = ratios(*np.array(sides, dtype=float).T)
+    return CheckRecord(name, float(np.max(trial)), 1.0, tol=tol, details={
+        "trials": trial.size, "failures": int(np.sum(trial > 1.0 + tol))})
+
+
 def verify_cauchy_schwarz(mu: WeightedPointMeasure, k: int, gamma: float, *,
                           trials: int = 50, seed: int = 0,
                           budget: int = DEFAULT_BUDGET):
-    """Included-mass squared against the two opposite-power forms."""
-    if trials < 1:  # no trial would read as a pass with lhs -inf
+    """Included-mass squared against the two opposite-power forms, on
+    random index sets; reported as the worst trial ratio."""
+    if trials < 1:  # no trial, no worst ratio
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
-    worst = -math.inf
-    failures = 0
+    sides = []
     for _ in range(trials):
-        sets = []
-        for _ in range(k):
-            size = int(rng.integers(1, mu.n_atoms + 1))
-            sets.append(np.sort(rng.choice(mu.n_atoms, size=size,
-                                           replace=False)))
-        lhs, rhs, ok = cauchy_schwarz_check(mu, k, gamma, sets, budget=budget)
-        failures += not ok
-        scale = rhs if rhs > 0 else 1.0
-        worst = max(worst, (lhs - rhs) / scale)
-    records = [CheckRecord(
-        name="cauchy-schwarz-duality", passed=failures == 0, lhs=worst,
-        rhs=0.0, direction="worst relative excess <= rhs (within 1e-12)",
-        margin=-worst, details={"trials": trials, "failures": failures})]
-    return records, {"cs_worst_relative_excess": worst}
+        sets = [np.sort(rng.choice(mu.n_atoms, size=int(rng.integers(1, mu.n_atoms + 1)),
+                                   replace=False)) for _ in range(k)]
+        sides.append(cauchy_schwarz_check(mu, k, gamma, sets, budget=budget)[:2])
+    record = _worst_trial("cauchy-schwarz-duality", sides, 1e-12)
+    return [record], {"cs_worst_ratio": record.lhs}
 
 
 def verify_gaussian_bounds(mu: WeightedPointMeasure, k: int, alpha: float, *,
                            seed: int = 0):
     """Exact lower bound on 100 random Q, then layer decomposition (relative
-    error below 1e-6) and dyadic content bound on 20 random Q each."""
+    error at most 1e-6) and dyadic content bound on 20 random Q each; the
+    two bounds report their worst trial ratio."""
     n_lower, n_layer, layer_tol = 100, 20, 1e-6
     d = mu.dim
     rng = np.random.default_rng(seed)
@@ -410,49 +405,26 @@ def verify_gaussian_bounds(mu: WeightedPointMeasure, k: int, alpha: float, *,
         q = rng.standard_normal((d, d))
         return q * 2.0 ** rng.uniform(-2.0, 2.0)
 
-    lower_fail = 0
-    lower_margin = math.inf
-    for _ in range(n_lower):
-        lhs, rhs, ok = gaussian_lower_check(mu, random_matrix())
-        lower_fail += not ok
-        lower_margin = min(lower_margin, rhs - lhs)
-    records = [CheckRecord(
-        name="gaussian-lower-bound", passed=lower_fail == 0,
-        lhs=float(lower_fail), rhs=0.0, direction="failure count == 0",
-        margin=lower_margin, details={"trials": n_lower})]
-
-    worst_err = 0.0
-    for _ in range(n_layer):
-        _, _, rel_err = layer_cake_check(mu, random_matrix())
-        worst_err = max(worst_err, rel_err)
-    records.append(CheckRecord(
-        name="gaussian-layer-decomposition", passed=worst_err < layer_tol,
-        lhs=worst_err, rhs=layer_tol, direction="lhs < rhs",
-        margin=layer_tol - worst_err, details={"trials": n_layer}))
-
-    content_fail = 0
-    worst_ratio = 0.0
-    for _ in range(n_layer):
-        lhs, bound, _, ok = gaussian_content_check(mu, random_matrix(), k, alpha)
-        content_fail += not ok
-        if math.isfinite(bound) and bound > 0:
-            worst_ratio = max(worst_ratio, lhs / bound)
-    records.append(CheckRecord(
-        name="gaussian-content-bound", passed=content_fail == 0,
-        lhs=float(content_fail), rhs=0.0, direction="failure count == 0",
-        margin=1.0 - worst_ratio,
-        details={"trials": n_layer, "worst_lhs_over_bound": worst_ratio}))
+    records = [_worst_trial("gaussian-lower-bound", [
+        gaussian_lower_check(mu, random_matrix())[:2] for _ in range(n_lower)], 1e-12)]
+    worst_err = max(layer_cake_check(mu, random_matrix())[2] for _ in range(n_layer))
+    records.append(CheckRecord("gaussian-layer-decomposition", worst_err, layer_tol,
+                               details={"trials": n_layer}))
+    records.append(_worst_trial("gaussian-content-bound", [
+        gaussian_content_check(mu, random_matrix(), k, alpha)[:2]
+        for _ in range(n_layer)], 1e-9))
     return records, {"gaussian_layer_worst_err": worst_err}
 
 
 def verify_slab_implication(mu: WeightedPointMeasure, k: int, alpha: float,
                             family):
-    """Slab constant over top-axis flats dominates every family member."""
-    c_slab, all_ok, worst, n_checked = slab_implication_check(
-        mu, k, alpha, family)
+    """Slab constant over top-axis flats dominates every family member:
+    the worst member mass / bound against 1.  The bound is inf for every
+    member when the slab constant is (mass on a flat), and the record then
+    reads 0 against 1."""
+    c_slab, _, worst, n_checked = slab_implication_check(mu, k, alpha, family)
     records = [CheckRecord(
-        name="slab-implication", passed=all_ok, lhs=-worst, rhs=0.0,
-        direction="worst (mass - bound) <= 0", margin=worst,
+        "slab-implication", worst, 1.0, tol=1e-9,
         details={"slab_constant": c_slab, "members_checked": n_checked})]
     return records, {"slab_constant": c_slab}
 
@@ -465,10 +437,9 @@ def verify_maximal_bound(mu: WeightedPointMeasure, k: int, alpha: float, *,
     j_min = dyadic_exponents(mu.median_nn)[0] - 2
     family = default_family(mu, n_frames=6, n_pca=2, j_min=j_min,
                             mode="doubling_dyadic", seed=seed)
-    lhs, rhs, ok = maximal_weak_bound_check(mu, k, alpha, p, family)
+    lhs, rhs, _ = maximal_weak_bound_check(mu, k, alpha, p, family)
     records = [CheckRecord(
-        name="maximal-weak-bound", passed=ok, lhs=lhs, rhs=rhs,
-        margin=rhs - lhs,
+        "maximal-weak-bound", lhs, rhs, tol=1e-9,
         details={"p": p, "family_size": family.size,
                  "grid": family.length_grid.tolist()})]
     return records, {"maximal_lhs": lhs, "maximal_rhs": rhs}
@@ -500,18 +471,14 @@ def verify_necessity_growth(mu: WeightedPointMeasure, k: int, alpha: float, *,
         growth = value / base if base > 0 else math.inf
         needed = 0.9 * 2.0 ** (k * alpha * dj)
         records.append(CheckRecord(
-            name=f"necessity-growth-dj-{dj}", passed=growth >= needed,
-            lhs=growth, rhs=needed, direction="lhs >= rhs",
-            margin=growth - needed,
+            f"necessity-growth-dj-{dj}", growth, needed, ">=",
             details={"constant": value, "base_constant": base,
                      "floor": base_floor * 2.0 ** -dj}))
         constants["necessity_constants"][str(dj)] = value
         last = value
     spread = last / base if base > 0 else math.inf
     records.append(CheckRecord(
-        name="bounded-curvature-across-floors",
-        passed=spread <= 2.0, lhs=spread, rhs=2.0,
-        expected_fail=True,
+        "bounded-curvature-across-floors", spread, 2.0, expected_fail=True,
         details={"note": "flat-supported measures admit no single curvature "
                          "constant; this stability assertion must fail"}))
     return records, constants
@@ -552,9 +519,7 @@ def verify_flat_blowup(mu: WeightedPointMeasure, k: int, gamma: float,
     bound = rwt_bound(k, alpha, gamma, estimate.constant * (1.0 + slack),
                       [1.0] * k)
     records = [CheckRecord(
-        name="weak-type-near-flat", passed=probe.sup_ratio <= bound,
-        lhs=probe.sup_ratio, rhs=bound, expected_fail=True,
-        margin=bound - probe.sup_ratio,
+        "weak-type-near-flat", probe.sup_ratio, bound, expected_fail=True,
         details={"offset": offset, "coarse_floor": coarse_floor,
                  "curvature_at_coarse_floor": estimate.constant,
                  "note": "bound uses the coarse-scale constant; the measure "
@@ -583,9 +548,7 @@ def verify_refinement_stability(config: "ScenarioConfig",
     ratio = values[-1] / values[0] if values[0] > 0 else math.inf
     spread = max(ratio, 1.0 / ratio) if ratio > 0 else math.inf
     records = [CheckRecord(
-        name=f"refinement-stability-{counts[0]}-{counts[-1]}",
-        passed=spread <= factor, lhs=spread, rhs=factor,
-        margin=factor - spread,
+        f"refinement-stability-{counts[0]}-{counts[-1]}", spread, factor,
         details={"constants": values, "counts": list(counts)})]
     return records, {"refinement_constants": values}
 

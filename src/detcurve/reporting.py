@@ -1,10 +1,11 @@
 """Check records and scenario reports with deterministic serialization.
 
-A report collects named inequality checks (each with both sides, the margin,
-and an expected_fail flag for deliberate counterexamples) plus enough context
-to rerun the scenario.  Serialized output is sorted and excludes wall-clock
-timings, so byte-identical reruns produce byte-identical reports; timings
-stay available in memory and in JSON on request (include_timings).
+A report collects named inequality checks (each with both sides, the
+relation between them, and an expected_fail flag for deliberate
+counterexamples) plus enough context to rerun the scenario.  Serialized
+output is sorted and excludes wall-clock timings, so byte-identical reruns
+produce byte-identical reports; timings stay available in memory and in
+JSON on request (include_timings).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import platform
 from dataclasses import dataclass, field
 
@@ -29,7 +31,12 @@ def runtime_versions() -> dict:
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One verified inequality.
+    """One verified inequality, lhs <= rhs or lhs >= rhs.
+
+    The verdict is derived from the two sides, the relation and a relative
+    tolerance: "<=" passes when lhs <= rhs * (1 + tol) and has margin
+    rhs - lhs; ">=" is its mirror image, rhs <= lhs * (1 + tol) with margin
+    lhs - rhs.  A negative margin is the shortfall at tol 0.
 
     satisfied means the check behaved as intended: a passing check, or an
     expected_fail check that indeed failed.  An expected_fail check that
@@ -38,13 +45,36 @@ class CheckRecord:
     """
 
     name: str
-    passed: bool
     lhs: float
     rhs: float
-    direction: str = "lhs <= rhs"
-    margin: float = 0.0
+    relation: str = "<="
+    tol: float = 0.0
     expected_fail: bool = False
     details: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.relation not in ("<=", ">="):
+            raise ValueError(f"relation must be '<=' or '>=', got {self.relation!r}")
+        if not (self.tol >= 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be finite and nonnegative, got {self.tol}")
+
+    def _ordered(self) -> tuple:
+        """(smaller, larger) side as the relation claims them."""
+        return (self.lhs, self.rhs) if self.relation == "<=" else (self.rhs, self.lhs)
+
+    @property
+    def passed(self) -> bool:
+        small, large = self._ordered()
+        return bool(small <= large * (1.0 + self.tol))
+
+    @property
+    def margin(self) -> float:
+        small, large = self._ordered()
+        return float(large - small)
+
+    @property
+    def direction(self) -> str:
+        return f"lhs {self.relation} rhs" + (f" (tol {self.tol:g})" if self.tol else "")
 
     @property
     def satisfied(self) -> bool:

@@ -410,7 +410,7 @@ class TestSlab:
             cube64, 2, 1.0, fam)
         assert all_ok and n_checked == 36
         assert math.isfinite(c_slab) and c_slab > 0
-        assert worst >= 0.0  # margin is bound - mass, nonnegative when ok
+        assert 0.0 < worst <= 1.0  # the worst member mass / bound
 
     def test_implication_vacuous_on_flat_mass(self, cube64):
         # a frame whose top axis runs along the grid diagonal puts atoms on
@@ -419,6 +419,7 @@ class TestSlab:
         fam = EllipsoidFamily.dyadic(2, -2, 0, frames=(diag,))
         c_slab, all_ok, worst, _ = slab_implication_check(cube64, 2, 1.0, fam)
         assert math.isinf(c_slab) and all_ok
+        assert worst == 0.0  # every member's bound is inf
 
 
 class TestMaximal:
@@ -1017,11 +1018,11 @@ def slab_reference(mu, k, alpha, family, rel_tol=1e-9):
     replaced."""
     chosen = list(members(family))
     c_slab = slab_constant(mu, k, alpha, [top_axes_flat(b, k) for b in chosen])
-    all_ok, worst = True, math.inf
+    all_ok, worst = True, 0.0
     for b in chosen:
         mass = eval_measure(mu, b)
         bound = c_slab * float(np.sort(b.semi_lengths)[::-1][k - 1]) ** (alpha * k)
-        worst = min(worst, bound - mass)
+        worst = max(worst, 0.0 if mass == 0.0 else mass / bound if bound else math.inf)
         all_ok &= mass <= bound * (1.0 + rel_tol) or math.isinf(bound)
     return c_slab, all_ok, worst, len(chosen)
 
@@ -1055,7 +1056,7 @@ class TestSlabDedup:
         # c_slab * l_k^(alpha k) * (1 + 1e-9) must fail the check
         fam = self.random_frame_family(cube64)
         c_slab, all_ok, worst, n_checked = slab_implication_check(cube64, 2, alpha, fam)
-        assert math.isfinite(c_slab) and all_ok and worst >= 0.0
+        assert math.isfinite(c_slab) and all_ok and worst <= 1.0
         assert n_checked == fam.size
         table = curvature._centred_masses(cube64, fam)
         frame, t = len(fam.frames) // 2, len(fam.length_tuples()) // 3
@@ -1064,7 +1065,8 @@ class TestSlabDedup:
         bad[frame, t] = c_slab * l_k ** (alpha * 2) * (1.0 + 2e-9)
         monkeypatch.setattr(curvature, "_centred_masses", lambda mu, family: bad)
         got = slab_implication_check(cube64, 2, alpha, fam)
-        assert got[0] == c_slab and got[1] is False and got[2] < 0.0
+        assert got[0] == c_slab and got[1] is False
+        assert got[2] == pytest.approx(1.0 + 2e-9, rel=1e-12)
         assert got[3] == n_checked
 
     @pytest.mark.parametrize("fixture,k,alpha", [
@@ -1211,7 +1213,8 @@ def layer_cake_reference(mu, q):
     masses = cum[len(r_sorted) - 1 - last_idx]
     rhs = 0.0
     for i, (a, m_) in enumerate(zip(breaks, masses)):
-        b2 = breaks[i + 1] ** 2 if i + 1 < len(breaks) else math.inf
+        # telescoping: the tail is the next break's head, exp(-b * b)
+        b2 = breaks[i + 1] * breaks[i + 1] if i + 1 < len(breaks) else math.inf
         tail = 0.0 if math.isinf(b2) else math.exp(-b2)
         rhs += m_ * (math.exp(-a * a) - tail)
     denom = abs(lhs) if lhs != 0.0 else 1.0

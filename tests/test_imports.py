@@ -10,7 +10,8 @@ functionals forms determinants in _tuple_terms alone, geometry._inside
 alone sums ellipsoid membership terms, and neither importing the package
 nor running its commands loads scipy, and importing it leaves
 importlib.metadata unloaded; both curvature searches maximise one
-objective in _grid_then_refine."""
+objective in _grid_then_refine; no CheckRecord call sets a verdict that
+the record derives."""
 
 import ast
 import importlib
@@ -520,6 +521,31 @@ def test_lab_imports_public_names_only():
     # bench/tracing.py wraps public names only: a check that reached a
     # search through a private name would run untraced
     assert private_imports((ROOT / "src/detcurve/lab.py").read_text(encoding="utf-8")) == []
+
+
+def set_verdicts(source: str) -> list:
+    """(line, keyword) of the passed=, margin= and direction= arguments of
+    CheckRecord calls, bare or as an attribute: a record derives all three
+    from lhs, rhs, its relation and tol, so a caller that sets one can
+    disagree with the other two."""
+    return sorted((node.lineno, kw.arg) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CheckRecord"
+                  for kw in node.keywords if kw.arg in ("passed", "margin", "direction"))
+
+
+def test_verdict_scan_flags_set_verdicts():
+    src = ("a = CheckRecord('a', 1.0, 2.0, passed=True)\n"
+           "b = reporting.CheckRecord('b', 1.0, 2.0, tol=1e-9,\n"
+           "                          margin=1.0, direction='lhs <= rhs')\n"
+           "c = CheckRecord('c', 1.0, 2.0, '>=', details={'passed': 1})\n"
+           "d = Other('d', passed=True)\n")
+    assert set_verdicts(src) == [(1, "passed"), (2, "direction"), (2, "margin")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_records_derive_their_verdicts(path):
+    assert set_verdicts(path.read_text(encoding="utf-8")) == []
 
 
 def test_bench_tracing_targets_resolve(monkeypatch):

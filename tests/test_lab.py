@@ -240,8 +240,9 @@ class TestDrivers:
     def test_cauchy_schwarz_driver(self, cube64):
         records, _ = verify_cauchy_schwarz(cube64, 2, 0.5, trials=10, seed=0)
         assert len(records) == 1
-        assert records[0].passed
-        assert records[0].lhs <= 0.0
+        assert records[0].passed and records[0].rhs == 1.0
+        assert 0.0 < records[0].lhs <= 1.0  # the worst trial ratio
+        assert records[0].details == {"trials": 10, "failures": 0}
 
     def test_cauchy_schwarz_needs_a_trial(self, cube64):
         with pytest.raises(ValueError, match="trials must be at least 1, got 0"):

@@ -1,6 +1,7 @@
 """Check records and scenario reports: serialization and summary lines."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -18,10 +19,8 @@ from detcurve.reporting import (
 
 def sample_report():
     rep = ScenarioReport(scenario="sample", config={"k": 2})
-    rep.add(CheckRecord(name="good", passed=True, lhs=1.0, rhs=2.0,
-                        margin=1.0, details={"note": "fine"}))
-    rep.add(CheckRecord(name="designed-failure", passed=False, lhs=5.0,
-                        rhs=2.0, expected_fail=True))
+    rep.add(CheckRecord("good", 1.0, 2.0, details={"note": "fine"}))
+    rep.add(CheckRecord("designed-failure", 5.0, 2.0, expected_fail=True))
     rep.constants["c"] = 0.25
     rep.timings["good"] = 0.123
     return rep
@@ -29,32 +28,65 @@ def sample_report():
 
 class TestCheckRecord:
     def test_satisfied_truth_table(self):
-        mk = lambda p, e: CheckRecord(name="x", passed=p, lhs=0, rhs=0,
-                                      expected_fail=e)
-        assert mk(True, False).satisfied
-        assert not mk(False, False).satisfied
-        assert mk(False, True).satisfied
-        assert not mk(True, True).satisfied
+        for relation, holds, fails in [("<=", (1.0, 2.0), (3.0, 2.0)),
+                                       (">=", (3.0, 2.0), (1.0, 2.0))]:
+            mk = lambda sides, e: CheckRecord("x", *sides, relation, expected_fail=e)
+            assert mk(holds, False).passed and mk(holds, False).satisfied
+            assert not mk(fails, False).passed and not mk(fails, False).satisfied
+            assert mk(fails, True).satisfied
+            assert not mk(holds, True).satisfied
+            assert mk((2.0, 2.0), False).passed  # equal sides hold either way
+
+    @pytest.mark.parametrize("relation", ["<=", ">="])
+    @pytest.mark.parametrize("bound,tol", [(1.0, 1e-12), (0.7, 1e-9), (3e5, 0.25),
+                                           (2.5, 0.0)])
+    def test_tolerance_edge(self, relation, bound, tol):
+        # the record passes at exactly bound * (1 + tol) and fails one float past it
+        edge = bound * (1.0 + tol)
+        past = np.nextafter(edge, math.inf)
+        if relation == "<=":
+            at = CheckRecord("e", edge, bound, tol=tol)
+            beyond = CheckRecord("e", past, bound, tol=tol)
+        else:
+            at = CheckRecord("e", bound, edge, ">=", tol)
+            beyond = CheckRecord("e", bound, past, ">=", tol)
+        assert at.passed and not beyond.passed
+
+    def test_margin_and_direction_follow_the_relation(self):
+        below = CheckRecord("b", 64.0, 2.0)
+        assert below.margin == -62.0 and below.direction == "lhs <= rhs"
+        above = CheckRecord("a", 4.0, 3.6, ">=")
+        assert above.margin == 4.0 - 3.6 and above.direction == "lhs >= rhs"
+        assert CheckRecord("t", 0.5, 1.0, tol=1e-12).direction == "lhs <= rhs (tol 1e-12)"
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"relation": "<"}, "relation must be '<=' or '>=', got '<'"),
+        ({"relation": "=="}, "relation must be '<=' or '>=', got '=='"),
+        ({"tol": -1e-9}, "tol must be finite and nonnegative, got -1e-09"),
+        ({"tol": math.inf}, "tol must be finite and nonnegative, got inf"),
+        ({"tol": math.nan}, "tol must be finite and nonnegative, got nan")])
+    def test_rejects_bad_relation_and_tol(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CheckRecord("x", 1.0, 2.0, **kwargs)
 
     def test_satisfied_handles_numpy_bool(self):
-        rec = CheckRecord(name="x", passed=np.bool_(True), lhs=0, rhs=0)
-        assert rec.satisfied is True
+        # numpy sides make the derived comparison an np.bool_
+        rec = CheckRecord("x", np.float64(1.0), np.float64(2.0), tol=np.float64(1e-9))
+        assert rec.passed is True and rec.satisfied is True
+        assert type(rec.margin) is float
         json.dumps(rec.to_dict())  # must not choke on numpy scalars
 
     def test_summary_line_variants(self):
-        ok = CheckRecord(name="a", passed=True, lhs=1, rhs=2)
+        ok = CheckRecord("a", 1, 2)
         assert ok.summary_line().startswith("PASS")
-        bad = CheckRecord(name="b", passed=False, lhs=3, rhs=2)
+        bad = CheckRecord("b", 3, 2)
         assert "REGRESSION" in bad.summary_line()
-        designed = CheckRecord(name="c", passed=False, lhs=3, rhs=2,
-                               expected_fail=True)
+        designed = CheckRecord("c", 3, 2, expected_fail=True)
         line = designed.summary_line()
         assert "expected failure" in line and "REGRESSION" not in line
 
     def test_dict_round_trip(self):
-        rec = CheckRecord(name="r", passed=False, lhs=1.5, rhs=0.5,
-                          direction="lhs >= rhs", margin=-1.0,
-                          expected_fail=True,
+        rec = CheckRecord("r", 0.5, 1.5, ">=", expected_fail=True,
                           details={"vec": np.array([1.0, 2.0]),
                                    "num": np.float64(3.5)})
         # the serialised record holds plain values: numpy ones converted
@@ -62,7 +94,11 @@ class TestCheckRecord:
         back = json.loads(rep.to_json())["checks"][0]
         assert back == {**rec.to_dict(), "details": {"num": 3.5, "vec": [1.0, 2.0]}}
         assert back["name"] == "r" and back["passed"] is False
+        assert back["direction"] == "lhs >= rhs" and back["margin"] == -1.0
         assert back["expected_fail"] is True and back["satisfied"] is True
+        # the keys every report consumer reads
+        assert set(back) == {"name", "passed", "lhs", "rhs", "direction", "margin",
+                             "expected_fail", "satisfied", "details"}
 
 
 class TestScenarioReport:
@@ -70,7 +106,7 @@ class TestScenarioReport:
         rep = sample_report()
         assert rep.all_satisfied
         assert rep.n_failed == 0
-        rep.add(CheckRecord(name="regression", passed=False, lhs=9, rhs=1))
+        rep.add(CheckRecord("regression", 9, 1))
         assert not rep.all_satisfied
         assert rep.n_failed == 1
 
@@ -99,7 +135,9 @@ class TestScenarioReport:
         rep = sample_report()
         lines = rep.to_csv().strip().splitlines()
         header = lines[0].split(",")
-        assert header[:4] == ["name", "passed", "expected_fail", "satisfied"]
+        assert header == ["name", "passed", "expected_fail", "satisfied",
+                          "lhs", "rhs", "direction", "margin"]
+        assert lines[1] == "good,True,False,True,1.0,2.0,lhs <= rhs,1.0"
         assert len(lines) == 3
 
     def test_emit_and_load_by_suffix(self, tmp_path):
