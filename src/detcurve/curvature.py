@@ -31,6 +31,8 @@ from .geometry import (AffineSubspace, Ellipsoid, k_content, matrix_content,
 from .measure import WeightedPointMeasure, _check_k_alpha, eval_measure
 
 MODES = ("scale_floored_search", "doubling_dyadic")
+GAUSSIAN_LOWER_TOL = 1e-12  # relative tolerances of the checks' ok and of their records
+GAUSSIAN_CONTENT_TOL = SLAB_TOL = MAXIMAL_TOL = 1e-9
 
 
 def dyadic_exponents(x: float) -> tuple:
@@ -211,11 +213,22 @@ def _level_masses(values: np.ndarray, weights: np.ndarray) -> tuple:
     return ordered[last], cum[last]
 
 
-SWEEP_BLOCK = 1 << 16  # atom x prefix entries per tile of centres
+# atom x prefix entries per tile, ~18 bytes each of _workspace (2.4 MB): timed
+# against 2^16, 8-9% less sweep wall time for ~1.2 MB more per worker; 2^18 no faster
+SWEEP_BLOCK = 1 << 17
 FRAME_WORK = 1 << 22  # member x atom x centre tests per block of frames
 
 
-def _counts(z: np.ndarray, invsq: np.ndarray) -> np.ndarray:
+def _workspace(pairs: int, n_len: int, d: int) -> tuple:
+    """(floats, count, mask) for tiles of up to `pairs` (row, atom) pairs: two
+    float64 regions for prefixes or thresholds, and a count and a compare mask
+    entry per prefix and pair."""
+    n_pre = n_len ** (d - 1)
+    return (np.empty((2, pairs * max(n_len, n_pre))),
+            np.empty(pairs * n_pre, np.min_scalar_type(n_len)), np.empty(pairs * n_pre, bool))
+
+
+def _counts(z: np.ndarray, invsq: np.ndarray, work: tuple = None) -> np.ndarray:
     """(..., L**(d-1), N) counts, per length prefix of the first d - 1 axes
     and atom, of the last-axis lengths admitting the atom, for atom
     coordinates z (..., N, d) relative to the centre and inverse squared
@@ -234,26 +247,35 @@ def _counts(z: np.ndarray, invsq: np.ndarray) -> np.ndarray:
     in [0, 0.5], or Sterbenz's lemma applies); so is the last add, but at
     t = 0, where it rounds to 1.0, the right answer.  For t > 1, u < 0 <= p,
     and u = -inf when t 2^53 overflows: no length admits the atom.
+
+    The arrays are views of work (or of a _workspace made here): prefixes
+    alternate between its float regions, ending in the first; u fills the second.
     """
     *batch, n, d = z.shape
+    n_len, n_pre, pairs = len(invsq), len(invsq) ** (d - 1), math.prod(batch) * n
+    floats, count, below = work or _workspace(pairs, n_len, d)
     q = np.moveaxis(z * z, -1, -2)[..., None, :]  # (..., d, 1, N): atoms innermost
-    prefix = np.zeros((*batch, 1, n)) if d == 1 else invsq[:, None] * q[..., 0, :, :]
-    for a in range(1, d - 1):
+    prefix = 0.0 if d == 1 else np.multiply(invsq[:, None], q[..., 0, :, :], out=floats[
+        d % 2][:pairs * n_len].reshape(*batch, n_len, n))
+    for a in range(1, d - 1):  # prefix a reads one region and writes the other
         term = invsq[:, None] * q[..., a, :, :]
-        prefix = (prefix[..., :, None, :] + term[..., None, :, :]).reshape(*batch, -1, n)
-    count = np.zeros(prefix.shape, dtype=np.min_scalar_type(len(invsq)))
-    below = np.empty(prefix.shape, dtype=bool)
-    u = invsq[:, None] * q[..., d - 1, :, :]  # t, made u in place: (..., L, N)
+        out = floats[(d - a) % 2][:pairs * n_len ** (a + 1)].reshape(*batch, n_len ** a, n_len, n)
+        prefix = np.add(prefix[..., :, None, :], term[..., None, :, :], out=out).reshape(
+            *batch, n_len ** (a + 1), n)
+    count, below = (r[:pairs * n_pre].reshape(*batch, n_pre, n) for r in (count, below))
+    count.fill(0)
+    u = np.multiply(invsq[:, None], q[..., d - 1, :, :],  # t, made u in place: (..., L, N)
+                    out=floats[1][:pairs * n_len].reshape(*batch, n_len, n))
     with np.errstate(over="ignore"):  # t 2^53 = inf gives u = -inf, as it should
         np.ceil(np.multiply(u, 2.0 ** 53, out=u), out=u)
     np.add(np.subtract(1.0, np.multiply(u, 2.0 ** -53, out=u), out=u), 2.0 ** -53, out=u)
-    for l in range(len(invsq)):
+    for l in range(n_len):
         count += np.less_equal(prefix, u[..., l:l + 1, :], out=below)
     return count
 
 
 def _sweep(points: np.ndarray, centers: np.ndarray, frames, values: np.ndarray,
-           weights: np.ndarray, tile: int, mirror: bool) -> np.ndarray:
+           weights: np.ndarray, tile: int, mirror: bool, work: tuple = None) -> np.ndarray:
     """Masses (F, P, L**d), in itertools.product order, of the members with
     semi-lengths from the increasing grid values centred at centers (P, d)
     in each of the F frames, for atoms points (N, d): per (frame, centre) row
@@ -268,31 +290,39 @@ def _sweep(points: np.ndarray, centers: np.ndarray, frames, values: np.ndarray,
     a centred B, and z_j - z_i = -(z_i - z_j) exactly, so either atom may be
     the centre.  Its counts go directly to the rows a..b and, transposed, to
     the rows b..N; np.add.at adds in sequence, so each centre gets the atoms
-    of earlier tiles, ascending, before its own row.  Memory is bounded by
-    the tile and the histogram (a helper call per tile), and whatever the
-    tile each bin sums its weights left to right in ascending atom order.
+    of earlier tiles, ascending, before its own row.  Tiles reuse work (or a
+    _workspace made here), the int64 bins and weight copy over _counts' float
+    regions, so memory is bounded by it and the histogram; whatever the tile,
+    each bin sums its weights left to right in ascending atom order.
     """
     (n, d), p, n_len = points.shape, centers.shape[0], values.shape[0]
     invsq, n_pre = (1.0 / values) ** 2, n_len ** (d - 1)
     row = n_pre * (n_len + 1)
     cells = (n_len + 1) * np.arange(n_pre)[:, None]
     hist = np.zeros(len(frames) * p * row)
+    work = work or _workspace(min(tile, len(frames) * p) * n, n_len, d)
+    ints = work[0][0].view(np.int64)
+
+    def binned(count, at, w):  # raveled in work: count + the offsets of rows at, weights w
+        bins = np.add(count, cells + row * at, out=ints[:count.size].reshape(count.shape))
+        copy = work[0][1][:count.size].reshape(count.shape)
+        copy[...] = w
+        return bins.ravel(), copy.ravel()
 
     def coords(a, b):  # (b - a, N, d): the atoms around the centres of rows a..b
         return np.concatenate([points @ frames[f] - (centers @ frames[f])[
             max(0, a - f * p):b - f * p, None] for f in range(a // p, (b - 1) // p + 1)])
 
     def rows(a, b):
-        bins = _counts(coords(a, b), invsq) + (cells + row * np.arange(b - a)[:, None, None])
-        hist[a * row:b * row] = np.bincount(bins.ravel(), minlength=(b - a) * row,
-                                            weights=np.broadcast_to(weights, bins.shape).ravel())
+        count = _counts(coords(a, b), invsq, work)
+        bins, w = binned(count, np.arange(b - a)[:, None, None], weights)
+        hist[a * row:b * row] = np.bincount(bins, w, minlength=(b - a) * row)
 
     def mirrored(z, a, b, out):  # out: the frame's histogram from row a on
-        count = _counts(z[a:] - z[a:b, None, :], invsq)  # (b - a, n_pre, n - a)
-        bins = count + (cells + row * np.arange(b - a)[:, None, None])
-        np.add.at(out, bins.ravel(), np.broadcast_to(weights[a:], bins.shape).ravel())
-        bins = count[:, :, b - a:] + (cells + row * np.arange(b - a, n - a))
-        np.add.at(out, bins.ravel(), np.broadcast_to(weights[a:b, None, None], bins.shape).ravel())
+        count = _counts(z[a:] - z[a:b, None, :], invsq, work)  # (b - a, n_pre, n - a)
+        np.add.at(out, *binned(count, np.arange(b - a)[:, None, None], weights[a:]))
+        np.add.at(out, *binned(count[:, :, b - a:], np.arange(b - a, n - a),
+                               weights[a:b, None, None]))
 
     if mirror:
         for f, frame in enumerate(frames):
@@ -315,6 +345,8 @@ def _frame_masses(mu: WeightedPointMeasure, family: EllipsoidFamily,
     entries) `step` frames a call: one if mirrored (the N atoms are the
     centres), else as many as keep the histogram within SWEEP_BLOCK entries.
     A call's masses are freed, but what reduce keeps, before the next call.
+    The calling thread makes a _workspace, of a tile or a call if smaller, for
+    each block that can run at once; a running block holds one.
     """
     if family.dim != mu.dim:
         raise ValueError(f"family dimension {family.dim} does not match the "
@@ -325,12 +357,18 @@ def _frame_masses(mu: WeightedPointMeasure, family: EllipsoidFamily,
     run = -(-FRAME_WORK // max(1, n_pre * len(values) * mu.n_atoms * p))
     mirror = np.array_equal(centers, mu.points)
     step = 1 if mirror else max(1, SWEEP_BLOCK // max(1, p * n_pre * (len(values) + 1)))
+    ranges = [(s, min(s + run, len(frames))) for s in range(0, len(frames), run)]
+    spare = [_workspace(min(tile, step * p) * mu.n_atoms, len(values), mu.dim)
+             for _ in range(min(parallel.worker_count(), len(ranges)))]
 
     def swept(a, b):
-        return [r for s in range(a, b, step) for r in map(reduce, _sweep(
-            mu.points, centers, frames[s:min(s + step, b)], values, mu.weights, tile, mirror))]
+        work = spare.pop()  # a block per worker runs at once; pop and append are atomic
+        masses = [r for s in range(a, b, step) for r in map(reduce, _sweep(
+            mu.points, centers, frames[s:min(s + step, b)], values, mu.weights, tile, mirror,
+            work))]
+        spare.append(work)
+        return masses
 
-    ranges = [(s, min(s + run, len(frames))) for s in range(0, len(frames), run)]
     return [r for block in parallel.map_blocks(swept, ranges) for r in block]
 
 
@@ -498,14 +536,14 @@ def gaussian_lower_check(mu: WeightedPointMeasure, q: np.ndarray) -> tuple:
     """exp(-1) * mu({||Qx||^2 <= 1}) <= integral of exp(-||Qx||^2).
 
     Pointwise exp(-||Qx||^2) >= exp(-1) on the sublevel set, so this holds
-    exactly; a relative tolerance of 1e-12 only absorbs summation roundoff.
+    exactly; GAUSSIAN_LOWER_TOL only absorbs summation roundoff.
     """
     q = np.asarray(q, dtype=float)
     img = mu.points @ q.T
     s = np.einsum("nd,nd->n", img, img)
     lhs = math.exp(-1.0) * float(np.sum(mu.weights[s <= 1.0]))
     rhs = gaussian_integral(mu, q)
-    return lhs, rhs, lhs <= rhs * (1.0 + 1e-12)
+    return lhs, rhs, lhs <= rhs * (1.0 + GAUSSIAN_LOWER_TOL)
 
 
 def layer_cake_check(mu: WeightedPointMeasure, q: np.ndarray) -> tuple:
@@ -543,7 +581,7 @@ def gaussian_content_check(mu: WeightedPointMeasure, q: np.ndarray, k: int,
         integral <= Gamma(k alpha / 2 + 1) * 2^(k alpha) * C * |Q|_k^alpha,
 
     the 2^(k alpha) paying for rounding t up to the next dyadic level.
-    Returns (lhs, bound, c_dyadic, ok), ok within a relative 1e-9.
+    Returns (lhs, bound, c_dyadic, ok), ok within GAUSSIAN_CONTENT_TOL.
     """
     q = np.asarray(q, dtype=float)
     lhs = gaussian_integral(mu, q)
@@ -565,7 +603,7 @@ def gaussian_content_check(mu: WeightedPointMeasure, q: np.ndarray, k: int,
         below = float(mass[at - 1]) if at else 0.0
         c_dyadic = max(c_dyadic, below / (t ** k * qk) ** alpha)
     bound = math.gamma(k * alpha / 2.0 + 1.0) * 2.0 ** (k * alpha) * c_dyadic * qk ** alpha
-    return lhs, bound, c_dyadic, lhs <= bound * (1.0 + 1e-9)
+    return lhs, bound, c_dyadic, lhs <= bound * (1.0 + GAUSSIAN_CONTENT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -609,18 +647,18 @@ def slab_implication_check(mu: WeightedPointMeasure, k: int, alpha: float,
     length tuple, and the member masses are the rows of _centred_masses.
     Returns (c_slab, all_ok, worst, n_checked): worst is the largest member
     mass / bound by the conventions of ratios (an infinite bound reads 0),
-    and all_ok holds when it is at most 1 + 1e-9.
+    and all_ok holds when it is at most 1 + SLAB_TOL.
     """
     _check_k_alpha(mu, k, alpha)
     masses = _centred_masses(mu, family)
     semi = family.length_tuples()
-    top = np.argsort(-semi, axis=1, kind="stable")[:, :k - 1]
+    tops = np.unique(np.argsort(-semi, axis=1, kind="stable")[:, :k - 1], axis=0)
     flats = [AffineSubspace(np.zeros(mu.dim), frame[:, axes].T)
-             for frame in family.frames for axes in np.unique(top, axis=0)]
+             for frame in family.frames for axes in tops]
     c_slab = slab_constant(mu, k, alpha, flats)
     bound = c_slab * np.sort(semi, axis=1)[:, mu.dim - k] ** (alpha * k)
     worst = float(np.max(ratios(masses, bound)))
-    return c_slab, worst <= 1.0 + 1e-9, worst, masses.size
+    return c_slab, worst <= 1.0 + SLAB_TOL, worst, masses.size
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +748,7 @@ def maximal_weak_bound_check(mu: WeightedPointMeasure, k: int, alpha: float,
     where F_inner takes the sup over members whose double stays in the
     family (that is exactly what the covering argument consumes).  Both
     come from one sweep of the family around every atom, F_inner reading
-    its inner columns.  Returns (lhs, rhs, ok), ok within a relative 1e-9;
+    its inner columns.  Returns (lhs, rhs, ok), ok within MAXIMAL_TOL;
     lhs is 0.0 when no atom carries mass.
     """
     _check_p(p)
@@ -720,4 +758,4 @@ def maximal_weak_bound_check(mu: WeightedPointMeasure, k: int, alpha: float,
     positive = mu.weights > 0.0
     lhs = float(np.max(f_inner[positive], initial=0.0))
     rhs = 2.0 ** (alpha * k) * wk ** (p / (p + 1.0))
-    return lhs, rhs, lhs <= rhs * (1.0 + 1e-9)
+    return lhs, rhs, lhs <= rhs * (1.0 + MAXIMAL_TOL)

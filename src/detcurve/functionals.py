@@ -42,6 +42,7 @@ from .measure import WeightedPointMeasure, _check_k_alpha
 
 DEFAULT_BUDGET = 10_000_000
 TAU_SCALE = 1e-12
+CAUCHY_SCHWARZ_TOL = 1e-12  # relative, of cauchy_schwarz_check's ok and lab's record
 # Tuples an index-array block forms at once: ~2 MB of columns, differences and
 # cofactor products at k = 3, not a whole block's ~24 MB.  Terms are per tuple.
 CHUNK = 1 << 14
@@ -468,7 +469,7 @@ def dyadic_profile(mu: WeightedPointMeasure, k: int, sets, gamma: float) -> Dyad
 
 def cauchy_schwarz_check(mu: WeightedPointMeasure, k: int, gamma: float, sets, *,
                          budget: int = DEFAULT_BUDGET,
-                         rel_tol: float = 1e-12) -> tuple:
+                         rel_tol: float = CAUCHY_SCHWARZ_TOL) -> tuple:
     """Duality check (included mass)^2 <= (form at +gamma) * (form at -gamma).
 
     Both forms run over E_1 x ... x E_k with the whole measure's tau, so

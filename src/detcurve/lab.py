@@ -26,12 +26,12 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .curvature import (EllipsoidFamily, default_family, dyadic_exponents,
-                        estimate_curvature_constant, gaussian_content_check,
-                        gaussian_lower_check, layer_cake_check,
-                        maximal_weak_bound_check, min_content_at_mass, ratios,
+from .curvature import (GAUSSIAN_CONTENT_TOL, GAUSSIAN_LOWER_TOL, MAXIMAL_TOL, SLAB_TOL,
+                        EllipsoidFamily, default_family, dyadic_exponents,
+                        estimate_curvature_constant, gaussian_content_check, gaussian_lower_check,
+                        layer_cake_check, maximal_weak_bound_check, min_content_at_mass, ratios,
                         slab_implication_check)
-from .functionals import (DEFAULT_BUDGET, cauchy_schwarz_check,
+from .functionals import (CAUCHY_SCHWARZ_TOL, DEFAULT_BUDGET, cauchy_schwarz_check,
                           sublevel_mass, weak_type_probe)
 from .measure import (GeneratorSpec, WeightedPointMeasure, generate,
                       load_point_cloud, pushforward)
@@ -388,7 +388,7 @@ def verify_cauchy_schwarz(mu: WeightedPointMeasure, k: int, gamma: float, *,
         sets = [np.sort(rng.choice(mu.n_atoms, size=int(rng.integers(1, mu.n_atoms + 1)),
                                    replace=False)) for _ in range(k)]
         sides.append(cauchy_schwarz_check(mu, k, gamma, sets, budget=budget)[:2])
-    record = _worst_trial("cauchy-schwarz-duality", sides, 1e-12)
+    record = _worst_trial("cauchy-schwarz-duality", sides, CAUCHY_SCHWARZ_TOL)
     return [record], {"cs_worst_ratio": record.lhs}
 
 
@@ -405,14 +405,14 @@ def verify_gaussian_bounds(mu: WeightedPointMeasure, k: int, alpha: float, *,
         q = rng.standard_normal((d, d))
         return q * 2.0 ** rng.uniform(-2.0, 2.0)
 
-    records = [_worst_trial("gaussian-lower-bound", [
-        gaussian_lower_check(mu, random_matrix())[:2] for _ in range(n_lower)], 1e-12)]
+    records = [_worst_trial("gaussian-lower-bound", [gaussian_lower_check(
+        mu, random_matrix())[:2] for _ in range(n_lower)], GAUSSIAN_LOWER_TOL)]
     worst_err = max(layer_cake_check(mu, random_matrix())[2] for _ in range(n_layer))
     records.append(CheckRecord("gaussian-layer-decomposition", worst_err, layer_tol,
                                details={"trials": n_layer}))
     records.append(_worst_trial("gaussian-content-bound", [
         gaussian_content_check(mu, random_matrix(), k, alpha)[:2]
-        for _ in range(n_layer)], 1e-9))
+        for _ in range(n_layer)], GAUSSIAN_CONTENT_TOL))
     return records, {"gaussian_layer_worst_err": worst_err}
 
 
@@ -424,7 +424,7 @@ def verify_slab_implication(mu: WeightedPointMeasure, k: int, alpha: float,
     reads 0 against 1."""
     c_slab, _, worst, n_checked = slab_implication_check(mu, k, alpha, family)
     records = [CheckRecord(
-        "slab-implication", worst, 1.0, tol=1e-9,
+        "slab-implication", worst, 1.0, tol=SLAB_TOL,
         details={"slab_constant": c_slab, "members_checked": n_checked})]
     return records, {"slab_constant": c_slab}
 
@@ -439,7 +439,7 @@ def verify_maximal_bound(mu: WeightedPointMeasure, k: int, alpha: float, *,
                             mode="doubling_dyadic", seed=seed)
     lhs, rhs, _ = maximal_weak_bound_check(mu, k, alpha, p, family)
     records = [CheckRecord(
-        "maximal-weak-bound", lhs, rhs, tol=1e-9,
+        "maximal-weak-bound", lhs, rhs, tol=MAXIMAL_TOL,
         details={"p": p, "family_size": family.size,
                  "grid": family.length_grid.tolist()})]
     return records, {"maximal_lhs": lhs, "maximal_rhs": rhs}

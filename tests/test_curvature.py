@@ -1,6 +1,7 @@
 """Ellipsoid families, curvature search, Gaussian and slab checks, maximal bounds."""
 
 import math
+import sys
 import tracemalloc
 from itertools import product
 
@@ -754,7 +755,7 @@ class TestSymmetricSweep:
         original = curvature._sweep
 
         def spy(*args):
-            calls.append((args[2], args[-1]))  # frames, mirror
+            calls.append((args[2], args[6]))  # frames, mirror
             return original(*args)
 
         monkeypatch.setattr(curvature, "_sweep", spy)
@@ -787,8 +788,8 @@ class TestSymmetricSweep:
         sizes = []
         original = curvature._counts
 
-        def spy(z, invsq):
-            count = original(z, invsq)
+        def spy(z, invsq, *work):
+            count = original(z, invsq, *work)
             sizes.append(count.size)
             return count
 
@@ -846,9 +847,9 @@ class TestFrameRuns:
         rows = []
         original = curvature._counts
 
-        def spy(z, invsq):
+        def spy(z, invsq, *work):
             rows.append(z.shape[0])
-            return original(z, invsq)
+            return original(z, invsq, *work)
 
         monkeypatch.setattr(curvature, "_counts", spy)
         for work, runs in ((curvature.FRAME_WORK, 1), (3 * n_len ** 2 * cube64.n_atoms, 6)):
@@ -904,6 +905,86 @@ class TestFrameRuns:
 
         one = EllipsoidFamily(frames=fam.frames[:1], length_grid=fam.length_grid)
         assert peak(fam) <= 1.25 * peak(one)
+
+
+class TestWorkspace:
+    """_frame_masses gives each block that can run at once one _workspace,
+    and every tile of its _sweep calls writes its scratch there."""
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("mirror", [True, False])
+    def test_one_workspace_per_concurrent_block(self, cube64, monkeypatch, threads, mirror):
+        fam = EllipsoidFamily.dyadic(2, -4, 1, mode="doubling_dyadic",
+                                     frames=default_frames(2, n_random=4, seed=2))
+        values, n = fam.effective_lengths, cube64.n_atoms
+        centres = cube64.points if mirror else np.zeros((1, 2))
+        made, used, blocks = [], [], []
+        workspace, counts, map_blocks = curvature._workspace, curvature._counts, parallel.map_blocks
+
+        def workspace_spy(*args):
+            made.append(workspace(*args))
+            return made[-1]
+
+        def counts_spy(z, invsq, *work):
+            used.append(work)
+            return counts(z, invsq, *work)
+
+        def map_blocks_spy(fn, ranges):
+            blocks.append(len(ranges))
+            return map_blocks(fn, ranges)
+
+        monkeypatch.setattr(curvature, "_workspace", workspace_spy)
+        monkeypatch.setattr(curvature, "_counts", counts_spy)
+        monkeypatch.setattr(parallel, "map_blocks", map_blocks_spy)
+        monkeypatch.setenv("DETCURVE_THREADS", threads)
+        monkeypatch.setattr(curvature, "FRAME_WORK", 1)  # one frame per block
+        monkeypatch.setattr(curvature, "SWEEP_BLOCK", 4 * n * len(values))  # 4 centres a tile
+        got = curvature._frame_masses(cube64, fam, centres, lambda m: m)
+        assert blocks == [len(fam.frames)]
+        assert 1 <= len(made) <= min(int(threads), len(fam.frames))
+        # every tile's counts went to one of them: 16 tiles a frame mirrored
+        assert len(used) == len(fam.frames) * (16 if mirror else 1) > len(made)
+        assert all(len(w) == 1 and any(w[0] is m for m in made) for w in used)
+        for frame, masses in zip(fam.frames, got):
+            z, c = cube64.points @ frame, centres @ frame
+            want = np.stack([bincount_sweep(z - ci, values, cube64.weights) for ci in c])
+            assert np.array_equal(masses, want)
+
+    def test_blocks_share_no_workspace(self, circle240, monkeypatch):
+        # more workers than cores, switching often: two blocks writing one
+        # workspace at once would move masses
+        fam = EllipsoidFamily.dyadic(2, -4, 1, mode="doubling_dyadic",
+                                     frames=default_frames(2, n_random=7, seed=4))
+        monkeypatch.setattr(curvature, "FRAME_WORK", 1)  # one frame per block
+        monkeypatch.setenv("DETCURVE_THREADS", "1")
+        want = curvature._frame_masses(circle240, fam, circle240.points, lambda m: m)
+        monkeypatch.setenv("DETCURVE_THREADS", "6")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [curvature._frame_masses(circle240, fam, centres, lambda m: m)
+                    for centres in (circle240.points, circle240.points, circle240.points[:-1])]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in runs[:2]:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert all(np.array_equal(g, w[:-1]) for g, w in zip(runs[2], want))
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_d4_tiles_match_reference(self, mirror):
+        # three prefix steps alternate between the float regions; one
+        # workspace, sized for the largest tile, serves every tile height
+        rng = np.random.default_rng(41)
+        n, values = 23, np.array([0.5, 1.0, 1.5])
+        z = rng.uniform(-1.5, 1.5, (n, 4))
+        z[::3] = np.round(z[::3] * 4.0) / 4.0  # ties and s == 1 at dyadic lengths
+        weights = rng.uniform(0.5, 1.5, n) / 3.0  # non-dyadic: the sum order shows
+        want = np.stack([bincount_sweep(z - c, values, weights) for c in z])
+        work = curvature._workspace((n + 4) * n, len(values), 4)
+        for tile in (1, 2, 5, n, n + 4):
+            got = _sweep(z, z, [np.eye(4)], values, weights, tile, mirror, work)
+            assert np.array_equal(got[0], want), tile
+            assert np.array_equal(_sweep(z, z, [np.eye(4)], values, weights, tile, mirror), got)
 
 
 def ulp_steps(x, k):

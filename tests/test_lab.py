@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from detcurve import curvature, lab, measure
+from detcurve import curvature, functionals, lab, measure
 from detcurve.functionals import det_form_pinned
 from detcurve.lab import (
     BUNDLED_SCENARIOS,
@@ -243,6 +243,20 @@ class TestDrivers:
         assert records[0].passed and records[0].rhs == 1.0
         assert 0.0 < records[0].lhs <= 1.0  # the worst trial ratio
         assert records[0].details == {"trials": 10, "failures": 0}
+
+    def test_trial_records_take_the_kernel_tolerances(self, cube64):
+        # one constant per trial relation, read by the kernel's ok and the record
+        family = curvature.default_family(cube64, n_frames=2, n_pca=1)
+        records = [*verify_cauchy_schwarz(cube64, 2, 0.5, trials=2)[0],
+                   *lab.verify_gaussian_bounds(cube64, 2, 1.0)[0],
+                   *lab.verify_slab_implication(cube64, 2, 1.0, family)[0],
+                   *lab.verify_maximal_bound(cube64, 2, 1.0)[0]]
+        assert {r.name: r.tol for r in records if r.name != "gaussian-layer-decomposition"} == {
+            "cauchy-schwarz-duality": functionals.CAUCHY_SCHWARZ_TOL,
+            "gaussian-lower-bound": curvature.GAUSSIAN_LOWER_TOL,
+            "gaussian-content-bound": curvature.GAUSSIAN_CONTENT_TOL,
+            "slab-implication": curvature.SLAB_TOL,
+            "maximal-weak-bound": curvature.MAXIMAL_TOL}
 
     def test_cauchy_schwarz_needs_a_trial(self, cube64):
         with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
