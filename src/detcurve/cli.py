@@ -91,6 +91,8 @@ def _load_sets(path, m, mu):
 
 
 def _cmd_functional(args) -> int:
+    if args.samples < 0 or args.samples == 1:
+        raise SystemExit(f"--samples must be 0 (enumerate) or at least 2, got {args.samples}")
     mu = load_point_cloud(args.cloud)
     _check_flags(mu, args.k, gamma=args.gamma)
     slots, tau = mu, None
@@ -231,6 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) < 0:  # analyze and functional
+        raise SystemExit(f"--seed must be a nonnegative integer, got {args.seed}")
     if getattr(args, "timings", False):
         if args.command == "verify" and not args.report:
             parser.error("--timings needs --report")

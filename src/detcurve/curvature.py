@@ -26,7 +26,7 @@ from itertools import islice, product
 import numpy as np
 
 from . import parallel
-from .geometry import (AffineSubspace, Ellipsoid, k_content, matrix_content,
+from .geometry import (FRAME_TOL, Ellipsoid, k_content, matrix_content,
                        _check_frame, _freeze, _inside)
 from .measure import WeightedPointMeasure, _check_k_alpha, eval_measure
 
@@ -611,22 +611,30 @@ def gaussian_content_check(mu: WeightedPointMeasure, q: np.ndarray, k: int,
 
 
 def slab_constant(mu: WeightedPointMeasure, k: int, alpha: float,
-                  subspaces) -> float:
+                  bases) -> float:
     """sup over flats and slab widths of mu({dist <= delta}) / delta^(alpha k).
 
-    Widths range over the distinct positive atom distances, which dominate
-    all real widths (shrinking delta to the nearest atom distance below only
-    increases the ratio).  Mass at distance zero makes the sup infinite.
+    Each flat is the span through the origin of the rows of a (k-1, d)
+    basis array, orthonormal within FRAME_TOL; translate the points for an
+    affine flat.  Widths range over the distinct positive atom distances,
+    which dominate all real widths (shrinking delta to the nearest atom
+    distance below only increases the ratio).  Mass within 1e-12 *
+    max_radius of a flat, a tolerance that dilates with the measure, makes
+    the sup infinite.
     """
     _check_k_alpha(mu, k, alpha)
-    zero_tol = 1e-12 * max(1.0, mu.max_radius)
+    zero_tol = 1e-12 * mu.max_radius
     best = 0.0
-    for flat in subspaces:
-        if flat.dim != k - 1:
-            raise ValueError(f"slab flats must have dimension k-1={k - 1}, got {flat.dim}")
-        if flat.ambient_dim != mu.dim:
-            raise ValueError("flat ambient dimension mismatch")
-        dist, mass = _level_masses(flat.distance_many(mu.points), mu.weights)
+    for i, basis in enumerate(bases):
+        basis = np.asarray(basis, dtype=float)
+        if basis.shape != (k - 1, mu.dim):
+            raise ValueError(f"slab basis {i} must have shape (k-1, d) = "
+                             f"{(k - 1, mu.dim)}, got {basis.shape}")
+        err = np.max(np.abs(basis @ basis.T - np.eye(k - 1)), initial=0.0)
+        if not err <= FRAME_TOL:
+            raise ValueError(f"slab basis {i} rows not orthonormal (defect {err:.3e})")
+        dist, mass = _level_masses(np.linalg.norm(
+            mu.points - (mu.points @ basis.T) @ basis, axis=1), mu.weights)
         off = int(np.searchsorted(dist, zero_tol, side="right"))
         if off and mass[off - 1] > 0.0:
             return math.inf
@@ -653,9 +661,8 @@ def slab_implication_check(mu: WeightedPointMeasure, k: int, alpha: float,
     masses = _centred_masses(mu, family)
     semi = family.length_tuples()
     tops = np.unique(np.argsort(-semi, axis=1, kind="stable")[:, :k - 1], axis=0)
-    flats = [AffineSubspace(np.zeros(mu.dim), frame[:, axes].T)
-             for frame in family.frames for axes in tops]
-    c_slab = slab_constant(mu, k, alpha, flats)
+    bases = [frame[:, axes].T for frame in family.frames for axes in tops]
+    c_slab = slab_constant(mu, k, alpha, bases)
     bound = c_slab * np.sort(semi, axis=1)[:, mu.dim - k] ** (alpha * k)
     worst = float(np.max(ratios(masses, bound)))
     return c_slab, worst <= 1.0 + SLAB_TOL, worst, masses.size

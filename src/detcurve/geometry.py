@@ -26,22 +26,13 @@ import numpy as np
 FRAME_TOL = 1e-12
 
 
-def _as_point(y) -> np.ndarray:
-    arr = np.asarray(y, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-d point, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("point coordinates must be finite")
-    return arr
-
-
 def _check_frame(frame: np.ndarray) -> np.ndarray:
     frame = np.asarray(frame, dtype=float)
     if frame.ndim != 2 or frame.shape[0] != frame.shape[1] or frame.size == 0:
         raise ValueError(f"frame must be square and nonempty, got shape {frame.shape}")
     d = frame.shape[0]
     err = np.max(np.abs(frame.T @ frame - np.eye(d)))
-    if err > FRAME_TOL:
+    if not err <= FRAME_TOL:  # a NaN defect fails too
         raise ValueError(f"frame columns not orthonormal (defect {err:.3e})")
     return frame
 
@@ -217,43 +208,3 @@ def matrix_content(q: np.ndarray, k: int) -> float:
     if prod == 0.0:
         return math.inf
     return 1.0 / prod
-
-
-@dataclass(frozen=True)
-class AffineSubspace:
-    """Affine flat given by a base point and orthonormal basis rows (m, d), m < d."""
-
-    base_point: np.ndarray
-    basis: np.ndarray
-
-    def __post_init__(self):
-        base = _as_point(self.base_point)
-        basis = np.asarray(self.basis, dtype=float)
-        if basis.ndim != 2:
-            raise ValueError(f"basis must be (m, d), got shape {basis.shape}")
-        m, d = basis.shape
-        if d != base.shape[0]:
-            raise ValueError("basis and base point dimensions differ")
-        if m >= d + 1:
-            raise ValueError("basis has too many vectors")
-        if m > 0:
-            err = np.max(np.abs(basis @ basis.T - np.eye(m)))
-            if err > FRAME_TOL:
-                raise ValueError(f"basis rows not orthonormal (defect {err:.3e})")
-        _freeze(self, base_point=base, basis=basis)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[1]
-
-    def distance_many(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        r = points - self.base_point
-        if self.dim > 0:
-            r = r - (r @ self.basis.T) @ self.basis
-        return np.linalg.norm(r, axis=1)
-

@@ -54,10 +54,12 @@ class TestAnalyze:
         ("--frames", "-3", "--frames must be a nonnegative count, got -3"),
         ("--refine", "-3", "--refine must be a nonnegative count, got -3"),
         ("--floor", "-1", "--floor must be a finite nonnegative length, got -1.0"),
-        ("--floor", "nan", "--floor must be a finite nonnegative length, got nan")])
+        ("--floor", "nan", "--floor must be a finite nonnegative length, got nan"),
+        ("--seed", "-1", "--seed must be a nonnegative integer, got -1")])
     def test_bad_family_flag_exits(self, cloud_path, flag, value, message):
-        # negative counts used to run with fewer frames or no refinement, and
-        # a bad floor ended in a traceback from the family
+        # negative counts used to run with fewer frames or no refinement, a
+        # bad floor ended in a traceback from the family, a negative seed in
+        # one from numpy
         with pytest.raises(SystemExit) as exc:
             main(["analyze", cloud_path, "--k", "2", "--alpha", "1.0", flag, value])
         assert exc.value.code == message
@@ -74,6 +76,17 @@ class TestFunctional:
         assert run.returncode == 1 and run.stdout == ""
         assert run.stderr.endswith("\n") and run.stderr.count("\n") == 1
         assert run.stderr.startswith("--budget: ") and "--samples" in run.stderr
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--samples", "1", "--samples must be 0 (enumerate) or at least 2, got 1"),
+        ("--samples", "-3", "--samples must be 0 (enumerate) or at least 2, got -3"),
+        ("--seed", "-1", "--seed must be a nonnegative integer, got -1")])
+    def test_bad_count_flag_exits(self, cloud_path, flag, value, message):
+        # these ended in a ValueError traceback from det_form_sampled or numpy
+        with pytest.raises(SystemExit) as exc:
+            main(["functional", cloud_path, "--k", "2", "--gamma", "0.5",
+                  "--samples", "500", flag, value])
+        assert exc.value.code == message
 
     def test_plain_form(self, cloud_path, capsys):
         code = main(["functional", cloud_path, "--k", "1", "--gamma", "0.5"])

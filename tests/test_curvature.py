@@ -31,7 +31,7 @@ from detcurve.curvature import (
     _sweep,
     weak_lp_norm,
 )
-from detcurve.geometry import AffineSubspace, Ellipsoid, k_content, matrix_content
+from detcurve.geometry import Ellipsoid, k_content, matrix_content
 from detcurve.measure import (GeneratorSpec, WeightedPointMeasure, eval_measure,
                               generate, median_nn_distance)
 
@@ -50,11 +50,11 @@ def members(family):
 
 
 def top_axes_flat(ellipsoid, k):
-    """Span of the k-1 longest axes of a centred ellipsoid (stable ties):
-    the reference for the flats slab_implication_check forms per length
-    tuple."""
+    """Basis rows of the span of the k-1 longest axes of a centred
+    ellipsoid (stable ties): the reference for the flats
+    slab_implication_check forms per length tuple."""
     order = np.argsort(-ellipsoid.semi_lengths, kind="stable")
-    return AffineSubspace(np.zeros(ellipsoid.dim), ellipsoid.frame[:, order[:k - 1]].T)
+    return ellipsoid.frame[:, order[:k - 1]].T
 
 
 def frames_reference(dim, n_random, seed, points, n_pca):
@@ -379,7 +379,7 @@ class TestSlab:
         # sup over distances of mass(dist <= t) / t^(alpha k)
         mu = WeightedPointMeasure(np.array([[0.0, 0.5], [0.0, 1.0]]),
                                   np.array([0.5, 0.5]))
-        axis = AffineSubspace(np.zeros(2), np.array([[1.0, 0.0]]))
+        axis = np.array([[1.0, 0.0]])
         assert slab_constant(mu, 2, 1.0, [axis]) == pytest.approx(2.0)
         assert slab_constant(mu, 2, 2.0, [axis]) == pytest.approx(8.0)
 
@@ -389,19 +389,58 @@ class TestSlab:
         # the old 0/0 ratio was NaN and max(best, nan) dropped them
         mu = WeightedPointMeasure(np.array([[0.3, 0.0], [0.0, 0.5], [0.0, 1.0]]),
                                   np.array([0.0, 0.5, 0.5]))
-        axis = AffineSubspace(np.zeros(2), np.array([[1.0, 0.0]]))
+        axis = np.array([[1.0, 0.0]])
         assert slab_constant(mu, 2, 1.0, [axis]) == 2.0
 
     def test_on_flat_mass_is_infinite(self, line64):
-        axis = AffineSubspace(np.zeros(2), np.array([[1.0, 0.0]]))
-        assert math.isinf(slab_constant(line64, 2, 1.0, [axis]))
+        assert math.isinf(slab_constant(line64, 2, 1.0, [np.array([[1.0, 0.0]])]))
+
+    def test_affine_flat_by_translation(self):
+        # the line through (0, 1) along (1, 1)/sqrt(2) is 1/sqrt(2) from the
+        # origin: translate the atom by -(0, 1) and take the span of (1, 1)
+        mu = dirac([0.0, -1.0])
+        line = np.array([[1.0, 1.0]]) / math.sqrt(2.0)
+        assert slab_constant(mu, 2, 1.0, [line]) == pytest.approx(2.0, rel=1e-12)
+        # a zero-dimensional flat (k = 1) at the base point (1, 2): the atom
+        # (1, 5) is 3 away
+        assert slab_constant(dirac([0.0, 3.0]), 1, 1.0, [np.zeros((0, 2))]) == 1.0 / 3.0
+
+    @pytest.mark.parametrize("k,basis,message", [
+        (2, np.eye(2), r"slab basis 1 must have shape \(k-1, d\) = \(1, 2\), got \(2, 2\)"),
+        (2, np.array([[1.0, 0.0, 0.0]]), r"got \(1, 3\)"),
+        (1, np.array([[1.0, 0.0]]), r"= \(0, 2\), got \(1, 2\)"),
+        (2, np.array([[1.0, 1e-5]]), "slab basis 1 rows not orthonormal"),
+        (2, np.array([[0.6, 0.6]]), "rows not orthonormal"),
+        (2, np.array([[math.nan, 0.0]]), "rows not orthonormal"),
+    ], ids=["too-many-rows", "wrong-ambient", "k1-rows", "near-unit", "short", "nan"])
+    def test_rejects_bad_basis(self, cube64, k, basis, message):
+        # the bases are public input: each is checked, and the error names it
+        good = np.eye(2)[:k - 1]
+        with pytest.raises(ValueError, match=message):
+            slab_constant(cube64, k, 1.0, [good, basis])
+
+    def test_rejects_non_orthogonal_rows(self, sphere80_d3):
+        rows = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]) / [[1.0], [math.sqrt(2.0)]]
+        with pytest.raises(ValueError, match="slab basis 0 rows not orthonormal"):
+            slab_constant(sphere80_d3, 3, 1.0, [rows])
+
+    @pytest.mark.parametrize("j", [-60, -36, 0, 40])
+    def test_dilation_covariant(self, cube64, j):
+        # the zero tolerance dilates with the measure: at 2^-36 the old
+        # 1e-12 * max(1, R) took the nearest atoms (2^-40 off the axis) as
+        # on it and read inf; alpha k = 2 scales exactly by t^2
+        t = 2.0 ** j
+        scaled = WeightedPointMeasure(cube64.points * t, cube64.weights)
+        axis = np.array([[1.0, 0.0]])
+        got = slab_constant(scaled, 2, 1.0, [axis]) * t ** 2
+        assert got == slab_constant(cube64, 2, 1.0, [axis]) == 32.0
 
     def test_top_axes_flat(self):
         e = Ellipsoid([2.0, 1.0])
         flat = top_axes_flat(e, 2)
-        assert flat.dim == 1
-        dist = flat.distance_many(np.array([[5.0, 0.0], [0.0, 1.0]]))
-        assert dist == pytest.approx([0.0, 1.0], abs=1e-12)
+        assert flat.shape == (1, 2)
+        assert flat_distances(np.array([[5.0, 0.0], [0.0, 1.0]]), flat,
+                              np.zeros(2)) == pytest.approx([0.0, 1.0], abs=1e-12)
 
     def test_implication_on_cube(self, cube64):
         # axis-aligned flats miss the cell-centered atoms, so the slab
@@ -1161,9 +1200,9 @@ class TestSlabDedup:
         seen = []
         original = curvature.slab_constant
 
-        def spy(mu_, k_, alpha_, flats):
-            seen.extend(flats)
-            return original(mu_, k_, alpha_, flats)
+        def spy(mu_, k_, alpha_, bases):
+            seen.extend(bases)
+            return original(mu_, k_, alpha_, bases)
 
         monkeypatch.setattr(curvature, "slab_constant", spy)
         c_slab, _, _, n_checked = slab_implication_check(mu, k, alpha, fam)
@@ -1270,10 +1309,22 @@ class TestOneObjective:
 # the inline distribution functions that curvature._level_masses replaced
 
 
-def slab_flat_reference(mu, k, alpha, flat):
-    """One flat's term of slab_constant as the per-flat sort computed it."""
-    dist = flat.distance_many(mu.points)
-    if float(np.sum(mu.weights[dist <= 1e-12 * max(1.0, mu.max_radius)])) > 0.0:
+def flat_distances(points, basis, base):
+    """Distances of the points to the affine flat base + span(basis rows)."""
+    r = points - base
+    if len(basis):
+        r = r - (r @ basis.T) @ basis
+    return np.linalg.norm(r, axis=1)
+
+
+def slab_flat_reference(mu, k, alpha, basis, base):
+    """One flat's term of slab_constant as the per-flat sort computed it, for
+    the affine flat base + span(basis rows).  Mass within 1e-12 times the
+    largest distance of an atom from base counts as on the flat; the rule
+    was 1e-12 * max(1.0, mu.max_radius), which did not dilate."""
+    dist = flat_distances(mu.points, basis, base)
+    radius = float(np.max(np.linalg.norm(mu.points - base, axis=1)))
+    if float(np.sum(mu.weights[dist <= 1e-12 * radius])) > 0.0:
         return math.inf
     order = np.argsort(dist, kind="stable")
     d_sorted = dist[order]
@@ -1380,16 +1431,17 @@ class TestLevelMasses:
             radius, _ = min_content_at_mass(mu, 1, eps, family)
             assert radius == radius_quantile_reference(mu, eps)
 
-            for k in range(2, d + 1):
+            for k in range(1, d + 1):
                 basis = (np.eye(d) if i % 2 else
                          np.linalg.qr(rng.normal(size=(d, d)))[0].T)[:k - 1]
                 # every fifth flat runs through an atom: an infinite constant
                 base = (mu.points[rng.integers(mu.n_atoms)] if i % 5 == 0
                         else rng.normal(size=d) * 0.1)
-                flat = AffineSubspace(base, basis)
+                # slab_constant takes flats through the origin: translate
+                shifted = WeightedPointMeasure(mu.points - base, mu.weights)
                 alpha = 0.5 + rng.random()
-                assert (slab_constant(mu, k, alpha, [flat])
-                        == slab_flat_reference(mu, k, alpha, flat))
+                assert (slab_constant(shifted, k, alpha, [basis])
+                        == slab_flat_reference(mu, k, alpha, basis, base))
 
 
 COVARIANCE_MEASURES = ["circle240", "cube64", "sphere80_d3"]

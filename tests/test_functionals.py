@@ -23,7 +23,7 @@ from detcurve.functionals import (
     sublevel_mass,
     weak_type_probe,
 )
-from detcurve.geometry import simplex_det_many
+from detcurve.geometry import Ellipsoid, k_content, simplex_det_many
 from detcurve.measure import GeneratorSpec, WeightedPointMeasure, generate
 
 
@@ -386,6 +386,26 @@ class TestSublevelMass:
     def test_rejects_bad_delta(self, three_atoms):
         with pytest.raises(ValueError):
             sublevel_mass([three_atoms] * 2, 0.0)
+
+    @given(st.integers(2, 3), st.integers(0, 2 ** 32 - 1), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_necessity_sandwich(self, d, seed, data):
+        # Hadamard after the frame map: y_1, ..., y_k in a centred ellipsoid
+        # E give |y_1 ^ ... ^ y_k| <= |E|_k, so for the normalised
+        # restriction nu of a measure to E the sublevel mass just above
+        # |E|_k already holds every tuple it holds at inf
+        k = data.draw(st.integers(1, d), label="k")
+        rng = np.random.default_rng(seed)
+        e = Ellipsoid(2.0 ** rng.uniform(-3.0, 3.0, d),
+                      np.linalg.qr(rng.normal(size=(d, d)))[0])
+        pts = rng.uniform(-1.0, 1.0, (24, d)) * e.semi_lengths @ e.frame.T
+        inside = pts[e.contains_many(pts)]
+        assume(len(inside) >= k)
+        w = rng.uniform(0.5, 1.5, len(inside))
+        nu = WeightedPointMeasure(inside, w / np.sum(w))
+        content = k_content(e, k)
+        assert (sublevel_mass([nu] * k, np.nextafter(content, math.inf))
+                == sublevel_mass([nu] * k, math.inf))
 
 
 class TestDyadicProfile:

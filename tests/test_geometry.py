@@ -1,4 +1,4 @@
-"""Determinants, contents, and subspace distances against direct oracles."""
+"""Determinants, contents, and ellipsoid membership against direct oracles."""
 
 import itertools
 import math
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import det_content_bound
 from detcurve import geometry
 from detcurve.geometry import (
-    AffineSubspace,
     Ellipsoid,
     k_content,
     matrix_content,
@@ -268,6 +267,11 @@ class TestEllipsoid:
         with pytest.raises(ValueError):
             Ellipsoid(np.ones(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    def test_rejects_non_finite_frame(self):
+        # a NaN defect compared False against FRAME_TOL and the frame passed
+        with pytest.raises(ValueError, match="frame columns not orthonormal"):
+            Ellipsoid(np.ones(2), np.full((2, 2), math.nan))
+
     def test_rejects_empty_frame(self):
         with pytest.raises(ValueError, match="frame must be square and nonempty"):
             geometry._check_frame(np.zeros((0, 0)))
@@ -300,31 +304,6 @@ class TestMatrixContent:
         q = rng.normal(size=(2, 2))
         assert matrix_content(2.0 * q, 2) == pytest.approx(
             0.25 * matrix_content(q, 2), rel=1e-9)
-
-
-class TestAffineSubspace:
-    def test_point_distance_formula(self):
-        # line through (0, 1) with direction (1, 1)/sqrt(2)
-        direction = np.array([[1.0, 1.0]]) / math.sqrt(2.0)
-        flat = AffineSubspace(np.array([0.0, 1.0]), direction)
-        # distance from origin to the line x - y + 1 = 0 is 1/sqrt(2)
-        assert flat.distance_many(np.zeros((1, 2)))[0] == pytest.approx(1.0 / math.sqrt(2.0))
-
-    def test_distance_many_matches_loop(self):
-        rng = np.random.default_rng(12)
-        basis, _ = np.linalg.qr(rng.normal(size=(4, 2)))
-        flat = AffineSubspace(rng.normal(size=4), basis.T)
-        pts = rng.normal(size=(30, 4))
-        many = flat.distance_many(pts)
-        for i in range(30):
-            r = pts[i] - flat.base_point
-            want = np.linalg.norm(r - flat.basis.T @ (flat.basis @ r))
-            assert many[i] == pytest.approx(want, rel=1e-12)
-
-    def test_point_flat(self):
-        flat = AffineSubspace(np.array([1.0, 2.0]), np.zeros((0, 2)))
-        assert flat.dim == 0
-        assert flat.distance_many(np.array([[1.0, 5.0]]))[0] == pytest.approx(3.0)
 
 
 class TestContentBound:
