@@ -28,7 +28,7 @@ import numpy as np
 from . import parallel
 from .geometry import (FRAME_TOL, Ellipsoid, k_content, matrix_content,
                        _check_frame, _freeze, _inside)
-from .measure import WeightedPointMeasure, _check_k_alpha, eval_measure
+from .measure import WeightedPointMeasure, _check_k_alpha, check_integer, eval_measure
 
 MODES = ("scale_floored_search", "doubling_dyadic")
 GAUSSIAN_LOWER_TOL = 1e-12  # relative tolerances of the checks' ok and of their records
@@ -130,6 +130,7 @@ def default_frames(dim: int, n_random: int = 64, seed: int = 0,
     for name, count in (("n_random", n_random), ("n_pca", n_pca)):
         if count < 0:
             raise ValueError(f"{name} must be a nonnegative count, got {count}")
+    check_integer("seed", seed)
     rng = np.random.default_rng(seed)
     frames = [np.eye(dim)]
     if points is not None and len(points) >= 2:

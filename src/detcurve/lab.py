@@ -33,7 +33,7 @@ from .curvature import (GAUSSIAN_CONTENT_TOL, GAUSSIAN_LOWER_TOL, MAXIMAL_TOL, S
                         slab_implication_check)
 from .functionals import (CAUCHY_SCHWARZ_TOL, DEFAULT_BUDGET, cauchy_schwarz_check,
                           sublevel_mass, weak_type_probe)
-from .measure import (GeneratorSpec, WeightedPointMeasure, generate,
+from .measure import (GeneratorSpec, WeightedPointMeasure, check_integer, generate,
                       load_point_cloud, pushforward)
 from .reporting import CheckRecord, ScenarioReport
 
@@ -46,22 +46,19 @@ EPS_GRID_DEFAULT = (0.1, 0.2, 0.4)
 
 def sublevel_shrink_factor(k: int) -> float:
     """c_k = 2^(-(k-1)(k+2)/2); satisfies c_k = 2^(-k) c_(k-1), c_1 = 1."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    check_integer("k", k, 1)
     return 2.0 ** (-(k - 1) * (k + 2) / 2.0)
 
 
 def sublevel_mass_factor(k: int) -> float:
     """C_k = 4^(k-1) k!; C_1 = 1 anchors the exact one-dimensional case."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    check_integer("k", k, 1)
     return 4.0 ** (k - 1) * math.factorial(k)
 
 
 def multi_measure_factor(k: int) -> float:
     """Extra factor k^k / k! when the k slots carry distinct measures."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    check_integer("k", k, 1)
     return k ** k / math.factorial(k)
 
 
@@ -178,12 +175,11 @@ class ScenarioConfig:
     refinement_counts: tuple = ()
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        check_integer("k", self.k, 1)
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        check_integer("trials", self.trials, 1)
+        check_integer("seed", self.seed)
         if self.refine < 0:
             raise ValueError(f"refine must be a nonnegative count, got {self.refine}")
         if not (self.slack >= 0 and math.isfinite(self.slack)):
@@ -380,8 +376,8 @@ def verify_cauchy_schwarz(mu: WeightedPointMeasure, k: int, gamma: float, *,
                           budget: int = DEFAULT_BUDGET):
     """Included-mass squared against the two opposite-power forms, on
     random index sets; reported as the worst trial ratio."""
-    if trials < 1:  # no trial, no worst ratio
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    check_integer("trials", trials, 1)  # no trial, no worst ratio
+    check_integer("seed", seed)
     rng = np.random.default_rng(seed)
     sides = []
     for _ in range(trials):
@@ -399,6 +395,7 @@ def verify_gaussian_bounds(mu: WeightedPointMeasure, k: int, alpha: float, *,
     two bounds report their worst trial ratio."""
     n_lower, n_layer, layer_tol = 100, 20, 1e-6
     d = mu.dim
+    check_integer("seed", seed)
     rng = np.random.default_rng(seed)
 
     def random_matrix():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -74,6 +75,14 @@ def _check_k_alpha(mu: WeightedPointMeasure, k: int, alpha: float = None) -> Non
         raise ValueError(f"k must be in [1, {mu.dim}], got {k}")
     if alpha is not None and not (alpha > 0 and np.isfinite(alpha)):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
+
+
+def check_integer(name: str, value, low: int = 0) -> None:
+    """A named error for a non-integer (bool, float, array) or one below low."""
+    if type(value) is bool or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value!r}")
 
 
 def eval_measure(mu: WeightedPointMeasure, region: Ellipsoid) -> float:
@@ -155,10 +164,9 @@ def generate(spec: GeneratorSpec) -> WeightedPointMeasure:
     endpoint grid in params "t_range" (default [0, 1]), with optional
     per-atom params "weights".  All families are deterministic given seed.
     """
-    if spec.dim < 1:
-        raise ValueError("dim must be at least 1")
-    if spec.count < 1:
-        raise ValueError("count must be at least 1")
+    check_integer("dim", spec.dim, 1)
+    check_integer("count", spec.count, 1)
+    check_integer("seed", spec.seed)
 
     if spec.family == "cube_lebesgue":
         if spec.params:

@@ -70,6 +70,40 @@ def oracle_unpinned(mu, gamma, tau):
     return math.fsum(terms)
 
 
+def assert_sampled_reference(got, slots, gamma, tau, samples, seed, pinned):
+    """got is bit-equal to each block's integrand formed in one batch from
+    the block's own stream, reduced to (sum, squared deviations) and
+    combined pairwise in block order, and matches the one-pass mean and
+    sample deviation of all blocks' integrands to 1e-12."""
+    sizes = [mu.n_atoms for mu in slots]
+    high = sizes[0] if len(set(sizes)) == 1 else np.array(sizes)[:, None]
+    starts = range(0, samples, parallel.BLOCK)
+    integrands, excluded = [], 0
+    for start, stream in zip(starts, np.random.SeedSequence(seed).spawn(len(starts))):
+        size = min(parallel.BLOCK, samples - start)
+        idx = np.random.default_rng(stream).integers(0, high, size=(len(sizes), size))
+        tuples = np.stack([mu.points[ix] for mu, ix in zip(slots, idx)], axis=1)
+        dets = simplex_det_many(tuples, pinned=pinned)
+        wprod = np.prod([mu.weights[ix] for mu, ix in zip(slots, idx)], axis=0)
+        included = dets > tau
+        integrand = np.zeros(size)
+        integrand[included] = wprod[included] * dets[included] ** (-gamma)
+        integrands.append(integrand)
+        excluded += int(np.count_nonzero(~included))
+    sums = [np.sum(x) for x in integrands]
+    mean = math.fsum(sums) / samples
+    m2 = math.fsum(np.sum((x - s / x.size) ** 2) + x.size * (s / x.size - mean) ** 2
+                   for x, s in zip(integrands, sums))
+    total = math.prod(sizes)
+    assert got.value == float(total * mean)
+    assert got.stderr == float(total * math.sqrt(m2 / (samples - 1) / samples))
+    assert got.tuples_excluded == excluded
+    whole = np.concatenate(integrands)
+    assert got.value == pytest.approx(total * np.mean(whole), rel=1e-12, abs=0)
+    assert got.stderr == pytest.approx(total * np.std(whole, ddof=1) / math.sqrt(samples),
+                                       rel=1e-12, abs=0)
+
+
 def traced_peak(call) -> int:
     """Peak bytes tracemalloc sees during call()."""
     tracemalloc.start()
@@ -508,28 +542,56 @@ class TestSampledForm:
 
     @pytest.mark.parametrize("n,k,pinned", [(80, 3, False), (300, 2, True)])
     def test_memory_per_sample(self, monkeypatch, n, k, pinned):
-        # one index byte per slot and sample (two above 256 atoms) and an
-        # 8-byte integrand make 12 bytes here; int64 draws would make ~40
+        # draws, integrand and chunk temporaries are sized by the block, so
+        # 8x the samples keeps the peak: below and above 256 atoms
         monkeypatch.setenv("DETCURVE_THREADS", "1")
         mu = generate(GeneratorSpec("sphere_uniform", 3, n, 0))
-        peaks = []
-        for samples in (500_000, 1_000_000):
-            tracemalloc.start()
-            try:
-                det_form_sampled(mu, k, 0.5, samples=samples, pinned=pinned)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert (peaks[1] - peaks[0]) / 500_000 <= 16
-
+        peaks = [traced_peak(lambda: det_form_sampled(mu, k, 0.5, samples=samples,
+                                                      pinned=pinned))
+                 for samples in (500_000, 4_000_000)]
+        assert peaks[1] - peaks[0] <= 2_000_000
 
     def test_peak_per_sample(self, monkeypatch):
-        # 4 index bytes and the 8-byte integrand, whose deviations are taken
-        # in place: np.std's copy of them made 20 bytes per sample
+        # one block's int64 draws of 4 slots (4 MB; slot 0's spent indices
+        # hold the integrand) and one chunk's temporaries (~3 MB): a
+        # sample-length store made 12+ bytes a sample
         monkeypatch.setenv("DETCURVE_THREADS", "1")
         mu = generate(GeneratorSpec("sphere_uniform", 3, 80, 0))
         peak = traced_peak(lambda: det_form_sampled(mu, 3, 0.5, samples=4_000_000))
-        assert peak / 4_000_000 <= 16
+        assert peak <= 8_000_000
+
+    @pytest.mark.parametrize("block", [parallel.BLOCK, 1000])
+    def test_streams_calibrated(self, monkeypatch, cube64, block):
+        # 40 seeds' z-scores against the exact form, from one block per call
+        # and from 20 blocks combined pairwise
+        monkeypatch.setattr(parallel, "BLOCK", block)
+        exact = det_form_pinned(cube64, 2, 0.5).value
+        z = [(r.value - exact) / r.stderr for r in (
+            det_form_sampled(cube64, 2, 0.5, samples=20_000, seed=seed, pinned=True)
+            for seed in range(40))]
+        assert abs(np.mean(z)) <= 0.6
+        assert 0.6 <= np.std(z, ddof=1) <= 1.5
+
+    def test_excluded_draws_add_zero(self, cube64):
+        # subnormal products: an excluded draw that kept its spent index's
+        # bits in the integrand would move the sum
+        mu = WeightedPointMeasure(cube64.points, np.full(64, 1e-158))
+        got = det_form_sampled(mu, 2, 0.5, samples=5000, seed=1, pinned=True)
+        assert got.tuples_excluded > 0
+        assert_sampled_reference(got, [mu, mu], 0.5, default_det_threshold(mu, 2),
+                                 5000, 1, True)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_unequal_slots(self, monkeypatch, threads):
+        # slots of 80 and 300 atoms draw against per-slot bounds
+        monkeypatch.setenv("DETCURVE_THREADS", threads)
+        slots = [generate(GeneratorSpec("sphere_uniform", 3, n, 0)) for n in (80, 300)]
+        tau = default_det_threshold(slots, 2)
+        got = det_form_sampled(slots, 2, 0.5, samples=parallel.BLOCK + 999, seed=3,
+                               pinned=True)
+        assert_sampled_reference(got, slots, 0.5, tau, parallel.BLOCK + 999, 3, True)
+        exact = det_form_pinned(slots, 2, 0.5)
+        assert abs(got.value - exact.value) <= 4.0 * got.stderr
 
 
 class TestWeakTypeProbe:
@@ -863,25 +925,12 @@ class TestKernelPaths:
                                          n, samples):
         # sample counts over a block, so the blocked path splits, and below
         monkeypatch.setenv("DETCURVE_THREADS", threads)
-        mu, gamma = generate(GeneratorSpec("sphere_uniform", 3, n, 0)), 0.5
+        mu = generate(GeneratorSpec("sphere_uniform", 3, n, 0))
         m = k if pinned else k + 1
         tau = (functionals.default_det_threshold(mu, k) if pinned
                else functionals.difference_threshold([mu] * m))
-        rng = np.random.default_rng(7)
-        idx = np.stack([rng.integers(0, mu.n_atoms, size=samples)
-                        for _ in range(m)], axis=1)
-        dets = simplex_det_many(mu.points[idx], pinned=pinned)
-        wprod = np.prod(mu.weights[idx], axis=1)
-        included = dets > tau
-        integrand = np.zeros(samples)
-        integrand[included] = wprod[included] * dets[included] ** (-gamma)
-        total = mu.n_atoms ** m
-        got = det_form_sampled(mu, k, gamma, samples=samples, seed=7,
-                               pinned=pinned)
-        assert got.value == float(total * np.mean(integrand))
-        assert got.stderr == float(total * np.std(integrand, ddof=1)
-                                   / math.sqrt(samples))
-        assert got.tuples_excluded == int(np.count_nonzero(~included))
+        got = det_form_sampled(mu, k, 0.5, samples=samples, seed=7, pinned=pinned)
+        assert_sampled_reference(got, [mu] * m, 0.5, tau, samples, 7, pinned)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("chunk", [1, 7, 1000, 1 << 17])

@@ -205,6 +205,45 @@ class TestScenarioConfig:
             cfg.family.build(cube64)
 
 
+# every library call that takes a seed, each on cube64 (mu) where it takes a measure
+SEEDED_CALLS = {
+    "det_form_sampled": lambda mu, s: functionals.det_form_sampled(
+        mu, 2, 0.5, samples=10, seed=s),
+    "weak_type_probe": lambda mu, s: functionals.weak_type_probe(
+        mu, 2, 0.5, 1.0, trials=1, seed=s),
+    "default_frames": lambda mu, s: curvature.default_frames(2, seed=s),
+    "default_family": lambda mu, s: curvature.default_family(mu, seed=s),
+    "verify_cauchy_schwarz": lambda mu, s: verify_cauchy_schwarz(
+        mu, 2, 0.5, trials=1, seed=s),
+    "verify_gaussian_bounds": lambda mu, s: lab.verify_gaussian_bounds(
+        mu, 2, 1.0, seed=s),
+    "verify_maximal_bound": lambda mu, s: lab.verify_maximal_bound(mu, 2, 1.0, seed=s),
+    "generate": lambda mu, s: measure.generate(
+        GeneratorSpec("sphere_uniform", 2, 8, seed=s)),
+    "ScenarioConfig": lambda mu, s: ScenarioConfig(
+        name="x", generator=GeneratorSpec("cube_lebesgue", 2, 16, 0), seed=s),
+}
+
+
+@pytest.mark.parametrize("seed,message", [
+    (-1, "seed must be at least 0, got -1"),
+    (1.5, "seed must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True"),
+    (np.array(3), "seed must be an integer, got array"),
+], ids=["negative", "float", "bool", "array"])
+@pytest.mark.parametrize("call", SEEDED_CALLS.values(), ids=SEEDED_CALLS)
+def test_bad_seed_is_named(cube64, call, seed, message):
+    # -1 ended in numpy's bare "expected non-negative integer", 1.5 in a
+    # TypeError, and ScenarioConfig took -1 and failed when run
+    with pytest.raises(ValueError, match=message):
+        call(cube64, seed)
+
+
+def test_numpy_integer_seed(cube64):
+    assert (functionals.det_form_sampled(cube64, 2, 0.5, samples=10, seed=np.int64(4))
+            == functionals.det_form_sampled(cube64, 2, 0.5, samples=10, seed=4))
+
+
 class TestDrivers:
     def test_sublevel_records(self, cube64):
         fam = FamilyParams(n_frames=4, n_pca=2).build(cube64)
