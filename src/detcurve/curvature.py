@@ -127,10 +127,8 @@ def default_frames(dim: int, n_random: int = 64, seed: int = 0,
     centered covariance) and from seeded random atom subsets, so flat or
     stretched directions in the data show up as candidate axes.
     """
-    for name, count in (("n_random", n_random), ("n_pca", n_pca)):
-        if count < 0:
-            raise ValueError(f"{name} must be a nonnegative count, got {count}")
-    check_integer("seed", seed)
+    for name, count in (("n_random", n_random), ("n_pca", n_pca), ("seed", seed)):
+        check_integer(name, count)
     rng = np.random.default_rng(seed)
     frames = [np.eye(dim)]
     if points is not None and len(points) >= 2:
@@ -477,8 +475,7 @@ def estimate_curvature_constant(mu: WeightedPointMeasure, k: int, alpha: float,
     search evaluation budget (0 disables it).
     """
     _check_k_alpha(mu, k, alpha)
-    if refine < 0:
-        raise ValueError(f"refine must be a nonnegative count, got {refine}")
+    check_integer("refine", refine)
     witness = _grid_then_refine(mu, family, k,
                                 lambda mass, content: mass / content ** alpha, refine)
     constant = curvature_ratio(mu, witness, k, alpha)
@@ -499,8 +496,7 @@ def min_content_at_mass(mu: WeightedPointMeasure, k: int, eps: float,
     sort of the contents would.
     """
     _check_k_alpha(mu, k)
-    if refine < 0:  # checked before the k = 1 branch, which does not refine
-        raise ValueError(f"refine must be a nonnegative count, got {refine}")
+    check_integer("refine", refine)  # before the k = 1 branch, which does not refine
     if not 0 < eps <= mu.total_mass + 1e-9:
         raise ValueError(f"eps must lie in (0, total mass], got {eps}")
     eps_eff = eps - 1e-9 * max(1.0, eps)

@@ -43,7 +43,7 @@ DEFAULT_BUDGET = 10_000_000
 TAU_SCALE = 1e-12
 CAUCHY_SCHWARZ_TOL = 1e-12  # relative, of cauchy_schwarz_check's ok and lab's record
 # Tuples an index-array block forms at once: ~2 MB of columns, differences and
-# cofactor products at k = 3, not a whole block's ~24 MB.  Terms are per tuple.
+# minor-table products at k = 3, not a whole block's ~24 MB.  Terms are per tuple.
 CHUNK = 1 << 14
 
 

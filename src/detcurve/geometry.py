@@ -2,13 +2,12 @@
 
 The determinant of a (k+1)-tuple of points is k! times the k-volume of the
 simplex they span.  Batched and enumerated determinants share one routine,
-_vertex_dets: square edge matrices (k == d) take their determinant
-directly, other shapes the Cauchy-Binet root of the sum of the squared
-k x k minors, so the value is defined for any ambient dimension d (it
-vanishes when k > d or the tuple is affinely degenerate).  Determinants
-and minors up to 3 x 3 go through one cofactor circuit, so the values are
-exact under power-of-two dilations, and padding the points with zero
-coordinates leaves them unchanged.
+_vertex_dets: |det| of square edge matrices (k == d), otherwise the
+Cauchy-Binet root of the sum of the squared k x k minors, so the value is
+defined for any ambient dimension d (it vanishes when k > d or the tuple
+is affinely degenerate).  Every determinant and every minor is one fixed
+circuit of _minors, so the values are exact under power-of-two dilations,
+and zero-padded coordinates leave them unchanged.
 
 Ellipsoids are centred at the origin and stored as their semi-lengths and an
 orthonormal frame; one routine, _inside, decides membership for them and for
@@ -45,26 +44,29 @@ def _freeze(obj, **arrays) -> None:
         object.__setattr__(obj, name, arr)
 
 
-def _square_det(rows) -> np.ndarray:
-    """Batched d x d determinants; rows[i][j] is entry (i, j), in arrays
-    that broadcast together (gathered or broadcast coordinate columns).
+def _minors(rows) -> dict:
+    """The k x k minors of the k x d matrix rows[i][j] (arrays that
+    broadcast, of one shape per row), by column subset in lexicographic order.
 
-    d <= 3 uses cofactor expansion: every operation is a fixed circuit of
-    products and sums, so the result commutes exactly with power-of-two
-    input scaling and cancels exactly on dyadic degeneracies.  LAPACK's LU
-    guarantees neither (pivot ordering introduces ulp-level noise), which
-    would break the exact dilation covariance of the forms.
+    Built from the last row up: the minor of rows i.. on columns c_0 < ...
+    expands along row i, sum_j (-1)^j rows[i][c_j] * (minor of rows i+1..
+    without c_j), the later terms added in place into the first product.
+    Each value is a fixed circuit of products and sums, without pivoting,
+    so it scales exactly under power-of-two dilations and cancels exactly
+    when every product is exact (small-integer or dyadic entries).  A k x k
+    determinant costs about k * 2**(k - 1) products; a level holds at most
+    C(d, min(k, d // 2)) block-length arrays.
     """
-    d = len(rows)
-    if d == 1:
-        return rows[0][0]
-    if d == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if d == 3:
-        (a, b, c), (p, q, r), (u, v, w) = rows
-        return a * (q * w - r * v) - b * (p * w - r * u) + c * (p * v - q * u)
-    e = np.broadcast_arrays(*[x for row in rows for x in row])
-    return np.linalg.det(np.stack(e, axis=-1).reshape(*e[0].shape, d, d))
+    table = {(c,): x for c, x in enumerate(rows[-1])}
+    for i in range(len(rows) - 2, -1, -1):
+        row, below, table = rows[i], table, {}
+        for cols in combinations(range(len(row)), len(rows) - i):
+            total = row[cols[0]] * below[cols[1:]]
+            for j in range(1, len(cols)):
+                op = np.add if j % 2 == 0 else np.subtract
+                op(total, row[cols[j]] * below[cols[:j] + cols[j + 1:]], out=total)
+            table[cols] = total
+    return table
 
 
 def _vertex_dets(rows, pinned: bool) -> np.ndarray:
@@ -73,24 +75,22 @@ def _vertex_dets(rows, pinned: bool) -> np.ndarray:
 
     With pinned=True the origin is an implicit extra vertex; otherwise the
     last vertex is the base and is subtracted from the others.  Square edge
-    matrices (k == d) give |det|, which cancels exactly for degenerate
-    tuples.  Otherwise Cauchy-Binet gives sqrt(det E E^T) as the root of
-    the sum of the squared k x k minors of the k x d edge matrix E, over
-    column subsets in lexicographic order.  No term squares the condition
-    number, each minor cancels exactly where a square determinant does,
-    and zero-padded coordinates only add exact zeros (sqrt(x * x) == |x|
-    unless x * x under- or overflows), so padding keeps the value bits.
-    k > d has no subsets and gives zeros.
+    matrices (k == d) give |det|; a repeated vertex cancels exactly only if
+    its rows are the last two or every product is exact (tau excludes the
+    ulp-level rest).  Otherwise Cauchy-Binet gives sqrt(det E E^T), the root
+    of the sum of the squared k x k minors of the k x d edge matrix E in
+    lexicographic order.  No term squares the condition number, and
+    zero-padded coordinates only add exact zeros (sqrt(x * x) == |x| unless
+    x * x under- or overflows), so padding keeps the value bits.  k > d has
+    no minors and gives zeros.
     """
     if not pinned:
         base = rows[-1]
         rows = [[x - b for x, b in zip(row, base)] for row in rows[:-1]]
-    k, d = len(rows), len(rows[0])
-    if k == d:
-        return np.abs(_square_det(rows))
+    if len(rows) == len(rows[0]):  # the one full minor
+        return np.abs(*_minors(rows).values())
     total = np.zeros(np.shape(rows[0][0]))
-    for cols in combinations(range(d), k):
-        minor = _square_det([[row[c] for c in cols] for row in rows])
+    for minor in _minors(rows).values():
         total = total + minor * minor
     return np.sqrt(total)
 
@@ -100,10 +100,10 @@ def simplex_det_many(stack: np.ndarray, pinned: bool = False) -> np.ndarray:
 
     stack has shape (M, m, d): M tuples of m points each.  With pinned=True
     the origin is an implicit extra vertex and all m points are used as edge
-    vectors; otherwise the last point is the base vertex.  Determinants and
-    the Cauchy-Binet minors of k < d up to 3 x 3 are fixed cofactor
-    circuits, so the values scale exactly under power-of-two dilations and
-    dyadic degenerate tuples give 0.
+    vectors; otherwise the last point is the base vertex.  Every determinant
+    and every Cauchy-Binet minor of k < d is one fixed circuit (_minors), so
+    the values scale exactly under power-of-two dilations and dyadic
+    degenerate tuples give 0, in every dimension.
     """
     stack = np.asarray(stack, dtype=float)
     if (stack.ndim != 3 or stack.shape[2] < 1

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .curvature import (GAUSSIAN_CONTENT_TOL, GAUSSIAN_LOWER_TOL, MAXIMAL_TOL, SLAB_TOL,
-                        EllipsoidFamily, default_family, dyadic_exponents,
+from .curvature import (GAUSSIAN_CONTENT_TOL, GAUSSIAN_LOWER_TOL, MAXIMAL_TOL, MODES,
+                        SLAB_TOL, EllipsoidFamily, default_family, dyadic_exponents,
                         estimate_curvature_constant, gaussian_content_check, gaussian_lower_check,
                         layer_cake_check, maximal_weak_bound_check, min_content_at_mass, ratios,
                         slab_implication_check)
@@ -140,6 +140,12 @@ class FamilyParams:
     mode: str = "scale_floored_search"
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("n_frames", "n_pca", "seed"):
+            check_integer(name, getattr(self, name))
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+
     def build(self, mu: WeightedPointMeasure) -> EllipsoidFamily:
         return default_family(mu, n_frames=self.n_frames, n_pca=self.n_pca,
                               floor=self.floor, j_min=self.j_min,
@@ -180,8 +186,7 @@ class ScenarioConfig:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         check_integer("trials", self.trials, 1)
         check_integer("seed", self.seed)
-        if self.refine < 0:
-            raise ValueError(f"refine must be a nonnegative count, got {self.refine}")
+        check_integer("refine", self.refine)
         if not (self.slack >= 0 and math.isfinite(self.slack)):
             raise ValueError(f"slack must be finite and nonnegative, got {self.slack}")
         eps = tuple(float(e) for e in self.eps_grid)

@@ -137,8 +137,6 @@ class GeneratorSpec:
 
 
 def _grid_axis(side: int, cell_centered: bool) -> np.ndarray:
-    if side < 1:
-        raise ValueError("grid side must be at least 1")
     if cell_centered:
         return (np.arange(side) + 0.5) / side
     if side == 1:

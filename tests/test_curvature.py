@@ -220,8 +220,11 @@ class TestMinContent:
     def test_k1_rejects_negative_refine(self, cube64):
         # the radius quantile at k = 1 used to return before refine was read
         fam = default_family(cube64, n_frames=2)
-        with pytest.raises(ValueError, match="refine must be a nonnegative count, got -5"):
+        with pytest.raises(ValueError, match="refine must be at least 0, got -5"):
             min_content_at_mass(cube64, 1, 0.5, fam, refine=-5)
+        # a fractional budget used to pass the k = 1 branch unread too
+        with pytest.raises(ValueError, match="refine must be an integer, got 2.5"):
+            min_content_at_mass(cube64, 1, 0.5, fam, refine=2.5)
 
     def test_witness_consistency(self, cube64):
         fam = default_family(cube64, n_frames=4, n_pca=2)
@@ -1235,7 +1238,9 @@ BAD_ARGUMENTS = [
     ("alpha", math.inf, "alpha must be positive and finite, got inf"),
     ("family", 3, "family dimension 3 does not match the measure's 2"),
     # a negative budget used to run with no refinement
-    ("refine", -5, "refine must be a nonnegative count, got -5"),
+    ("refine", -5, "refine must be at least 0, got -5"),
+    # a fractional budget used to be accepted without a word
+    ("refine", 2.5, "refine must be an integer, got 2.5"),
 ]
 
 
@@ -1265,9 +1270,15 @@ class TestArgumentChecks:
         ("n_frames", "n_random", -2), ("n_pca", "n_pca", -1)])
     def test_negative_frame_counts(self, cube64, option, name, value):
         # they used to drop the random frames or the subset frames silently
-        with pytest.raises(ValueError, match=f"{name} must be a nonnegative count, "
-                                             f"got {value}"):
+        with pytest.raises(ValueError, match=f"{name} must be at least 0, got {value}"):
             default_family(cube64, **{option: value})
+
+    @pytest.mark.parametrize("name", ["n_random", "n_pca"])
+    def test_fractional_frame_counts(self, cube64, name):
+        # n_random=2.5 used to end in numpy's bare TypeError, n_pca=2.5 in
+        # one from range()
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got 2.5"):
+            default_frames(2, points=cube64.points, **{name: 2.5})
 
 
 class TestOneObjective:

@@ -397,6 +397,48 @@ class TestInvariance:
         t2 = default_det_threshold(dilate(cube64, 2.0), 2)
         assert t2 == pytest.approx(4.0 * t1, rel=1e-15)
 
+    @given(st.sampled_from([4, 5]), st.booleans(), st.integers(0, 2 ** 32 - 1),
+           st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_singular_integer_tuples_are_exact_zeros(self, d, pinned, seed, data):
+        # one edge the sum of two others: every product and partial sum of
+        # the minor table is a small integer, so each determinant is exactly
+        # 0 (LAPACK's LU left ulp-level values on ~40% of them)
+        rng = np.random.default_rng(seed)
+        summed, a, b = data.draw(st.permutations(range(d)))[:3]
+        edges = rng.integers(-5, 6, size=(300, d, d)).astype(float)
+        edges[:, summed] = edges[:, a] + edges[:, b]
+        base = rng.integers(-5, 6, size=(300, 1, d)).astype(float)
+        stack = edges if pinned else np.concatenate([edges + base, base], axis=1)
+        assert np.all(simplex_det_many(stack, pinned=pinned) == 0.0)
+        m = stack.shape[1]
+        cols, ones = np.ascontiguousarray(stack.reshape(-1, d).T), np.ones(300 * m)
+        idx = [np.arange(j, 300 * m, m) for j in range(m)]
+        dets, _ = functionals._tuple_terms([cols] * m, [ones] * m, idx, pinned)
+        assert np.all(dets == 0.0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.5]), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_unimodular_shear_invariant(self, d, seed, tau, data):
+        # det(A y_1, ..., A y_d) = det A det(y_1, ..., y_d) with det A = 1: on
+        # a small integer lattice every minor is an exact integer, so a shear
+        # keeps each determinant, hence both forms' values and exclusions, bit
+        # for bit (tau explicit, as the default depends on the atoms)
+        rng = np.random.default_rng(seed)
+        n = 8 if d < 4 else 7
+        mu = WeightedPointMeasure(rng.integers(-2, 3, size=(n, d)).astype(float),
+                                  rng.uniform(0.1, 1.0, n))
+        shear = np.eye(d)
+        for _ in range(3):
+            i, j = data.draw(st.permutations(range(d)))[:2]
+            shear[i] += data.draw(st.integers(-2, 2)) * shear[j]
+        moved = WeightedPointMeasure(mu.points @ shear.T, mu.weights)
+        for form in (det_form, det_form_pinned):
+            want, got = form(mu, d, 0.5, tau=tau), form(moved, d, 0.5, tau=tau)
+            assert got.value == want.value
+            assert got.tuples_excluded == want.tuples_excluded
+
 
 class TestSublevelMass:
     def test_three_atom_oracle(self, three_atoms):
@@ -762,7 +804,10 @@ class TestIndexSets:
 
 
 def old_square_det(mats):
-    """The (M, d, d) stacked-view determinant the row layout replaced."""
+    """The (M, d, d) stacked-view determinant the row layout replaced, for
+    d <= 3; for d >= 4 a Laplace expansion along the first row into the
+    minors of the rows below, recursively, its terms added left to right
+    (a fixed circuit, where the replaced code called LAPACK's LU)."""
     d = mats.shape[-1]
     if d == 1:
         return mats[:, 0, 0].copy()
@@ -773,7 +818,11 @@ def old_square_det(mats):
         p, q, r = mats[:, 1, 0], mats[:, 1, 1], mats[:, 1, 2]
         u, v, w = mats[:, 2, 0], mats[:, 2, 1], mats[:, 2, 2]
         return a * (q * w - r * v) - b * (p * w - r * u) + c * (p * v - q * u)
-    return np.linalg.det(mats)
+    total = mats[:, 0, 0] * old_square_det(mats[:, 1:, 1:])
+    for j in range(1, d):
+        term = mats[:, 0, j] * old_square_det(np.delete(mats[:, 1:], j, axis=2))
+        total = total - term if j % 2 else total + term
+    return total
 
 
 def decode_filter(n, m):
@@ -852,7 +901,7 @@ class TestKernelPaths:
                 ref = multiplicities(list(want[start:stop].T))
                 assert mult.dtype == ref.dtype and np.array_equal(mult, ref)
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("pinned", [True, False])
     def test_square_dets_equal_stacked_reference(self, d, pinned):
         rng = np.random.default_rng(d)

@@ -208,8 +208,8 @@ class TestSimplexDetMany:
         rows = [[rng.standard_normal((6, 1) if i < d - 1 else (1, 7))
                  for _ in range(d)] for i in range(d)]
         flat = [[np.broadcast_to(x, (6, 7)).ravel() for x in row] for row in rows]
-        got = np.broadcast_to(geometry._square_det(rows), (6, 7))
-        assert np.array_equal(got.ravel(), geometry._square_det(flat))
+        got = np.broadcast_to(geometry._vertex_dets(rows, pinned=True), (6, 7))
+        assert np.array_equal(got.ravel(), geometry._vertex_dets(flat, pinned=True))
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):

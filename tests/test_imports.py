@@ -6,8 +6,9 @@ parameter of the package's functions and methods is read, every parameter
 with a default is read by its function and passed by some caller, and by
 some program in src/ or bench/ outside a named allow-list; lab
 imports no private name of another module, no exponent comes from log2,
-functionals forms determinants in _tuple_terms alone, geometry._inside
-alone sums ellipsoid membership terms, and neither importing the package
+functionals forms determinants in _tuple_terms alone, the determinant path
+takes no matrix product or LAPACK call, geometry._inside alone sums
+ellipsoid membership terms, and neither importing the package
 nor running its commands loads scipy, and importing it leaves
 importlib.metadata unloaded; both curvature searches maximise one
 objective in _grid_then_refine; no CheckRecord call sets a verdict that
@@ -293,6 +294,39 @@ def test_one_term_routine_forms_the_determinants():
     assert {name for name, _ in name_uses(source, "_tuple_terms")} == {
         "_product_terms", "_enumerate", "det_form_sampled"}
     assert unchunked_term_uses(source) == []
+
+
+def matrix_product_uses(source: str, names) -> list:
+    """(top-level definition, line) of every matrix product or LAPACK call
+    in the named top-level definitions: an @ operator, or dot, matmul,
+    einsum or linalg as a name or an attribute (np.dot, x.dot, np.linalg)."""
+    words = {"dot", "matmul", "einsum", "linalg"}
+    return sorted({(top.name, node.lineno) for top in ast.parse(source).body
+                   if getattr(top, "name", None) in names for node in ast.walk(top)
+                   if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                       and isinstance(node.op, ast.MatMult))
+                   or (isinstance(node, ast.Attribute) and node.attr in words)
+                   or (isinstance(node, ast.Name) and node.id in words)})
+
+
+def test_matrix_product_scan_flags_every_spelling():
+    src = ('def f(a, b):\n    """a @ b and np.linalg in a docstring"""\n'
+           "    c = a @ b\n    c @= b\n"
+           "    return np.linalg.det(c) + np.dot(a, b) + a.dot(b)\n"
+           "def g(a):\n    return einsum('ij->i', a) + np.matmul(a, a)\n"
+           "def h(a, b):\n    return np.linalg.det(a @ b)\n")
+    assert matrix_product_uses(src, {"f", "g"}) == [("f", 3), ("f", 4), ("f", 5), ("g", 7)]
+
+
+def test_determinant_path_has_no_matrix_products():
+    # every determinant and Cauchy-Binet minor is one fixed circuit of
+    # elementwise products and sums; a BLAS product or LAPACK's pivoted LU
+    # would break exact cancellation and exact dilation covariance
+    for module, names in (("geometry", {"_minors", "_vertex_dets", "simplex_det_many"}),
+                          ("functionals", {"_tuple_terms"})):
+        source = (ROOT / f"src/detcurve/{module}.py").read_text(encoding="utf-8")
+        assert names <= {getattr(top, "name", None) for top in ast.parse(source).body}
+        assert matrix_product_uses(source, names) == [], module
 
 
 def reciprocal_round_trips(source: str) -> list:

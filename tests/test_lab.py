@@ -142,7 +142,8 @@ class TestScenarioConfig:
         ("trials", -3, "trials must be at least 1, got -3"),
         # refine -5 used to run with no refinement; a negative slack made the
         # weak-type bound complex, and slack nan made it nan
-        ("refine", -5, "refine must be a nonnegative count, got -5"),
+        ("refine", -5, "refine must be at least 0, got -5"),
+        ("refine", 2.5, "refine must be an integer, got 2.5"),
         ("slack", -2.0, "slack must be finite and nonnegative, got -2.0"),
         ("slack", float("nan"), "slack must be finite and nonnegative, got nan")])
     def test_rejects_by_name(self, field, value, message):
@@ -151,6 +152,18 @@ class TestScenarioConfig:
             ScenarioConfig(name="x",
                            generator=GeneratorSpec("cube_lebesgue", 2, 16, 0),
                            checks=("cauchy_schwarz",), **{field: value})
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("n_frames", -1, "n_frames must be at least 0, got -1"),
+        ("n_pca", 2.5, "n_pca must be an integer, got 2.5"),
+        ("seed", -1, "seed must be at least 0, got -1"),
+        ("mode", "grid", "mode must be one of .*, got 'grid'")])
+    def test_rejects_bad_family(self, field, value, message):
+        # these used to be accepted here and fail only in run_scenario
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(name="x",
+                           generator=GeneratorSpec("cube_lebesgue", 2, 16, 0),
+                           family=FamilyParams(**{field: value}))
 
     def test_rejects_extra_co_generators(self):
         circle = GeneratorSpec("sphere_uniform", 2, 32, 1)
