@@ -10,21 +10,21 @@ threshold tau are excluded from the sum and counted separately, for every
 sign of gamma, so inverse powers never divide by (numerical) zero.
 
 Every exact quantity (the forms, sublevel_mass, dyadic_profile) comes from
-one enumerator, _enumerate: it walks the tuples in fixed blocks and hands
-each block's determinants and slot-value products to a reducer; blocks are
-combined in block order with math.fsum, so values do not depend on the
-worker count.  A product block is at most three rectangles that broadcast
-the leading slots' entries over a slice of the last slot; when all slots
-are alike the blocks instead partition the ranks of the nondecreasing
-tuples, unranked run by run and weighted by their multiplicities.  Every
-block kind, sampled draws too, forms its terms in _tuple_terms from slot
-columns made once per call (ranked tuples and draws CHUNK at a time); one
-pass can reduce to several exponents: cauchy_schwarz_check's three forms.
+one enumerator, _enumerate.  It cuts the tuples into fixed blocks, each one
+rectangle: the leading slots' entries as (R, 1) rows broadcast against a
+slice of the last slot.  A product block takes the rows its flat range
+touches and reduces a view of its own tuples; when all slots are alike the
+rows are the nondecreasing prefixes, weighted along the last slot by their
+multiplicities, 0 below the diagonal.  Blocks combine in block order with
+math.fsum, so values do not depend on the worker count.  Rectangles and
+sampled draws (CHUNK at a time) form their terms in _tuple_terms from slot
+columns made once per call; one pass can reduce to several exponents:
+cauchy_schwarz_check's three forms.
 
 An index set E_j enters only by restricting slot j to its atoms, so set
 forms enumerate and count E_1 x ... x E_k, with the whole measure's tau.
 
-Exact enumeration is capped by a budget on the tuples it visits; beyond it
+Exact enumeration is capped by a budget on the tuples it evaluates; beyond it
 callers must switch to det_form_sampled, an unbiased uniform-tuple Monte
 Carlo estimate whose integrand is formed in the same fixed blocks.
 """
@@ -42,8 +42,8 @@ from .measure import WeightedPointMeasure, _check_k_alpha, check_integer
 DEFAULT_BUDGET = 10_000_000
 TAU_SCALE = 1e-12
 CAUCHY_SCHWARZ_TOL = 1e-12  # relative, of cauchy_schwarz_check's ok and lab's record
-# Tuples an index-array block forms at once: ~2 MB of columns, differences and
-# minor-table products at k = 3, not a whole block's ~24 MB.  Terms are per tuple.
+# Sampled draws a block forms at once: ~2 MB of columns, differences and
+# minor-table products at k = 3, not a whole block's ~24 MB.  Terms are per draw.
 CHUNK = 1 << 14
 
 
@@ -117,58 +117,56 @@ def _values_for_slots(measures, fs):
     return vals
 
 
-def _rank_tables(n: int, m: int) -> list:
-    """tables[L - 1][v]: the number of nondecreasing length-L tuples over
-    [0, n) that start below v, the sum over u < v of C(n-u+L-2, L-1)."""
-    return [np.array([math.comb(n + L - 1, L) - math.comb(n - v + L - 1, L)
-                      for v in range(n + 1)], dtype=np.int64)
-            for L in range(1, m + 1)]
+def _prefixes(n: int, m: int) -> tuple:
+    """The nondecreasing (m-1)-tuples over [0, n), m >= 2, in colex order
+    (by last entry, then by the entry before it, ...), as per-slot index
+    arrays, and the multiplicities of the m-tuples they head: m times the
+    prefix's number of distinct permutations when the m-th entry exceeds
+    the prefix's last, that over c when it equals it, c the equal entries.
 
-
-def _unrank_block(start: int, stop: int, tables) -> tuple:
-    """Per-slot index arrays of the nondecreasing tuples with lexicographic
-    ranks [start, stop) (Knuth 7.2.1.3) and their multiplicities, the
-    numbers of distinct permutations, built run by run.
-
-    The tuples (p, v) with one prefix p of m - 1 entries are consecutive, v
-    counting up from p[-1] to n - 1.  So only the block's end ranks are
-    searched for, their prefixes ranked in the next shorter tables on the
-    way; the range of prefix ranks between them is unranked the same way,
-    each prefix repeated along its run.  (p, v) has m / c times the
-    permutations of p, c the number of its entries equal to v, which
-    exceeds 1 only at the start of a run, where v can equal p[-1].
+    The tuples ending in q extend the shorter ones whose last entry is at
+    most q, a leading part of the shorter list, so each length is one
+    segmented arange over the one before.
     """
-    if len(tables) == 1:
-        return [np.arange(start, stop, dtype=np.int64)], np.ones(stop - start)
-    ranks = np.array([start, stop - 1], dtype=np.int64)
-    low = prefix_rank = np.zeros(2, dtype=np.int64)
-    for cum, prefix_cum in zip(tables[:0:-1], tables[-2::-1]):
-        # position among all tuples of this length, then its first entry
-        pos = ranks + cum[low]
-        entry = np.searchsorted(cum, pos, side="right") - 1
-        prefix_rank = prefix_rank + prefix_cum[entry] - prefix_cum[low]
-        ranks, low = pos - cum[entry], entry
-    # the remaining rank counts up from the previous entry
-    (p0, p1), (first, last) = prefix_rank.tolist(), (low + ranks).tolist()
-    prefix, mult = _unrank_block(p0, p1 + 1, tables[:-1])
-    lo = prefix[-1].copy()
-    lo[0] = first
-    counts = tables[0].shape[0] - 1 - lo
-    counts[-1] = last + 1 - lo[-1]
-    offsets = np.cumsum(counts) - counts
-    # one segmented arange: each run counts up from lo at its offset
-    tail = np.repeat(lo - offsets, counts) + np.arange(stop - start)
-    mult = np.repeat(len(tables) * mult, counts)
-    mult[offsets] /= 1.0 + sum(p == lo for p in prefix)
-    return [np.repeat(p, counts) for p in prefix] + [tail], mult
+    idx, mult, run = [np.arange(n)], np.ones(n), np.ones(n)
+    for length in range(2, m):
+        counts = np.searchsorted(idx[-1], np.arange(n), side="right")
+        sel = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        last = np.repeat(np.arange(n), counts)
+        run = np.where(idx[-1][sel] == last, run[sel] + 1.0, 1.0)
+        mult = length * mult[sel] / run
+        idx = [ix[sel] for ix in idx] + [last]
+    return idx, m * mult, m * mult / (run + 1.0)
+
+
+def _row_ranges(n: int, m: int) -> tuple:
+    """(fixed row ranges [a, b) of _prefixes(n, m), tuples they evaluate).
+
+    Range [a, b) is a rectangle: its rows against the last-slot atoms
+    [p, n), p the last entry of row a.  It takes at most BLOCK // (n - p)
+    rows, one at least, and none whose last entry exceeds p + (n - p) // 8,
+    so at most an eighth of it lies below the diagonal.
+    """
+    rows = math.comb(n + m - 2, m - 1)
+    ranges, visited, a, p = [], 0, 0, 0
+    while a < rows:
+        while math.comb(p + m - 1, m - 1) <= a:  # the rows ending at or below p
+            p += 1
+        width = n - p
+        b = min(a + max(1, parallel.BLOCK // width),
+                math.comb(min(n, p + 1 + width // 8) + m - 2, m - 1))
+        ranges.append((a, b))
+        visited += (b - a) * width
+        a = b
+    return ranges, visited
 
 
 def _tuple_terms(cols_list, values_list, idx, pinned: bool):
     """Determinants and left-to-right slot-value products of a block of
     tuples, in the shape the keys broadcast to: idx[j] indexes slot j's
     contiguous coordinate columns cols_list[j] and its values_list[j], as an
-    index array (ranked tuples, sampled draws, a product rectangle's (R, 1)
-    leading slots) or a tuple key such as np.s_[None, lo:hi] (its last)."""
+    index array (sampled draws, a rectangle's (R, 1) leading slots) or a
+    tuple key such as np.s_[None, lo:hi] (a rectangle's last slot)."""
     # the determinant temporaries are freed before the products are allocated
     dets = geometry._vertex_dets([[col[key] for col in cols] for cols, key
                                   in zip(cols_list, idx)], pinned)
@@ -181,64 +179,61 @@ def _tuple_terms(cols_list, values_list, idx, pinned: bool):
     return dets, wprod
 
 
-def _product_terms(cols_list, values_list, start, stop, pinned: bool):
-    """_tuple_terms of the product tuples [start, stop), last slot fastest.
-
-    The range is cut into part of a row of the last slot, whole rows and part
-    of a row; in each piece the leading slots' (R, 1) index arrays broadcast
-    over a (1, C) slice of the last slot, so only R rows are decoded.
-    """
-    n = values_list[-1].shape[0]
-    (r0, c0), (r1, c1) = divmod(start, n), divmod(stop, n)
-    pieces = ([(r0, r0 + 1, c0, c1)] if r1 == r0 else
-              [(r0, r0 + 1, c0, n), (r0 + 1, r1, 0, n), (r1, r1 + 1, 0, c1)])
-    # a trailing unit axis gives a single row when there is one slot
-    lead_sizes = [v.shape[0] for v in values_list[:-1]] + [1]
-    terms = []
-    for a, b, lo, hi in pieces:
-        if a < b and lo < hi:
-            lead = np.unravel_index(np.arange(a, b), lead_sizes)[:-1]
-            keys = [ix[:, None] for ix in lead] + [np.s_[None, lo:hi]]
-            terms.append([np.broadcast_to(x, (b - a, hi - lo)).ravel() for x
-                          in _tuple_terms(cols_list, values_list, keys, pinned)])
-    return tuple(np.concatenate(t) for t in zip(*terms))
-
-
 def _enumerate(points_list, values_list, pinned: bool, symmetric: bool,
                budget: int, reduce):
     """(ordered tuple count, [reduce(dets, wprod, mult) per block]) over the
     product of the slots, in block order.
 
-    The fixed block partition of the flat tuple index keeps the results
-    independent of the worker count (see _product_terms).  symmetric=True
-    partitions the ranks of the nondecreasing tuples instead and passes
-    their multiplicities as mult (None otherwise); every slot must then
-    hold the same points and values.  The budget caps the tuples visited.
+    Every block is one rectangle: leading-slot rows of shape (R, 1)
+    broadcast against a contiguous slice of the last slot.  A product block
+    [start, stop) of the fixed flat partition (last slot fastest) takes the
+    rows it touches, against the whole last slot if there are several, and
+    reduces the raveled view of its own tuples, so its values do not depend
+    on the worker count.  symmetric=True, where every slot holds the same
+    points and values, takes the rows of _prefixes in the fixed ranges of
+    _row_ranges instead, each row weighted along its tail by the
+    multiplicities passed as mult (None otherwise), 0 below the diagonal.
+    The budget caps the tuples the rectangles evaluate.
     """
     sizes = [p.shape[0] for p in points_list]
-    total = math.prod(sizes)
-    m = len(sizes)
-    visited = math.comb(sizes[0] + m - 1, m) if symmetric else total
+    total, m, n = math.prod(sizes), len(sizes), sizes[-1]
+    symmetric = symmetric and m > 1  # one slot: the same tuples either way
+    # the nondecreasing tuples bound the rectangles' count from below
+    visited = math.comb(n + m - 1, m) if symmetric else total
+    if symmetric and visited <= budget:
+        ranges, visited = _row_ranges(n, m)
     if visited > budget:
         raise BudgetExceededError(
             f"{visited} tuples to enumerate ({total} ordered) exceed the "
             f"exact budget {budget}")
-    tables = _rank_tables(sizes[0], m) if symmetric else None
     cols_list = [np.ascontiguousarray(p.T) for p in points_list]
+    if symmetric:
+        rows, above, on = _prefixes(n, m)
+    else:
+        ranges = parallel.block_ranges(total)
+
+    def rectangle(lead, lo, hi):
+        keys = [ix[:, None] for ix in lead] + [np.s_[None, lo:hi]]
+        return _tuple_terms(cols_list, values_list, keys, pinned)
 
     def block(start, stop):
-        if not symmetric:
-            return reduce(*_product_terms(cols_list, values_list, start, stop,
-                                          pinned), None)
-        # terms chunk by chunk into block-length arrays; one reduce per block
-        dets, wprod, mult = np.empty((3, stop - start))
-        for s in range(0, stop - start, CHUNK):
-            e = min(s + CHUNK, stop - start)
-            idx, mult[s:e] = _unrank_block(start + s, start + e, tables)
-            dets[s:e], wprod[s:e] = _tuple_terms(cols_list, values_list, idx, pinned)
-        return reduce(dets, wprod, mult)
+        if symmetric:
+            p = rows[-1][start]
+            dets, wprod = rectangle([ix[start:stop] for ix in rows], p, n)
+            shift = rows[-1][start:stop] - p
+            valid = np.arange(n - p) >= shift[:, None]
+            mult = valid * above[start:stop, None]
+            mult[np.arange(stop - start), shift] = on[start:stop]
+            dets *= valid
+            return reduce(dets.ravel(), wprod.ravel(), mult.ravel())
+        # a trailing unit axis gives the single row of a single slot
+        (r0, c0), (r1, c1) = divmod(start, n), divmod(stop - 1, n)
+        lo, hi = (c0, c1 + 1) if r1 == r0 else (0, n)
+        lead = np.unravel_index(np.arange(r0, r1 + 1), sizes[:-1] + [1])[:-1]
+        view = slice(c0 - lo, c0 - lo + stop - start)
+        return reduce(*(x.ravel()[view] for x in rectangle(lead, lo, hi)), None)
 
-    return total, parallel.map_blocks(block, parallel.block_ranges(visited))
+    return total, parallel.map_blocks(block, ranges)
 
 
 def _enumerate_form(points_list, values_list, tau: float, symmetric: bool,
@@ -301,8 +296,8 @@ def det_form(mu, k: int, gamma: float, fs=None, *, tau: float = None,
     The kernel is det^(-gamma): pass a negative gamma for positive
     determinant powers.  fs is an optional list of k+1 per-atom density
     vectors (None entries mean the constant 1).  When all slots share one
-    measure and one density, enumeration runs over nondecreasing tuples
-    with multiplicity weights, cutting the determinant work by (k+1)!.
+    measure and one density, rectangles of nondecreasing tuples with
+    multiplicity weights cut the determinant work by nearly (k+1)!.
     """
     return _enumerate_form(*_form_slots(mu, k, fs, tau, pinned=False), (gamma,),
                            pinned=False, budget=budget)[0]

@@ -89,7 +89,7 @@ def _vertex_dets(rows, pinned: bool) -> np.ndarray:
         rows = [[x - b for x, b in zip(row, base)] for row in rows[:-1]]
     if len(rows) == len(rows[0]):  # the one full minor
         return np.abs(*_minors(rows).values())
-    total = np.zeros(np.shape(rows[0][0]))
+    total = np.zeros(np.broadcast_shapes(*(np.shape(x) for row in rows for x in row)))
     for minor in _minors(rows).values():
         total = total + minor * minor
     return np.sqrt(total)
@@ -110,7 +110,7 @@ def simplex_det_many(stack: np.ndarray, pinned: bool = False) -> np.ndarray:
             or stack.shape[1] < (1 if pinned else 2)):
         raise ValueError(f"expected (M, m, d) stack with an edge vector and "
                          f"d >= 1, got shape {stack.shape}")
-    return _vertex_dets(np.moveaxis(stack, 0, -1), pinned)
+    return _vertex_dets(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), pinned)
 
 
 def _axis_sum(terms: np.ndarray) -> np.ndarray:

@@ -38,8 +38,10 @@ def block_ranges(total: int):
 def map_blocks(fn, ranges):
     """Apply fn to each (start, stop) range, preserving range order.
 
-    numpy kernels release the GIL, so plain threads give real overlap; with
-    one worker this degenerates to a sequential loop.
+    Threads overlap only where numpy drops the GIL: on 2^17 items (2 vCPUs)
+    two threads ran ufuncs and np.concatenate 1.8-2.4x as fast as one, but
+    fancy-index gathers, np.repeat and np.add.at 0.85-1.3x, and any call on
+    2^14 items ~1x.  One worker runs a plain loop.
     """
     workers = worker_count()
     if workers == 1 or len(ranges) <= 1:

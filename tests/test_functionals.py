@@ -151,11 +151,24 @@ class TestExactForms:
                 call()
 
     def test_exact_form_peak(self, monkeypatch):
-        # symmetric blocks form their terms CHUNK tuples at a time; a whole
-        # block's columns and cofactor products traced ~26 MB here
+        # a symmetric rectangle stops before an eighth of it lies below the
+        # diagonal, ~57k tuples here; rectangles of a whole block traced 13.3 MB
         monkeypatch.setenv("DETCURVE_THREADS", "1")
         mu = generate(GeneratorSpec("sphere_uniform", 3, 56, 0))
         assert traced_peak(lambda: det_form(mu, 3, 0.5)) <= 10_000_000
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in power")
+    def test_overflowing_kernel_reads_inf(self):
+        # det(y_0, y_1) = 2^-30 gives det^-40 = inf; the symmetric rectangle
+        # holds (y_1, y_0) below its diagonal, where 0 weight times inf
+        # would read nan
+        t = np.linspace(0.3, 1.2, 18)
+        pts = np.vstack([[[1.0, 0.0], [1.0, 2.0 ** -30]], np.c_[np.cos(t), np.sin(t)]])
+        mu = WeightedPointMeasure(pts, np.full(20, 0.05))
+        got = det_form_pinned(mu, 2, 40.0)
+        want = det_form_pinned(mu, 2, 40.0, [np.ones(20), np.ones(20)])
+        assert got.value == want.value == math.inf
+        assert got.tuples_excluded == want.tuples_excluded
 
     def test_unpinned_collinear_atoms_vanish(self, three_atoms):
         # (1,0), (0,1), (.5,.5) are collinear: every distinct triple drops out
@@ -207,13 +220,18 @@ class TestExactForms:
             det_form(cube64, 2, 0.5, budget=100)
 
     def test_budget_counts_nondecreasing_tuples(self, cube64):
-        # 64^3 = 262144 ordered triples, C(66, 3) = 45760 nondecreasing ones
-        got = det_form(cube64, 2, 0.5, budget=50_000)
+        # 64^3 = 262144 ordered triples, C(66, 3) = 45760 nondecreasing ones;
+        # the budget counts the 48560 the rectangles evaluate, with the 2800
+        # below their diagonals
+        got = det_form(cube64, 2, 0.5, budget=48_560)
         assert got.tuples_total == 64 ** 3
         ones = [np.ones(64) for _ in range(3)]
         want = det_form(cube64, 2, 0.5, ones)
         assert got.value == pytest.approx(want.value, rel=1e-12)
         assert got.tuples_excluded == want.tuples_excluded
+        with pytest.raises(BudgetExceededError, match=r"48560 tuples .*\(262144 ordered\)"):
+            det_form(cube64, 2, 0.5, budget=48_559)
+        # fewer than the nondecreasing tuples: no partition is made
         with pytest.raises(BudgetExceededError, match=r"45760 tuples .*\(262144 ordered\)"):
             det_form(cube64, 2, 0.5, budget=45_759)
 
@@ -886,20 +904,60 @@ class TestKernelPaths:
     """The tuple kernel against the simpler code it replaced, bit for bit."""
 
     @pytest.mark.parametrize("n,m", list(product(range(1, 12), range(1, 5))))
-    def test_unrank_equals_decode_filter(self, monkeypatch, n, m):
-        # blocks inside one run, across runs and across longer prefixes
-        tables = functionals._rank_tables(n, m)
+    def test_prefixes_equal_decode_filter(self, monkeypatch, n, m):
+        # the nondecreasing m-tuples as rows of (m + 1)-tuple rectangles, in
+        # colex order, and the weights of each row's tail against the
+        # multiplicities of the (m + 1)-tuples counted one by one
+        rows, above, on = functionals._prefixes(n, m + 1)
         want = decode_filter(n, m)
-        count = want.shape[0]
-        assert tables[-1][-1] == count == math.comb(n + m - 1, m)
+        want = want[np.lexsort(want.T)]
+        assert np.array_equal(np.stack(rows, axis=1), want)
+        full = decode_filter(n, m + 1)
+        row_of = {tuple(r): i for i, r in enumerate(want.tolist())}
+        got = [(above if v > r[-1] else on)[row_of[tuple(r)]]
+               for *r, v in full.tolist()]
+        assert np.array_equal(got, multiplicities(list(full.T)))
+        # the row ranges partition the rows, and each stays within its bounds
         for block in (1, 2, 3, 5, 7, 40):
             monkeypatch.setattr(parallel, "BLOCK", block)
-            for start, stop in parallel.block_ranges(count):
-                idx, mult = functionals._unrank_block(start, stop, tables)
-                assert [ix.dtype for ix in idx] == [want.dtype] * m
-                assert np.array_equal(np.stack(idx, axis=1), want[start:stop])
-                ref = multiplicities(list(want[start:stop].T))
-                assert mult.dtype == ref.dtype and np.array_equal(mult, ref)
+            ranges, visited = functionals._row_ranges(n, m + 1)
+            assert [a for a, _ in ranges] == [0] + [b for _, b in ranges[:-1]]
+            assert ranges[-1][1] == want.shape[0]
+            areas = []
+            for a, b in ranges:
+                p = rows[-1][a]
+                assert rows[-1][b - 1] <= p + (n - p) // 8
+                assert b - a == 1 or (b - a) * (n - p) <= block
+                areas.append((b - a) * (n - p))
+            assert visited == sum(areas) >= math.comb(n + m, m + 1)
+
+    @given(st.integers(1, 4), st.booleans(), st.integers(1, 9),
+           st.sampled_from([5, 40]), st.sampled_from([0.5, -1.0, 0.0]),
+           st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_symmetric_equals_explicit_densities(self, m, pinned, n, block,
+                                                 gamma, seed):
+        # quarter-rounded atoms give exact degeneracies (so no exclusion
+        # flips with the slot order) and n^m on both sides of the block
+        assume(pinned or m > 1)
+        k = m if pinned else m - 1
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(k, 5))
+        mu = WeightedPointMeasure(np.round(rng.standard_normal((n, dim)) * 2) / 4,
+                                  rng.random(n) + 0.1)
+        form = det_form_pinned if pinned else det_form
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parallel, "BLOCK", block)
+            for threads in ("1", "2"):
+                mp.setenv("DETCURVE_THREADS", threads)
+                runs.append((form(mu, k, gamma),
+                             form(mu, k, gamma, [np.ones(n) for _ in range(m)])))
+        (sym, explicit), again = runs
+        assert again == runs[0]
+        assert sym.value == pytest.approx(explicit.value, rel=1e-12, abs=0)
+        assert sym.tuples_total == explicit.tuples_total == n ** m
+        assert sym.tuples_excluded == explicit.tuples_excluded
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("pinned", [True, False])
@@ -955,6 +1013,21 @@ class TestKernelPaths:
             assert_blocks_equal(
                 product_blocks(points_list, values_list, pinned),
                 decode_gather_blocks(points_list, values_list, pinned))
+            if threads == "1":
+                # a block takes at most two rows of the long slot: the
+                # unpinned circuit's five arrays of two blocks' tuples, with
+                # one more to spare
+                peak = traced_peak(lambda: functionals._enumerate(
+                    points_list, values_list, pinned, False, 10 ** 7,
+                    lambda dets, wprod, mult: None))
+                assert peak <= 6 * 2 * 8 * parallel.BLOCK
+
+    def test_product_blocks_peak(self, monkeypatch):
+        # 600^2 tuples in three blocks: the reducer gets a view of each
+        # rectangle; concatenating a block's three pieces traced 4.2 MB here
+        monkeypatch.setenv("DETCURVE_THREADS", "1")
+        mu = generate(GeneratorSpec("sphere_uniform", 2, 600, 0))
+        assert traced_peak(lambda: sublevel_mass([mu, mu], 1.0)) <= 3_800_000
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("k,pinned,n,samples", [
@@ -984,10 +1057,11 @@ class TestKernelPaths:
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("chunk", [1, 7, 1000, 1 << 17])
     def test_chunks_keep_bits(self, monkeypatch, threads, chunk):
-        # blocks of 1200 tuples or draws, cut into chunks of one, of 7, of
-        # 1000 (1000 + 200) and whole, against the default chunk at 1 thread
+        # blocks of 1200 draws, cut into chunks of one, of 7, of 1000
+        # (1000 + 200) and whole, against the default chunk at 1 thread; the
+        # exact forms' rectangles (of at most 1200 tuples) take no chunks
         monkeypatch.setattr(parallel, "BLOCK", 1200)
-        atoms = {1: 1400, 2: 52, 3: 19, 4: 12}  # 1330-1400 ranked tuples
+        atoms = {1: 1400, 2: 52, 3: 19, 4: 12}  # 1330-1400 nondecreasing tuples
 
         def forms():
             exact = [form(generate(GeneratorSpec("sphere_uniform", 3,

@@ -267,18 +267,22 @@ def test_vertex_det_scan_flags_every_spelling():
 
 
 def unchunked_term_uses(source: str) -> list:
-    """name_uses of _tuple_terms outside _product_terms and outside every
-    loop over CHUNK-long sub-ranges: a block gathering all its terms at once."""
-    chunked = {node.lineno for loop in ast.walk(ast.parse(source))
-               if isinstance(loop, ast.For) and "CHUNK" in ast.unparse(loop.iter)
-               for node in ast.walk(loop) if hasattr(node, "lineno")}
+    """name_uses of _tuple_terms outside a function named rectangle and
+    outside every loop over CHUNK-long sub-ranges: an index-array block
+    forming all its terms at once.  A rectangle's keys are (R, 1) leading
+    rows and a slice of the last slot, so it gathers no per-tuple index."""
+    exempt = {node.lineno for top in ast.walk(ast.parse(source))
+              if (isinstance(top, ast.For) and "CHUNK" in ast.unparse(top.iter))
+              or (isinstance(top, ast.FunctionDef) and top.name == "rectangle")
+              for node in ast.walk(top) if hasattr(node, "lineno")}
     return [(top, line) for top, line in name_uses(source, "_tuple_terms")
-            if top != "_product_terms" and line not in chunked]
+            if line not in exempt]
 
 
 def test_unchunked_term_scan_flags_a_full_block_call():
-    src = ("def _product_terms(c, v, a, b, p):\n    return _tuple_terms(c, v, a, p)\n"
-           "def _enumerate(c, v, p):\n    def block(start, stop):\n"
+    src = ("def _enumerate(c, v, p):\n    def rectangle(lead, lo, hi):\n"
+           "        return _tuple_terms(c, v, lead, p)\n"
+           "    def block(start, stop):\n"
            "        for s in range(start, stop, CHUNK):\n"
            "            t = _tuple_terms(c, v, s, p)\n"
            "        return _tuple_terms(c, v, (start, stop), p)\n")
@@ -286,13 +290,13 @@ def test_unchunked_term_scan_flags_a_full_block_call():
 
 
 def test_one_term_routine_forms_the_determinants():
-    # product rectangles, ranked tuples and sampled draws all form their
-    # determinants and slot-value products in functionals._tuple_terms;
-    # index-array blocks call it CHUNK tuples at a time, never on a block
+    # every exact block, product or symmetric, is one broadcast rectangle
+    # formed in one call of functionals._tuple_terms; sampled draws are
+    # index arrays, formed CHUNK tuples at a time, never a block at once
     source = (ROOT / "src/detcurve/functionals.py").read_text(encoding="utf-8")
     assert [name for name, _ in name_uses(source, "_vertex_dets")] == ["_tuple_terms"]
-    assert {name for name, _ in name_uses(source, "_tuple_terms")} == {
-        "_product_terms", "_enumerate", "det_form_sampled"}
+    assert [name for name, _ in name_uses(source, "_tuple_terms")] == [
+        "_enumerate", "det_form_sampled"]
     assert unchunked_term_uses(source) == []
 
 
