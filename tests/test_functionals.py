@@ -904,10 +904,11 @@ class TestKernelPaths:
     """The tuple kernel against the simpler code it replaced, bit for bit."""
 
     @pytest.mark.parametrize("n,m", list(product(range(1, 12), range(1, 5))))
-    def test_prefixes_equal_decode_filter(self, monkeypatch, n, m):
-        # the nondecreasing m-tuples as rows of (m + 1)-tuple rectangles, in
-        # colex order, and the weights of each row's tail against the
-        # multiplicities of the (m + 1)-tuples counted one by one
+    def test_unrank_equals_decode_filter(self, monkeypatch, n, m):
+        # _prefixes unranks the nondecreasing m-tuples: row i is the tuple of
+        # colex rank i, heading a row of an (m + 1)-tuple rectangle; the
+        # weights of each row's tail against the multiplicities of the
+        # (m + 1)-tuples counted one by one
         rows, above, on = functionals._prefixes(n, m + 1)
         want = decode_filter(n, m)
         want = want[np.lexsort(want.T)]
