@@ -31,7 +31,7 @@ from .geometry import (FRAME_TOL, Ellipsoid, k_content, matrix_content,
 from .measure import WeightedPointMeasure, _check_k_alpha, check_integer, eval_measure
 
 MODES = ("scale_floored_search", "doubling_dyadic")
-GAUSSIAN_LOWER_TOL = 1e-12  # relative tolerances of the checks' ok and of their records
+GAUSSIAN_LOWER_TOL = 1e-12  # relative tolerances of lab's records and slab's all_ok
 GAUSSIAN_CONTENT_TOL = SLAB_TOL = MAXIMAL_TOL = 1e-9
 
 
@@ -533,14 +533,14 @@ def gaussian_lower_check(mu: WeightedPointMeasure, q: np.ndarray) -> tuple:
     """exp(-1) * mu({||Qx||^2 <= 1}) <= integral of exp(-||Qx||^2).
 
     Pointwise exp(-||Qx||^2) >= exp(-1) on the sublevel set, so this holds
-    exactly; GAUSSIAN_LOWER_TOL only absorbs summation roundoff.
+    exactly; its record's GAUSSIAN_LOWER_TOL only absorbs summation roundoff.
     """
     q = np.asarray(q, dtype=float)
     img = mu.points @ q.T
     s = np.einsum("nd,nd->n", img, img)
     lhs = math.exp(-1.0) * float(np.sum(mu.weights[s <= 1.0]))
     rhs = gaussian_integral(mu, q)
-    return lhs, rhs, lhs <= rhs * (1.0 + GAUSSIAN_LOWER_TOL)
+    return lhs, rhs
 
 
 def layer_cake_check(mu: WeightedPointMeasure, q: np.ndarray) -> tuple:
@@ -578,19 +578,19 @@ def gaussian_content_check(mu: WeightedPointMeasure, q: np.ndarray, k: int,
         integral <= Gamma(k alpha / 2 + 1) * 2^(k alpha) * C * |Q|_k^alpha,
 
     the 2^(k alpha) paying for rounding t up to the next dyadic level.
-    Returns (lhs, bound, c_dyadic, ok), ok within GAUSSIAN_CONTENT_TOL.
+    Returns (lhs, bound, c_dyadic).
     """
     q = np.asarray(q, dtype=float)
     lhs = gaussian_integral(mu, q)
     qk = matrix_content(q, k)
     if not math.isfinite(qk):
-        return lhs, math.inf, 0.0, True
+        return lhs, math.inf, 0.0
     levels, mass = _level_masses(np.linalg.norm(mu.points @ q.T, axis=1),
                                  mu.weights)
     charged = levels[mass > 0.0]  # from the smallest norm that carries weight
     if charged.size == 0 or charged[0] == 0.0:
         # mass sits at ||Qx|| = 0: no dyadic level has zero mass below it
-        return lhs, math.inf, math.inf, True
+        return lhs, math.inf, math.inf
     j_lo = dyadic_exponents(float(charged[0]))[0] - 1
     j_hi = dyadic_exponents(float(levels[-1]))[1]
     c_dyadic = 0.0
@@ -600,7 +600,7 @@ def gaussian_content_check(mu: WeightedPointMeasure, q: np.ndarray, k: int,
         below = float(mass[at - 1]) if at else 0.0
         c_dyadic = max(c_dyadic, below / (t ** k * qk) ** alpha)
     bound = math.gamma(k * alpha / 2.0 + 1.0) * 2.0 ** (k * alpha) * c_dyadic * qk ** alpha
-    return lhs, bound, c_dyadic, lhs <= bound * (1.0 + GAUSSIAN_CONTENT_TOL)
+    return lhs, bound, c_dyadic
 
 
 # ---------------------------------------------------------------------------
@@ -752,8 +752,8 @@ def maximal_weak_bound_check(mu: WeightedPointMeasure, k: int, alpha: float,
     where F_inner takes the sup over members whose double stays in the
     family (that is exactly what the covering argument consumes).  Both
     come from one sweep of the family around every atom, F_inner reading
-    its inner columns.  Returns (lhs, rhs, ok), ok within MAXIMAL_TOL;
-    lhs is 0.0 when no atom carries mass.
+    its inner columns.  Returns (lhs, rhs); lhs is 0.0 when no atom
+    carries mass.
     """
     _check_p(p)
     f_full, f_inner = _maximal(mu, k, family, mu.points,
@@ -762,4 +762,4 @@ def maximal_weak_bound_check(mu: WeightedPointMeasure, k: int, alpha: float,
     positive = mu.weights > 0.0
     lhs = float(np.max(f_inner[positive], initial=0.0))
     rhs = 2.0 ** (alpha * k) * wk ** (p / (p + 1.0))
-    return lhs, rhs, lhs <= rhs * (1.0 + MAXIMAL_TOL)
+    return lhs, rhs

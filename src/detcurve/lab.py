@@ -388,7 +388,7 @@ def verify_cauchy_schwarz(mu: WeightedPointMeasure, k: int, gamma: float, *,
     for _ in range(trials):
         sets = [np.sort(rng.choice(mu.n_atoms, size=int(rng.integers(1, mu.n_atoms + 1)),
                                    replace=False)) for _ in range(k)]
-        sides.append(cauchy_schwarz_check(mu, k, gamma, sets, budget=budget)[:2])
+        sides.append(cauchy_schwarz_check(mu, k, gamma, sets, budget=budget))
     record = _worst_trial("cauchy-schwarz-duality", sides, CAUCHY_SCHWARZ_TOL)
     return [record], {"cs_worst_ratio": record.lhs}
 
@@ -408,7 +408,7 @@ def verify_gaussian_bounds(mu: WeightedPointMeasure, k: int, alpha: float, *,
         return q * 2.0 ** rng.uniform(-2.0, 2.0)
 
     records = [_worst_trial("gaussian-lower-bound", [gaussian_lower_check(
-        mu, random_matrix())[:2] for _ in range(n_lower)], GAUSSIAN_LOWER_TOL)]
+        mu, random_matrix()) for _ in range(n_lower)], GAUSSIAN_LOWER_TOL)]
     worst_err = max(layer_cake_check(mu, random_matrix())[2] for _ in range(n_layer))
     records.append(CheckRecord("gaussian-layer-decomposition", worst_err, layer_tol,
                                details={"trials": n_layer}))
@@ -439,7 +439,7 @@ def verify_maximal_bound(mu: WeightedPointMeasure, k: int, alpha: float, *,
     j_min = dyadic_exponents(mu.median_nn)[0] - 2
     family = default_family(mu, n_frames=6, n_pca=2, j_min=j_min,
                             mode="doubling_dyadic", seed=seed)
-    lhs, rhs, _ = maximal_weak_bound_check(mu, k, alpha, p, family)
+    lhs, rhs = maximal_weak_bound_check(mu, k, alpha, p, family)
     records = [CheckRecord(
         "maximal-weak-bound", lhs, rhs, tol=MAXIMAL_TOL,
         details={"p": p, "family_size": family.size,

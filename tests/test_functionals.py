@@ -141,7 +141,7 @@ class TestExactForms:
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_gamma(self, cube64, gamma):
         # a nan or infinite exponent gave a nan or inf form, and a
-        # Cauchy-Schwarz check of (lhs, nan, False) or one that passed at inf
+        # Cauchy-Schwarz check of (lhs, nan) or one that passed at inf
         calls = [lambda: det_form(cube64, 2, gamma),
                  lambda: det_form_pinned(cube64, 2, gamma),
                  lambda: det_form_sampled(cube64, 2, gamma, samples=10),
@@ -548,8 +548,7 @@ class TestCauchySchwarz:
         for _ in range(50):
             sets = [rng.choice(64, size=rng.integers(2, 40), replace=False)
                     for _ in range(2)]
-            lhs, rhs, ok = cauchy_schwarz_check(cube64, 2, 0.5, sets)
-            assert ok
+            lhs, rhs = cauchy_schwarz_check(cube64, 2, 0.5, sets)
             assert lhs <= rhs * (1 + 1e-12)
 
     def test_requires_k_sets(self, cube64):
@@ -567,10 +566,10 @@ class TestCauchySchwarz:
                     for _ in range(k)]
             inv, fwd, mass = (det_form_pinned(set_slots(mu, sets), k, g, tau=tau)
                               for g in (0.5, -0.5, 0.0))
-            lhs, rhs, ok = cauchy_schwarz_check(mu, k, 0.5, sets)
+            lhs, rhs = cauchy_schwarz_check(mu, k, 0.5, sets)
             assert lhs == mass.value ** 2
             assert rhs == fwd.value * inv.value
-            assert ok == (lhs <= rhs * (1.0 + 1e-12))
+            assert lhs <= rhs * (1.0 + 1e-12)
 
 
 class TestSampledForm:
@@ -813,7 +812,7 @@ class TestIndexSets:
         prof = dyadic_profile(cube64, 2, sets, 0.5)
         assert prof.layers == {}
         assert prof.included_mass == 0.0 and prof.excluded_mass == 0.0
-        assert cauchy_schwarz_check(cube64, 2, 0.5, sets) == (0.0, 0.0, True)
+        assert cauchy_schwarz_check(cube64, 2, 0.5, sets) == (0.0, 0.0)
 
     @pytest.mark.parametrize("taker", sorted(SET_TAKERS))
     def test_rejects_wrong_set_count(self, cube64, taker):
@@ -863,11 +862,11 @@ def multiplicities(idx):
 
 def product_blocks(points_list, values_list, pinned):
     """(dets, wprod) of each product block through _enumerate."""
-    def keep(dets, wprod, mult):
-        assert mult is None
+    def keep(dets, wprod, included):
+        assert np.array_equal(included, dets > 0.0)
         return dets.copy(), wprod.copy()
-    return functionals._enumerate(points_list, values_list, pinned, False,
-                                  10 ** 7, keep)[1]
+    return functionals._enumerate(points_list, values_list, 0.0, pinned, False,
+                                  10 ** 7, keep)[2]
 
 
 def gather_terms(points_list, values_list, idx, pinned):
@@ -1002,6 +1001,36 @@ class TestKernelPaths:
                 decode_gather_blocks(points_list, values_list, pinned))
 
     @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("block", [5, 40])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_excluded_equals_decode_filter(self, monkeypatch, threads, block, k,
+                                           symmetric, pinned):
+        # _enumerate's excluded count against decoding every ordered tuple
+        # and filtering det <= tau; quarter-rounded atoms (one at the
+        # origin) repeat, so degenerate tuples are exact zeros in every slot
+        # order, and a symmetric block must count each by its multiplicity
+        monkeypatch.setenv("DETCURVE_THREADS", threads)
+        monkeypatch.setattr(parallel, "BLOCK", block)
+        rng = np.random.default_rng(10 * k + pinned)
+        m = k if pinned else k + 1
+        sizes = [9] * m if symmetric else [4, 3, 2, 9][4 - m:]
+        points = np.round(rng.standard_normal((9, 3)) * 2) / 4
+        points[0] = 0.0
+        values = rng.random(9)
+        points_list = [points[:n] for n in sizes]
+        values_list = [values[:n] for n in sizes]
+        tau = 1e-9
+        dets, _ = gather_terms(points_list, values_list, np.unravel_index(
+            np.arange(math.prod(sizes)), sizes), pinned)
+        total, excluded, _ = functionals._enumerate(
+            points_list, values_list, tau, pinned, symmetric, 10 ** 7,
+            lambda dets, wprod, included: None)
+        assert total == math.prod(sizes)
+        assert excluded == int(np.count_nonzero(dets <= tau)) > 0
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("sizes", [(2, parallel.BLOCK + 1000),
                                        (parallel.BLOCK + 1000, 3)])
     def test_product_blocks_long_slot(self, monkeypatch, threads, sizes):
@@ -1019,8 +1048,8 @@ class TestKernelPaths:
                 # unpinned circuit's five arrays of two blocks' tuples, with
                 # one more to spare
                 peak = traced_peak(lambda: functionals._enumerate(
-                    points_list, values_list, pinned, False, 10 ** 7,
-                    lambda dets, wprod, mult: None))
+                    points_list, values_list, 0.0, pinned, False, 10 ** 7,
+                    lambda dets, wprod, included: None))
                 assert peak <= 6 * 2 * 8 * parallel.BLOCK
 
     def test_product_blocks_peak(self, monkeypatch):
@@ -1090,16 +1119,15 @@ class TestKernelPaths:
         sets = [np.arange(400), np.arange(19, 420)]
         tau = functionals.default_det_threshold(mu, 2)
 
-        def level_loop(dets, wprod, mult):
-            included = dets > tau
+        def level_loop(dets, wprod, included):
             local = {}
             levels = np.frexp(dets[included])[1] - 1
             for l in np.unique(levels):
                 local[int(l)] = float(np.sum(wprod[included][levels == l]))
             return local, float(np.sum(wprod[~included]))
 
-        _, blocks = functionals._enumerate(
-            [mu.points[s] for s in sets], [mu.weights[s] for s in sets],
+        _, _, blocks = functionals._enumerate(
+            [mu.points[s] for s in sets], [mu.weights[s] for s in sets], tau,
             pinned=True, symmetric=False, budget=10 ** 7, reduce=level_loop)
         assert len(blocks) == 2
         layers = {}
@@ -1110,3 +1138,10 @@ class TestKernelPaths:
         assert list(prof.layers) == sorted(layers)
         assert all(prof.layers[l] == layers[l] for l in layers)
         assert prof.excluded_mass == math.fsum(exc for _, exc in blocks)
+
+    def test_dyadic_keys_past_eight_bits(self, cube64, monkeypatch):
+        # the default tau keeps every layer within about 40 levels of it;
+        # at TAU_SCALE 2^-300 the layers lie ~300 levels up, past uint8 keys
+        monkeypatch.setattr(functionals, "TAU_SCALE", 2.0 ** -300)
+        with pytest.raises(RuntimeError, match="dyadic keys hold 254"):
+            dyadic_profile(cube64, 2, [np.arange(64)] * 2, 0.5)

@@ -510,8 +510,6 @@ TEST_SET_OPTIONS = {
     ("functionals.py", "det_form", "fs"): "bench/tracing.py reads it by name",
     ("geometry.py", "simplex_det_many", "pinned"): "the documented pinned "
                                                    "variant of a public kernel",
-    ("functionals.py", "cauchy_schwarz_check", "rel_tol"): "acceptance "
-                                                           "criterion 4 passes it",
     ("lab.py", "verify_necessity_growth", "n_frames"): "acceptance criterion 7 "
                                                        "passes it",
 }
